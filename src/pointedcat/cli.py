@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import PointedCatError, exit_code_for
+from .errors import ParseError, PointedCatError, exit_code_for
 from .cyclotomic import format_root
 from .groups import format_group, parse_group
 from .cocycles import (
@@ -297,7 +297,7 @@ def cmd_cocycle_check(args) -> None:
     stdin_text = sys.stdin.read() if args.cat == "-" else None
     label, cocycle = raw_cocycle_from_source(args.cat, stdin_text)
     if cocycle is None:
-        raise PointedCatError("the input carries no cocycle tables to check")
+        raise ParseError("the input carries no cocycle tables to check")
     normalized = cocycle.normalized
     pentagon_ok, pentagon_witness = check_pentagon(cocycle)
     hexagon_ok, hexagon_witness = check_hexagons(cocycle)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     do.add_argument("--out")
     do.set_defaults(fn=cmd_double)
 
-    cl = subs.add_parser("classify", help="brute-force cohomology classes on tiny groups")
+    cl = subs.add_parser("classify", help="abelian 3-cocycle classes on tiny groups")
     cl.add_argument("group")
     cl.add_argument("--values", type=int, default=4, help="root-of-unity order bound")
     cl.add_argument("--json", action="store_true")

@@ -31,7 +31,15 @@ from .errors import (
     OrderTooLarge,
     ParseError,
 )
-from .groups import AbelianGroup, Element, Subgroup
+from .groups import (
+    AbelianGroup,
+    Element,
+    Subgroup,
+    howell_form,
+    howell_kernel,
+    howell_reduce,
+    howell_size,
+)
 
 
 def _product(values) -> RootOfUnity:
@@ -421,7 +429,7 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
 
 
 # ----------------------------------------------------------------------
-# Exponent-vector search engine (shared by find_mu and classify_h3ab).
+# Exponent-vector search engine for find_mu.
 # ----------------------------------------------------------------------
 
 def _solve_exponents(count: int, modulus: int, equations):
@@ -523,7 +531,7 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
 
 
 # ----------------------------------------------------------------------
-# Brute-force classification on tiny groups.
+# Classification on tiny groups by linear algebra over Z/N.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -539,144 +547,103 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     """All normalized (psi, omega) pairs with values in the N-th roots, partitioned
     into coboundary orbits; orbits must coincide with trace-form fibers.
 
-    Representatives are the lexicographically least orbit members; classes are
-    sorted by their trace form.
+    A pair is an exponent vector mod N: psi on nonzero triples, then omega on
+    nonzero pairs.  The pentagon and hexagons cut out its cocycle module Z,
+    the coboundaries of elementary 2-cochains span B <= Z, and the classes are
+    Z/B, enumerated by closing Z's Howell rows under addition modulo B.
+    Reducing modulo B's Howell form yields the lexicographically least orbit
+    member, which is the representative; classes are sorted by trace form.
     """
+    if value_order < 1:
+        raise ParseError(f"value order must be at least 1, got {value_order}")
     if group.order > 4:
         raise GroupTooLarge(f"classification bounded at |G| <= 4, got {group.order}")
     if value_order > 8:
         raise OrderTooLarge(f"classification bounded at N <= 8, got {value_order}")
 
     g = group
-    zero = g.zero
-    elems = g.elements()
-    nonzero = [x for x in elems if x != zero]
     n = value_order
+    zero = g.zero
+    add = g.add
+    nonzero = [x for x in g.elements() if x != zero]
+    triples = list(itertools.product(nonzero, repeat=3))
+    pairs = list(itertools.product(nonzero, repeat=2))
+    column = {key: i for i, key in enumerate(triples + pairs)}
+    width = len(column)
 
-    free_triples = [t for t in itertools.product(nonzero, repeat=3)]
-    tslot = {t: i for i, t in enumerate(free_triples)}
-    free_pairs = [p for p in itertools.product(nonzero, repeat=2)]
-    pslot = {p: i for i, p in enumerate(free_pairs)}
+    def vector(*terms) -> tuple[int, ...]:
+        """Exponent vector of sum(coeff * x[key]); normalization drops keys with a zero."""
+        vec = [0] * width
+        for coeff, key in terms:
+            if zero not in key:
+                vec[column[key]] += coeff
+        return tuple(x % n for x in vec)
 
-    def psi_term(a, b, c, coeff):
-        if zero in (a, b, c):
-            return []
-        return [(tslot[(a, b, c)], coeff)]
+    # identities with a zero argument hold for every normalized pair
+    equations = set()
+    for a, b, c, d in itertools.product(nonzero, repeat=4):
+        equations.add(vector(
+            (1, (b, c, d)), (1, (a, add(b, c), d)), (1, (a, b, c)),
+            (-1, (add(a, b), c, d)), (-1, (a, b, add(c, d))),
+        ))
+    for a, b, c in itertools.product(nonzero, repeat=3):
+        equations.add(vector(  # H1
+            (1, (a, add(b, c))), (-1, (a, b)), (-1, (a, c)),
+            (1, (a, b, c)), (-1, (b, a, c)), (1, (b, c, a)),
+        ))
+        equations.add(vector(  # H2
+            (1, (add(a, b), c)), (-1, (a, c)), (-1, (b, c)),
+            (-1, (a, b, c)), (1, (a, c, b)), (-1, (c, a, b)),
+        ))
+    equations.discard((0,) * width)
+    equations = sorted(equations)
+    cocycles = howell_kernel(equations, width, n)
 
-    def omega_term(a, b, coeff):
-        if a == zero or b == zero:
-            return []
-        return [(pslot[(a, b)], coeff)]
+    def coboundary(pair) -> tuple[int, ...]:
+        """delta of the elementary cochain phi = [(x, y) == pair]."""
+        def phi(x, y) -> int:
+            return int((x, y) == pair)
 
-    pentagon = []
-    for a, b, c, d in itertools.product(elems, repeat=4):
-        terms = (
-            psi_term(b, c, d, +1)
-            + psi_term(a, g.add(b, c), d, +1)
-            + psi_term(a, b, c, +1)
-            + psi_term(g.add(a, b), c, d, -1)
-            + psi_term(a, b, g.add(c, d), -1)
-        )
-        pentagon.append((terms, 0))
-
-    def psi_value(vec, a, b, c) -> int:
-        if zero in (a, b, c):
-            return 0
-        return vec[tslot[(a, b, c)]]
-
-    solutions = []
-    for psi_vec in _solve_exponents(len(free_triples), n, pentagon):
-        hexagons = []
-        for a, b, c in itertools.product(elems, repeat=3):
-            h1_terms = (
-                omega_term(a, g.add(b, c), +1)
-                + omega_term(a, b, -1)
-                + omega_term(a, c, -1)
-            )
-            h1_target = -psi_value(psi_vec, a, b, c) + psi_value(psi_vec, b, a, c) - psi_value(psi_vec, b, c, a)
-            hexagons.append((h1_terms, h1_target))
-            h2_terms = (
-                omega_term(g.add(a, b), c, +1)
-                + omega_term(a, c, -1)
-                + omega_term(b, c, -1)
-            )
-            h2_target = psi_value(psi_vec, a, b, c) - psi_value(psi_vec, a, c, b) + psi_value(psi_vec, c, a, b)
-            hexagons.append((h2_terms, h2_target))
-        for omega_vec in _solve_exponents(len(free_pairs), n, hexagons):
-            solutions.append((psi_vec, omega_vec))
-
-    # coboundary action: generated by elementary cochains, closed under addition
-    generators = []
-    for pair in free_pairs:
-        phi = {pair: 1}
-
-        def phi_at(x, y):
-            return phi.get((x, y), 0)
-
-        dpsi = []
-        for a, b, c in free_triples:
-            dpsi.append(
-                (
-                    phi_at(b, c)
-                    + phi_at(a, g.add(b, c))
-                    - phi_at(g.add(a, b), c)
-                    - phi_at(a, b)
-                )
-                % n
-            )
-        domega = [(phi_at(b, a) - phi_at(a, b)) % n for a, b in free_pairs]
-        generators.append((tuple(dpsi), tuple(domega)))
-
-    identity = (tuple([0] * len(free_triples)), tuple([0] * len(free_pairs)))
-    coboundaries = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for gen in generators:
-                combined = (
-                    tuple((x + y) % n for x, y in zip(base[0], gen[0])),
-                    tuple((x + y) % n for x, y in zip(base[1], gen[1])),
-                )
-                if combined not in coboundaries:
-                    coboundaries.add(combined)
-                    nxt.append(combined)
-        frontier = nxt
-
-    def trace_key(vec):
-        return tuple(
-            vec[1][pslot[(x, x)]] if x != zero else 0 for x in elems
+        return vector(
+            *((phi(b, c) + phi(a, add(b, c)) - phi(add(a, b), c) - phi(a, b), (a, b, c))
+              for a, b, c in triples),
+            *((phi(b, a) - phi(a, b), (a, b)) for a, b in pairs),
         )
 
-    solution_set = set(solutions)
-    remaining = sorted(solution_set)
-    seen = set()
+    generators = [coboundary(pair) for pair in pairs]
+    for gen in generators:
+        if any(sum(e * x for e, x in zip(eq, gen)) % n for eq in equations):
+            raise ConventionError("a coboundary violates the pentagon or hexagons")
+        if any(gen[column[(x, x)]] for x in nonzero):
+            raise ConventionError("a coboundary moves the trace form")
+    coboundaries = howell_form(generators, n)
+
+    def reduce(vec) -> tuple[int, ...]:
+        return tuple(howell_reduce(vec, coboundaries, n))
+
+    reps = {(0,) * width}
+    for z in cocycles:
+        for rep in list(reps):
+            nxt = reduce([x + y for x, y in zip(rep, z)])
+            while nxt not in reps:
+                reps.add(nxt)
+                nxt = reduce([x + y for x, y in zip(nxt, z)])
+
+    orbit_size = howell_size(coboundaries, n)
+    if len(reps) * orbit_size != howell_size(cocycles, n):
+        raise ConventionError(
+            f"{len(reps)} classes of size {orbit_size} do not tile "
+            f"{howell_size(cocycles, n)} cocycles"
+        )
+
     classes = []
-    for sol in remaining:
-        if sol in seen:
-            continue
-        orbit = {
-            (
-                tuple((x + y) % n for x, y in zip(sol[0], b[0])),
-                tuple((x + y) % n for x, y in zip(sol[1], b[1])),
-            )
-            for b in coboundaries
-        }
-        if not orbit <= solution_set:
-            raise ConventionError("coboundary orbit escaped the enumerated cocycle set")
-        keys = {trace_key(member) for member in orbit}
-        if len(keys) != 1:
-            raise ConventionError("coboundary orbit mixes distinct trace forms")
-        seen |= orbit
-        psi_table = {
-            t: root_of_unity(n, k) for t, k in zip(free_triples, sol[0])
-        }
-        omega_table = {
-            p: root_of_unity(n, k) for p, k in zip(free_pairs, sol[1])
-        }
-        rep = cocycle_from_tables(g, psi_table, omega_table)
-        require_cocycle(rep)
-        classes.append(CocycleClass(rep, trace_form(rep), len(orbit)))
+    for vec in reps:
+        rep = cocycle_from_tables(
+            g,
+            {t: root_of_unity(n, vec[column[t]]) for t in triples},
+            {p: root_of_unity(n, vec[column[p]]) for p in pairs},
+        )
+        classes.append(CocycleClass(rep, trace_form(rep), orbit_size))
 
     forms = [tuple((v.order, v.exponent) for v in cls.form.values) for cls in classes]
     if len(set(forms)) != len(forms):

@@ -307,6 +307,94 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
     return diag
 
 
+# ----------------------------------------------------------------------
+# Howell form over Z/N (Storjohann and Mulders, ESA 1998).
+# ----------------------------------------------------------------------
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        s0, s1, t0, t1 = s1, s0 - k * s1, t1, t0 - k * t1
+    return a, s0, t0
+
+
+def _pivot(row) -> int:
+    return next(i for i, x in enumerate(row) if x)
+
+
+def howell_form(rows, modulus: int) -> list[list[int]]:
+    """Howell form of the row span of ``rows`` in (Z/modulus)^n.
+
+    Rows come in echelon order, each pivot divides the modulus and every
+    entry above a pivot is reduced below it, so equal spans give equal
+    forms.  Howell property: for every column k, the rows with pivot >= k
+    span every member of the row span that vanishes before k.  The span
+    has prod(modulus / pivot) members.
+    """
+    n = modulus
+    basis: dict[int, list[int]] = {}
+    work = [[x % n for x in row] for row in rows]
+    while work:
+        row = work.pop()
+        col = 0
+        while col < len(row):
+            a = row[col]
+            if a == 0:
+                col += 1
+                continue
+            top = basis.get(col) or [0] * len(row)
+            d = top[col] or n
+            if a % d == 0:
+                row = [(x - (a // d) * y) % n for x, y in zip(row, top)]
+                continue
+            # unimodular 2x2 step: top' = s top + t row carries gcd(d, a), and
+            # the cofactor row, which vanishes at col, goes back on the work
+            # list.  (modulus / g) top' is a combination of the cofactor and
+            # (modulus / d) top, so every pivot row's annihilated multiple
+            # lies in the span of later rows: the Howell property.
+            g, s, t = _xgcd(d, a)
+            basis[col] = [(s * y + t * x) % n for x, y in zip(row, top)]
+            work.append([((d // g) * x - (a // g) * y) % n for x, y in zip(row, top)])
+            break
+    form = [basis[c] for c in sorted(basis)]
+    for i, row in enumerate(form):
+        form[:i] = [howell_reduce(upper, [row], n) for upper in form[:i]]
+    return form
+
+
+def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
+    """Lexicographically least member of vec + span(form), for a Howell form."""
+    vec = [x % modulus for x in vec]
+    for row in form:
+        col = _pivot(row)
+        k = vec[col] // row[col]
+        if k:
+            vec = [(x - k * y) % modulus for x, y in zip(vec, row)]
+    return vec
+
+
+def howell_size(form: list[list[int]], modulus: int) -> int:
+    """Number of members of the span of a Howell form."""
+    return math.prod(modulus // row[_pivot(row)] for row in form)
+
+
+def howell_kernel(rows: list, ncols: int, modulus: int) -> list[list[int]]:
+    """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row}.
+
+    The Howell form of [rows^T | I] spans the pairs (x rows^T, x); by the
+    Howell property, its rows with pivot past the rows^T block span the kernel.
+    """
+    split = len(rows)
+    augmented = [
+        [row[j] for row in rows] + [int(i == j) for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    return [row[split:] for row in howell_form(augmented, modulus) if not any(row[:split])]
+
+
 @dataclass(frozen=True)
 class Quotient:
     """G/H in cyclic-factor form plus the coset-representative map."""

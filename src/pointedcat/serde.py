@@ -62,9 +62,16 @@ def parse_element_key(text: str, group: AbelianGroup) -> Element:
     return _parse_args(text, group, 1)[0]
 
 
+def _object(raw, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _root_table(raw: dict, group: AbelianGroup, arity: int) -> dict:
     table = {}
-    for key, literal in raw.items():
+    name = ('"q"', '"omega"', '"psi"')[arity - 1]
+    for key, literal in _object(raw, name).items():
         args = _parse_args(key, group, arity)
         table[args if arity > 1 else args[0]] = parse_root(str(literal))
     return table
@@ -80,13 +87,15 @@ def qf_from_json(data: dict, group: AbelianGroup) -> QuadraticForm:
         values = tuple(table.get(g, ONE) for g in group.elements())
         return QuadraticForm(group, values)
     if "q_gen" in data:
+        if not isinstance(data["q_gen"], list):
+            raise ParseError('"q_gen" must be a JSON array of root literals')
         gens = [parse_root(str(v)) for v in data["q_gen"]]
         if len(gens) != group.rank:
             raise ParseError(
                 f"q_gen lists {len(gens)} values for {group.rank} cyclic factors"
             )
         pairings = {}
-        for key, literal in data.get("pairings", {}).items():
+        for key, literal in _object(data.get("pairings", {}), '"pairings"').items():
             try:
                 i, j = (int(p) for p in key.split(","))
             except ValueError as exc:

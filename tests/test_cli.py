@@ -198,3 +198,37 @@ def test_modcats_needs_a_cocycle(capsys):
     code, _, err = run_cli(capsys, "modcats", "double:Z8")
     assert code == 2
     assert "cocycle" in err
+
+
+# -- invalid inputs exit 2, never with a traceback ----------------------------------------
+
+def test_classify_value_order_below_one_exits_2(capsys):
+    for values in ("0", "-2"):
+        code, out, err = run_cli(capsys, "classify", "Z2", "--values", values, "--json")
+        assert code == 2
+        assert out == ""
+        assert "value order" in err
+    report = run_json(capsys, "classify", "Z2", "--values", "1")
+    assert report["results"]["count"] == 1
+    assert report["results"]["classes"][0]["orbit_size"] == 1
+
+
+def test_cocycle_check_on_form_only_file_exits_2(tmp_path, capsys):
+    spec = tmp_path / "form.json"
+    spec.write_text(json.dumps({"group": "Z2", "q": {"1": "-1"}}))
+    code, _, err = run_cli(capsys, "cocycle-check", str(spec))
+    assert code == 2
+    assert "no cocycle tables" in err
+
+
+def test_non_object_tables_exit_2(capsys, monkeypatch):
+    for payload in (
+        {"group": "Z2", "q": []},
+        {"group": "Z2", "psi": []},
+        {"group": "Z2xZ2", "q_gen": ["1", "1"], "pairings": []},
+        {"group": "Z2", "q_gen": 5},
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, _, err = run_cli(capsys, "center", "-")
+        assert code == 2, payload
+        assert err.startswith("error: ")

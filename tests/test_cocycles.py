@@ -28,6 +28,8 @@ from pointedcat.cocycles import (
 )
 from pointedcat.battery import enumerate_quadratic_forms
 
+from h3ab_search import classify_h3ab_by_search
+
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
 Z4 = parse_group("Z4")
@@ -201,6 +203,49 @@ def test_classify_bounds():
         classify_h3ab(parse_group("Z8"), 2)
     with pytest.raises(OrderTooLarge):
         classify_h3ab(Z2, 16)
+
+
+@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z2xZ2"])
+def test_classify_n1_is_one_trivial_class(literal):
+    group = parse_group(literal)
+    (cls,) = classify_h3ab(group, 1)
+    assert cls.orbit_size == 1
+    assert all(v.is_one for v in cls.form.values)
+    assert all(v.is_one for v in cls.representative.psi + cls.representative.omega)
+
+
+def _roots(values):
+    return [(v.order, v.exponent) for v in values]
+
+
+def _class_key(cls):
+    return (_roots(cls.form.values), _roots(cls.representative.psi),
+            _roots(cls.representative.omega), cls.orbit_size)
+
+
+@pytest.mark.parametrize("literal, value_order", [
+    ("Z1", 4), ("Z2", 1), ("Z2", 2), ("Z2", 4), ("Z2", 8),
+    ("Z3", 3), ("Z3", 6), ("Z4", 2), ("Z2xZ2", 2),
+])
+def test_classify_matches_search_oracle(literal, value_order):
+    group = parse_group(literal)
+    fast = classify_h3ab(group, value_order)
+    slow = classify_h3ab_by_search(group, value_order)
+    assert [_class_key(c) for c in fast] == [_class_key(c) for c in slow]
+
+
+@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"])
+def test_classify_counts_match_eilenberg_mac_lane(literal):
+    # H^3_ab(G, mu_N) has one class per quadratic form on G with values in mu_N
+    group = parse_group(literal)
+    forms = enumerate_quadratic_forms(group)
+    for value_order in range(1, 9):
+        expected = sorted(
+            _roots(f.values) for f in forms
+            if all(value_order % v.order == 0 for v in f.values)
+        )
+        classes = classify_h3ab(group, value_order)
+        assert sorted(_roots(cls.form.values) for cls in classes) == expected
 
 
 # -- standard cocycle -------------------------------------------------------

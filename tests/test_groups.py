@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,10 @@ from pointedcat.groups import (
     characters,
     cyclic_presentation,
     format_group,
+    howell_form,
+    howell_kernel,
+    howell_reduce,
+    howell_size,
     parse_group,
     quotient,
     restrict,
@@ -163,6 +168,76 @@ def test_smith_diagonal():
     # relation matrix of Z4 x Z4 mod the diagonal Z4: quotient is Z4
     diag = smith_diagonal([[4, 0], [0, 4], [1, 1]])
     assert [d for d in diag if d > 1] == [4]
+
+
+# -- Howell form over Z/N ------------------------------------------------
+
+def _span(rows, ncols, modulus):
+    """Oracle: every Z/N-combination of the rows, by closure under addition."""
+    span = {(0,) * ncols}
+    frontier = list(span)
+    while frontier:
+        nxt = []
+        for vec in frontier:
+            for row in rows:
+                new = tuple((x + y) % modulus for x, y in zip(vec, row))
+                if new not in span:
+                    span.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return span
+
+
+def _random_systems():
+    rng = random.Random(7)
+    for modulus in (1, 2, 4, 6, 8, 9, 12):
+        for _ in range(6):
+            ncols = rng.randint(1, 3)
+            rows = [[rng.randrange(modulus) for _ in range(ncols)]
+                    for _ in range(rng.randint(0, 3))]
+            yield modulus, ncols, rows
+
+
+def test_howell_form_example():
+    # mod 4, (2, 1) spans 2 * (2, 1) = (0, 2), which an echelon form alone misses
+    assert howell_form([[2, 1]], 4) == [[2, 1], [0, 2]]
+    assert howell_size([[2, 1], [0, 2]], 4) == 4
+    assert howell_form([[3, 0], [0, 6]], 12) == [[3, 0], [0, 6]]
+    assert howell_form([[12, 24]], 12) == []
+
+
+def test_howell_form_is_canonical_and_sized():
+    for modulus, ncols, rows in _random_systems():
+        form = howell_form(rows, modulus)
+        span = _span(rows, ncols, modulus)
+        assert _span(form, ncols, modulus) == span
+        assert howell_size(form, modulus) == len(span)
+        assert howell_form(form[::-1] + rows, modulus) == form
+        for row in form:
+            pivot = next(i for i, x in enumerate(row) if x)
+            assert modulus % row[pivot] == 0
+
+
+def test_howell_reduce_is_lexicographic_minimum():
+    for modulus, ncols, rows in _random_systems():
+        form = howell_form(rows, modulus)
+        span = _span(rows, ncols, modulus)
+        for vec in itertools.product(range(modulus), repeat=ncols):
+            least = min(
+                tuple((x + y) % modulus for x, y in zip(vec, member)) for member in span
+            )
+            assert tuple(howell_reduce(vec, form, modulus)) == least
+
+
+def test_howell_kernel_matches_brute_force():
+    for modulus, ncols, rows in _random_systems():
+        kernel = {
+            vec for vec in itertools.product(range(modulus), repeat=ncols)
+            if all(sum(a * x for a, x in zip(row, vec)) % modulus == 0 for row in rows)
+        }
+        basis = howell_kernel(rows, ncols, modulus)
+        assert basis == howell_form(basis, modulus)
+        assert _span(basis, ncols, modulus) == kernel
 
 
 # -- characters ----------------------------------------------------------
