@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
 from . import __version__
-from .errors import ParseError, PointedCatError, exit_code_for
+from .errors import GroupTooLarge, ParseError, PointedCatError, exit_code_for
 from .cyclotomic import format_root
 from .groups import format_group, parse_group
 from .cocycles import (
@@ -93,7 +94,14 @@ def _emit(args, command: str, inputs, results, human_lines, started: float) -> N
             print(line)
 
 
-def _load(args):
+def _load(args, max_group_order: int | None = None):
+    """The category argument; with a bound on subgroup enumeration, a
+    "double:<G>" source over it fails before the double is built."""
+    name = args.cat.strip().lower()
+    if max_group_order is not None and name.startswith("double:"):
+        order = parse_group(name.removeprefix("double:")).order ** 2
+        if order > max_group_order:
+            raise GroupTooLarge(f"|G| = {order} exceeds the bound {max_group_order}")
     stdin_text = None
     if args.cat == "-":
         stdin_text = sys.stdin.read()
@@ -184,7 +192,7 @@ def cmd_center(args) -> None:
 
 def cmd_lagrangian(args) -> None:
     started = time.perf_counter()
-    category = _load(args)
+    category = _load(args, args.max_group_order)
     report: CenterReport = detect_center(category, args.max_group_order)
     results = {
         "category": category.label,
@@ -236,11 +244,12 @@ def cmd_classify(args) -> None:
         "classes": [
             {
                 "q": qf_to_json(cls.form)["q"],
-                "psi": cocycle_to_json(cls.representative)["psi"],
-                "omega": cocycle_to_json(cls.representative)["omega"],
+                "psi": tables["psi"],
+                "omega": tables["omega"],
                 "orbit_size": cls.orbit_size,
             }
             for cls in classes
+            for tables in [cocycle_to_json(cls.representative)]
         ],
     }
     human = [
@@ -260,7 +269,7 @@ def cmd_classify(args) -> None:
 
 def cmd_modcats(args) -> None:
     started = time.perf_counter()
-    category = _load(args)
+    category = _load(args, args.max_group_order)
     center = mueger_center(category)
     subs = admissible_subgroups(category, args.max_group_order)
     classes = schur_classes(category)
@@ -430,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -447,6 +456,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     return 0
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`): the rest of the report
+        # goes nowhere, and stdout points at devnull so the flush at exit
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

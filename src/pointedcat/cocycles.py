@@ -3,7 +3,8 @@
 A pair of tables (psi, omega) on G encodes a braided monoidal structure on
 G-graded lines: psi is the associator scalar on triples, omega the braiding
 scalar on pairs.  The pentagon and two hexagon identities below pin the
-scalar conventions; they are validated wholesale, and two theorem-backed
+scalar conventions.  Each cocycle is validated once, on the integer
+exponents of its entries, and the result is kept on it; two theorem-backed
 assertions guard the convention: the trace g -> omega(g, g) of any valid
 pair must be a quadratic form, and building the standard pair back from a
 quadratic form must return it as its trace.  If either ever fails the build
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 
 from .cyclotomic import ONE, RootOfUnity, root_of_unity
 from .errors import (
@@ -35,6 +36,7 @@ from .groups import (
     AbelianGroup,
     Element,
     Subgroup,
+    addition_table,
     howell_form,
     howell_kernel,
     howell_reduce,
@@ -50,9 +52,29 @@ def _product(values) -> RootOfUnity:
 # Tables.
 # ----------------------------------------------------------------------
 
+def _kept(scan):
+    """Run scan(cocycle) once per cocycle and keep its result on the cocycle."""
+    @wraps(scan)
+    def kept(c):
+        results = c._results
+        if scan.__name__ not in results:
+            results[scan.__name__] = scan(c)
+        return results[scan.__name__]
+
+    return kept
+
+
 @dataclass(frozen=True)
 class AbelianCocycle:
-    """Dense (psi, omega) tables indexed by element-index triples and pairs."""
+    """Dense (psi, omega) tables indexed by element-index triples and pairs.
+
+    Every entry is a power of z_N for one conductor N, the lcm of the entry
+    orders, so the tables also have an integer view: ``_psi_exp`` and
+    ``_omega_exp`` hold the exponents mod N, and the cocycle conditions are
+    congruences on them.  Scan results are kept in ``_results`` (see
+    ``_kept``) and the hash is computed once; equality still compares the
+    tables.
+    """
 
     group: AbelianGroup
     psi: tuple[RootOfUnity, ...]
@@ -61,6 +83,20 @@ class AbelianCocycle:
     def __post_init__(self):
         n = self.group.order
         assert len(self.psi) == n**3 and len(self.omega) == n**2
+        orders = {v.order for v in self.psi} | {v.order for v in self.omega}
+        conductor = math.lcm(*orders)
+        scale = {k: conductor // k for k in orders}
+        psi_exp = tuple(v.exponent * scale[v.order] for v in self.psi)
+        omega_exp = tuple(v.exponent * scale[v.order] for v in self.omega)
+        object.__setattr__(self, "_conductor", conductor)
+        object.__setattr__(self, "_psi_exp", psi_exp)
+        object.__setattr__(self, "_omega_exp", omega_exp)
+        object.__setattr__(self, "_add", addition_table(self.group))
+        object.__setattr__(self, "_hash", hash((self.group, psi_exp, omega_exp)))
+        object.__setattr__(self, "_results", {})
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def psi_at(self, a: Element, b: Element, c: Element) -> RootOfUnity:
         n = self.group.order
@@ -75,19 +111,25 @@ class AbelianCocycle:
     def normalized(self) -> bool:
         return self.normalization_witness() is None
 
+    @_kept
     def normalization_witness(self):
         """First table entry violating normalization, or None."""
-        zero = self.group.zero
+        n = self.group.order
         elems = self.group.elements()
-        for a in elems:
-            if not self.omega_at(a, zero).is_one:
-                return ("omega", (a, zero))
-            if not self.omega_at(zero, a).is_one:
-                return ("omega", (zero, a))
-            for b in elems:
-                for triple in ((zero, a, b), (a, zero, b), (a, b, zero)):
-                    if not self.psi_at(*triple).is_one:
-                        return ("psi", triple)
+        zero = self.group.zero
+        psi, omega = self._psi_exp, self._omega_exp
+        for a in range(n):
+            if omega[a * n]:
+                return ("omega", (elems[a], zero))
+            if omega[a]:
+                return ("omega", (zero, elems[a]))
+            for b in range(n):
+                if psi[a * n + b]:
+                    return ("psi", (zero, elems[a], elems[b]))
+                if psi[a * n * n + b]:
+                    return ("psi", (elems[a], zero, elems[b]))
+                if psi[(a * n + b) * n]:
+                    return ("psi", (elems[a], elems[b], zero))
         return None
 
 
@@ -140,6 +182,18 @@ def two_cochain_from_table(
 # Cocycle conditions.
 # ----------------------------------------------------------------------
 
+def _scan_range(c: AbelianCocycle) -> range:
+    """Element indices to scan: for a normalized table every identity with a
+    zero argument holds, so index 0 (the identity) is skipped then."""
+    return range(1 if c.normalized else 0, c.group.order)
+
+
+def _elements_at(c: AbelianCocycle, *indices: int) -> tuple[Element, ...]:
+    elems = c.group.elements()
+    return tuple(elems[i] for i in indices)
+
+
+@_kept
 def check_pentagon(c: AbelianCocycle):
     """psi(b,c,d) psi(a,b+c,d) psi(a,b,c) = psi(a+b,c,d) psi(a,b,c+d) on all quadruples.
 
@@ -147,20 +201,31 @@ def check_pentagon(c: AbelianCocycle):
     normalized table, quadruples with a zero argument hold identically, so
     only all-nonzero ones are scanned; a trivial associator passes outright.
     """
-    g = c.group
-    if all(v.is_one for v in c.psi):
+    psi = c._psi_exp
+    if not any(psi):
         return True, None
-    elems = g.elements()
-    if c.normalized:
-        elems = [x for x in elems if x != g.zero]
-    for a, b, cc, d in itertools.product(elems, repeat=4):
-        lhs = c.psi_at(b, cc, d) * c.psi_at(a, g.add(b, cc), d) * c.psi_at(a, b, cc)
-        rhs = c.psi_at(g.add(a, b), cc, d) * c.psi_at(a, b, g.add(cc, d))
-        if lhs != rhs:
-            return False, (a, b, cc, d)
+    n, add, conductor = c.group.order, c._add, c._conductor
+    indices = _scan_range(c)
+    for a in indices:
+        for b in indices:
+            ab = add[a * n + b]
+            row_ab = (a * n + b) * n  # psi(a, b, .)
+            for cc in indices:
+                fixed = psi[row_ab + cc]  # psi(a, b, c)
+                row_bc = (b * n + cc) * n  # psi(b, c, .)
+                row_a_bc = (a * n + add[b * n + cc]) * n  # psi(a, b+c, .)
+                row_ab_c = (ab * n + cc) * n  # psi(a+b, c, .)
+                shift = cc * n
+                for d in indices:
+                    if (
+                        psi[row_bc + d] + psi[row_a_bc + d] + fixed
+                        - psi[row_ab_c + d] - psi[row_ab + add[shift + d]]
+                    ) % conductor:
+                        return False, _elements_at(c, a, b, cc, d)
     return True, None
 
 
+@_kept
 def check_hexagons(c: AbelianCocycle):
     """Both hexagon identities relating omega to psi; witness is ("H1"|"H2", triple).
 
@@ -170,29 +235,26 @@ def check_hexagons(c: AbelianCocycle):
     For a normalized table both identities hold automatically whenever an
     argument is zero, so only all-nonzero triples are scanned then.
     """
-    g = c.group
-    elems = g.elements()
-    if c.normalized:
-        elems = [x for x in elems if x != g.zero]
-    for a, b, cc in itertools.product(elems, repeat=3):
-        h1 = (
-            c.omega_at(a, b)
-            * c.omega_at(a, cc)
-            * c.psi_at(a, b, cc).inv()
-            * c.psi_at(b, a, cc)
-            * c.psi_at(b, cc, a).inv()
-        )
-        if c.omega_at(a, g.add(b, cc)) != h1:
-            return False, ("H1", (a, b, cc))
-        h2 = (
-            c.omega_at(a, cc)
-            * c.omega_at(b, cc)
-            * c.psi_at(a, b, cc)
-            * c.psi_at(a, cc, b).inv()
-            * c.psi_at(cc, a, b)
-        )
-        if c.omega_at(g.add(a, b), cc) != h2:
-            return False, ("H2", (a, b, cc))
+    psi, omega = c._psi_exp, c._omega_exp
+    n, add, conductor = c.group.order, c._add, c._conductor
+    indices = _scan_range(c)
+    for a in indices:
+        for b in indices:
+            ab = add[a * n + b]
+            for cc in indices:
+                abc = psi[(a * n + b) * n + cc]
+                h1 = (
+                    omega[a * n + b] + omega[a * n + cc] - abc
+                    + psi[(b * n + a) * n + cc] - psi[(b * n + cc) * n + a]
+                )
+                if (omega[a * n + add[b * n + cc]] - h1) % conductor:
+                    return False, ("H1", _elements_at(c, a, b, cc))
+                h2 = (
+                    omega[a * n + cc] + omega[b * n + cc] + abc
+                    - psi[(a * n + cc) * n + b] + psi[(cc * n + a) * n + b]
+                )
+                if (omega[ab * n + cc] - h2) % conductor:
+                    return False, ("H2", _elements_at(c, a, b, cc))
     return True, None
 
 
@@ -200,8 +262,13 @@ def is_abelian_cocycle(c: AbelianCocycle) -> bool:
     return check_pentagon(c)[0] and check_hexagons(c)[0]
 
 
+@_kept
 def cocycle_failure(c: AbelianCocycle):
-    """(condition name, witness) for the first violated condition, else None."""
+    """(condition name, witness) for the first violated condition, else None.
+
+    Computed once per cocycle: every later caller (trace_form, make_category,
+    the file loader) reads the kept result.
+    """
     bad_entry = c.normalization_witness()
     if bad_entry is not None:
         return ("normalization", bad_entry)

@@ -121,6 +121,13 @@ def format_group(group: AbelianGroup) -> str:
     return "x".join(f"Z{n}" for n in group.factors)
 
 
+@lru_cache(maxsize=None)
+def addition_table(group: AbelianGroup) -> tuple[int, ...]:
+    """Entry i * |G| + j is the element index of elements()[i] + elements()[j]."""
+    elems = group.elements()
+    return tuple(group.element_index(group.add(x, y)) for x in elems for y in elems)
+
+
 # ----------------------------------------------------------------------
 # Subgroups.
 # ----------------------------------------------------------------------

@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import pointedcat
 from pointedcat.cli import main
 from pointedcat.metric import preset
 from pointedcat.serde import category_from_json, category_to_json
@@ -119,6 +126,22 @@ def test_exit_code_bounds(capsys):
     assert code == 4
     code, _, err = run_cli(capsys, "classify", "Z8")
     assert code == 4
+
+
+@pytest.mark.parametrize("mode", ["--human", "--json"])
+def test_reader_closing_the_pipe_early_exits_quietly(mode):
+    src = str(Path(pointedcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pointedcat.cli", "classify", "Z2", "--values", "4", mode],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_exit_code_unknown_source(capsys):

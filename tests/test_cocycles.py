@@ -294,31 +294,49 @@ def test_find_mu_semion_has_none():
 def test_find_mu_semion_oracle():
     # oracle: normalized mu on Z/2 has one free value m = mu(1,1), and
     # (delta mu)(1,1,1) = mu(1,0) mu(1,1) mu(0,1)^-1 mu(1,1)^-1 = 1 != psi(1,1,1)
+    whole = full_subgroup(Z2)
     for n in (2, 4, 8):
         for k in range(n):
-            delta = ONE  # the free value cancels out identically
+            m = root_of_unity(n, k)
+            delta = ONE * m * ONE.inv() * m.inv()  # the free value cancels out
             assert delta != SEMION.psi_at(e, e, e)
+        assert find_mu(SEMION, whole, n) is None
 
 
 def test_find_mu_nontrivial_target():
-    # on Z/4 the semion-like form z8^(a^2) has psi(a,b,c) = (-1)^(a floor((b+c)/4));
-    # a mu exists on the full group at value order 8
+    # on Z/4 the form z8^(a^2) has psi(a,b,c) = (-1)^(a floor((b+c)/4)), the
+    # order-2 class of H^3(Z/4, U(1)): no mu trivializes it, at any value order
     q = QuadraticForm(Z4, tuple(root_of_unity(8, a * a % 8) for a in range(4)))
     cocycle = standard_cocycle(q)
+    assert not all(v.is_one for v in cocycle.psi)
     whole = full_subgroup(Z4)
-    mu = find_mu(cocycle, whole, 8)
-    if mu is not None:
-        g = Z4
-        for a in g.elements():
-            for b in g.elements():
-                for c in g.elements():
-                    delta = (
-                        mu.at(b, c)
-                        * mu.at(a, g.add(b, c))
-                        * mu.at(g.add(a, b), c).inv()
-                        * mu.at(a, b).inv()
-                    )
-                    assert delta == cocycle.psi_at(a, b, c)
+    for n in (4, 8, 16):
+        assert find_mu(cocycle, whole, n) is None
+
+
+def test_find_mu_trivializes_a_coboundary():
+    # psi = delta phi for a 2-cochain phi with values in mu_4, so a mu exists
+    elems = Z4.elements()
+    phi = two_cochain_from_table(Z4, elems, {
+        ((1,), (1,)): root_of_unity(4, 1),
+        ((1,), (2,)): root_of_unity(4, 3),
+        ((3,), (2,)): root_of_unity(2, 1),
+    })
+    cocycle = apply_coboundary(cocycle_from_tables(Z4, {}, {}), phi)
+    assert not all(v.is_one for v in cocycle.psi)
+    mu = find_mu(cocycle, full_subgroup(Z4), 4)
+    assert mu is not None
+    g = Z4
+    for a in g.elements():
+        for b in g.elements():
+            for c in g.elements():
+                delta = (
+                    mu.at(b, c)
+                    * mu.at(a, g.add(b, c))
+                    * mu.at(g.add(a, b), c).inv()
+                    * mu.at(a, b).inv()
+                )
+                assert delta == cocycle.psi_at(a, b, c)
 
 
 def test_find_mu_lex_first():
