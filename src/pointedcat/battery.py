@@ -137,12 +137,6 @@ def default_cases() -> list[BatteryCase]:
 # Per-case checks (the quantified acceptance criteria).
 # ----------------------------------------------------------------------
 
-def _case_category(case: BatteryCase) -> PointedBFC:
-    group = parse_group(case.group_literal)
-    form = QuadraticForm(group, case.q_values)
-    return category_from_form(form, label=case.label)
-
-
 def check_character_table(base: PointedBFC):
     ok = verify_character_table(base)
     return ok, None if ok else "level-2 S-matrix differs from the character table"
@@ -154,8 +148,9 @@ def check_pi0(base: PointedBFC):
 
 
 def check_full_rank(base: PointedBFC):
-    det = smatrix2(base).matrix.det()
-    return (not det.is_zero), None if not det.is_zero else "determinant is zero"
+    matrix = smatrix2(base).matrix
+    full = matrix.rank() == matrix.rows
+    return full, None if full else "determinant is zero"
 
 
 def check_group_hom(base: PointedBFC):
@@ -359,14 +354,14 @@ def run_all(cases=None, include_global: bool = True) -> BatterySummary:
     for case in cases:
         try:
             group = parse_group(case.group_literal)
-            QuadraticForm(group, case.q_values)
+            form = QuadraticForm(group, case.q_values)
             rows.append(BatteryRow(case.label, "quadratic-form-valid", True, None))
         except PointedCatError as exc:
             rows.append(
                 BatteryRow(case.label, "quadratic-form-valid", False, str(exc))
             )
             continue
-        base = _case_category(case)
+        base = category_from_form(form, label=case.label)
         for name, fn in CASE_CHECKS:
             try:
                 passed, witness = fn(base)

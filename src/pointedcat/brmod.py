@@ -225,7 +225,7 @@ def smatrix2(base: PointedBFC) -> SMatrix2:
     matrix = CycloMatrix.from_rows(
         [[embed(r, conductor) for r in row] for row in roots]
     )
-    if matrix.det().is_zero:
+    if matrix.rank() < matrix.rows:
         raise InternalInconsistency("level-2 S-matrix is singular")
     return SMatrix2(
         base,

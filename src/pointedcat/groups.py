@@ -168,9 +168,6 @@ class Subgroup:
     def contains(self, g: Element) -> bool:
         return g in self._elemset
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.parent == other.parent and all(other.contains(g) for g in self.elements)
-
 
 def _closure(group: AbelianGroup, seed) -> frozenset:
     out = {group.zero}
@@ -413,9 +410,6 @@ class Quotient:
     def rep_of(self, g: Element) -> Element:
         return self._rep_of[g]
 
-    def rep_index(self, g: Element) -> int:
-        return self.reps.index(self._rep_of[g])
-
 
 def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
     """Quotient group with lexicographically minimal coset representatives."""
@@ -628,8 +622,3 @@ def character_table(group: AbelianGroup) -> CycloMatrix:
     for chi in characters(group):
         rows.append([embed(chi.eval(g), conductor) for g in elems])
     return CycloMatrix.from_rows(rows)
-
-
-def character_root_table(group: AbelianGroup) -> list[list[RootOfUnity]]:
-    elems = group.elements()
-    return [[chi.eval(g) for g in elems] for chi in characters(group)]

@@ -1,10 +1,11 @@
 import pytest
 
-from pointedcat.cyclotomic import ONE, CycloNumber, root_of_unity
+from pointedcat.cyclotomic import ONE, CycloMatrix, CycloNumber, root_of_unity
 from pointedcat.errors import ParseError, ValidationError
 from pointedcat.groups import parse_group
 from pointedcat.cocycles import QuadraticForm, apply_coboundary, trace_form, two_cochain_from_table
 from pointedcat.metric import (
+    RANK_CHECK_BOUND,
     category_from_form,
     detect_center,
     drinfeld_double,
@@ -118,6 +119,25 @@ def test_doubles_are_nondegenerate_with_lagrangians():
         double = drinfeld_double(parse_group(literal))
         assert is_nondegenerate(double)
         assert len(lagrangian_subgroups(double)) >= 1
+
+
+@pytest.mark.parametrize("literal, checked", [("Z6", True), ("Z8", True), ("Z9", False)])
+def test_double_rank_cross_check_runs_up_to_the_bound(literal, checked, monkeypatch):
+    """Building D(G) runs the S-matrix rank against the transparent subgroup
+    for |D(G)| <= RANK_CHECK_BOUND (36 and 64 here), and skips it past that."""
+    ranks = []
+    original = CycloMatrix.rank
+
+    def counted(self):
+        rank = original(self)
+        ranks.append((self.rows, rank))
+        return rank
+
+    monkeypatch.setattr(CycloMatrix, "rank", counted)
+    double = drinfeld_double.__wrapped__(parse_group(literal))
+    n = double.group.order
+    assert (n <= RANK_CHECK_BOUND) == checked
+    assert ranks == ([(n, n)] if checked else [])
 
 
 # -- isotropic / Lagrangian ---------------------------------------------------

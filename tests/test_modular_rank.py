@@ -1,0 +1,206 @@
+"""Differential tests for the certified modular rank.
+
+``CycloMatrix.rank`` reduces entries modulo primes p = 1 (mod N) and certifies
+the result against an exact upper bound; exact Bareiss elimination
+(``CycloMatrix._eliminate``) is the oracle it must agree with everywhere.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from pointedcat.battery import _abelian_groups_of_order
+from pointedcat.brmod import smatrix2
+from pointedcat.cyclotomic import (
+    CycloMatrix,
+    CycloNumber,
+    embed,
+    root_of_unity,
+    _is_prime,
+    _rank_mod_p,
+    _rank_primes,
+    _residues,
+)
+from pointedcat.groups import character_table, format_group
+from pointedcat.metric import smatrix1
+
+
+def _oracle_rank(matrix):
+    rank, _, _ = matrix._eliminate()
+    return rank
+
+
+def _ints(rows, conductor=1):
+    return CycloMatrix.from_rows(
+        [[CycloNumber.from_rational(v, conductor) for v in row] for row in rows]
+    )
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the calls that reach the exact Bareiss fallback."""
+    calls = []
+    original = CycloMatrix._eliminate
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return original(self)
+
+    monkeypatch.setattr(CycloMatrix, "_eliminate", counted)
+    return calls
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(flags[i * i::i]))
+    return [i for i in range(limit + 1) if flags[i]]
+
+
+# -- the prime helper ----------------------------------------------------
+
+def test_is_prime_matches_a_sieve():
+    primes = set(_sieve(20000))
+    assert [n for n in range(20001) if _is_prime(n)] == sorted(primes)
+    # strong pseudoprimes to several small bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383):
+        assert not _is_prime(n)
+
+
+def test_rank_primes_for_conductors_up_to_64():
+    small = _sieve(2**16)
+    for n in range(1, 65):
+        entries = _rank_primes(n)
+        assert len(entries) == 3
+        assert [p for p, _ in entries] == sorted({p for p, _ in entries})
+        for p, w in entries:
+            assert 2**31 < p < 2**32 and (p - 1) % n == 0
+            assert all(p % q for q in small), (n, p)
+            assert pow(w, n, p) == 1
+            assert all(pow(w, d, p) != 1 for d in range(1, n)), (n, p, w)
+
+
+# -- agreement with the Bareiss oracle -----------------------------------
+
+@pytest.mark.parametrize(
+    "group",
+    [g for n in range(1, 17) for g in _abelian_groups_of_order(n)],
+    ids=format_group,
+)
+def test_character_tables_up_to_16(group, eliminations):
+    table = character_table(group)
+    assert table.rank() == group.order
+    assert not eliminations
+    assert _oracle_rank(table) == group.order
+
+
+def test_roster_smatrices(battery_categories, eliminations):
+    """Level-1 and level-2 S-matrices of every roster form, degenerate or not;
+    each certifies on the first prime."""
+    degenerate = 0
+    for cat in battery_categories:
+        for matrix in (smatrix1(cat).matrix, smatrix2(cat).matrix):
+            assert matrix.rank() == _oracle_rank(matrix), cat.label
+        degenerate += smatrix1(cat).matrix.rank() < cat.group.order
+    assert degenerate > 0
+    assert len(eliminations) == 2 * len(battery_categories)  # the oracle's own
+
+
+def _random_matrix(rng, rows, cols, conductor):
+    return [
+        [embed(root_of_unity(conductor, rng.randrange(conductor)), conductor)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_seeded_matrices_with_planted_dependencies():
+    rng = random.Random(20261018)
+    zero_rows = dependent = 0
+    for trial in range(60):
+        conductor = rng.choice((1, 2, 3, 4, 5, 6, 8, 12))
+        cols = rng.randrange(1, 7)
+        rows = _random_matrix(rng, rng.randrange(1, 6), cols, conductor)
+        for _ in range(rng.randrange(4)):
+            kind = rng.randrange(3)
+            if kind == 0:  # duplicate row
+                rows.append(list(rng.choice(rows)))
+            elif kind == 1:  # cyclotomic-integer combination of two rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                ca = embed(root_of_unity(conductor, rng.randrange(conductor)), conductor)
+                cb = CycloNumber.from_rational(rng.randrange(-3, 4), conductor)
+                rows.append([ca * x + cb * y for x, y in zip(a, b)])
+                dependent += 1
+            else:
+                rows.append([CycloNumber.zero(conductor)] * cols)
+                zero_rows += 1
+        rng.shuffle(rows)
+        for matrix in (CycloMatrix.from_rows(rows), CycloMatrix.from_rows(rows).transpose()):
+            assert matrix.rank() == _oracle_rank(matrix), (trial, conductor)
+    assert zero_rows and dependent
+
+
+def test_non_integer_coefficients():
+    third, half = Fraction(1, 3), Fraction(-5, 2)
+    z = embed(root_of_unity(5, 1), 5)
+    a = CycloNumber(5, (third, half, Fraction(0), Fraction(7, 11)))
+    b = CycloNumber(5, (Fraction(2, 9), Fraction(0), Fraction(1), Fraction(-1, 4)))
+    rows = [[a, b, z], [b, z, a], [a * b, z * z, b * z]]
+    half_row = [x * CycloNumber.from_rational(half) + y for x, y in zip(rows[0], rows[1])]
+    for candidate in (rows, rows + [half_row], [rows[0], half_row]):
+        matrix = CycloMatrix.from_rows(candidate)
+        assert matrix.rank() == _oracle_rank(matrix)
+    assert CycloMatrix.from_rows(rows + [half_row]).rank() == 3
+
+
+def test_a_prime_dividing_a_denominator_is_skipped(eliminations):
+    p0 = _rank_primes(1)[0][0]
+    matrix = CycloMatrix.from_rows(
+        [[CycloNumber.from_rational(Fraction(1, p0)), CycloNumber.from_rational(1)],
+         [CycloNumber.from_rational(0), CycloNumber.from_rational(1)]]
+    )
+    ids = {e.coeffs: i for i, e in enumerate(matrix.entries)}
+    assert _residues(ids, *_rank_primes(1)[0]) is None
+    assert matrix.rank() == 2
+    assert not eliminations
+
+
+# -- the Bareiss fallback ------------------------------------------------
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[1, 2], [2, 4]], 1),
+        ([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 2),
+    ],
+)
+def test_dependent_rows_fall_back_to_bareiss(rows, rank, eliminations):
+    """Distinct rows that are dependent leave the upper bound unmet, so no
+    prime certifies and the exact elimination decides."""
+    assert _ints(rows).rank() == rank
+    assert eliminations == [(len(rows), len(rows[0]))]
+
+
+def test_singular_mod_the_first_prime(eliminations):
+    """det = p0, so the matrix is singular mod p0 and the second prime
+    certifies full rank."""
+    (p0, w0), (p1, w1), _ = _rank_primes(1)
+    rows = [[2, 1], [1, (p0 + 1) // 2]]
+    matrix = _ints(rows)
+    assert _oracle_rank(matrix) == 2
+    eliminations.clear()
+    assert _rank_mod_p([list(r) for r in rows], p0) == 1
+    assert _rank_mod_p([list(r) for r in rows], p1) == 2
+    assert matrix.rank() == 2
+    assert not eliminations
+
+
+def test_zero_matrix_and_duplicates(eliminations):
+    assert _ints([[0, 0], [0, 0]]).rank() == 0
+    assert _ints([[0, 0, 0], [1, 1, 1], [1, 1, 1]]).rank() == 1
+    assert _ints([[3]]).rank() == 1
+    assert _ints([[0, 0], [0, 0]], 12).rank() == 0
+    assert not eliminations
