@@ -49,7 +49,6 @@ from .cocycles import (
     classify_h3ab,
     find_mu,
     is_abelian_cocycle,
-    polarization,
     standard_cocycle,
     trace_form,
 )
@@ -109,7 +108,7 @@ __all__ = [
     "is_abelian_cocycle", "is_nondegenerate", "is_symmetric",
     "isotropic_subgroups", "lagrangian_subgroups", "make_category",
     "module_braiding", "mueger_center", "parse_group", "parse_root",
-    "pi0_report", "polarization", "preset", "quotient", "restrict",
+    "pi0_report", "preset", "quotient", "restrict",
     "root_of_unity", "run_all", "schur_class", "schur_classes", "smatrix1",
     "smatrix2", "smatrix2_entry", "standard_cocycle", "subgroup_generated",
     "tmatrix", "trace_form", "verify_character_table", "verify_group_hom",

@@ -19,11 +19,12 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     format_root,
     root_of_unity,
+    roots_of_unity,
     _poly_mul,
 )
 from .errors import GroupTooLarge, PointedCatError
 from .groups import AbelianGroup, character_table, parse_group, format_group
-from .cocycles import QuadraticForm, classify_h3ab, find_mu
+from .cocycles import QuadraticForm, classify_h3ab, find_mu, form_from_generators
 from .metric import (
     PointedBFC,
     category_from_form,
@@ -65,31 +66,15 @@ def enumerate_quadratic_forms(
     if group.order > max_order:
         raise GroupTooLarge(f"|G| = {group.order} exceeds the bound {max_order}")
     rank = group.rank
-    tau_choices = []
-    for n in group.factors:
-        m = n if n % 2 == 1 else 2 * n
-        tau_choices.append([root_of_unity(m, k) for k in range(m)])
+    tau_choices = [roots_of_unity(n if n % 2 == 1 else 2 * n) for n in group.factors]
     pair_slots = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
     pair_choices = [
-        [
-            root_of_unity(math.gcd(group.factors[i], group.factors[j]), k)
-            for k in range(math.gcd(group.factors[i], group.factors[j]))
-        ]
-        for i, j in pair_slots
+        roots_of_unity(math.gcd(group.factors[i], group.factors[j])) for i, j in pair_slots
     ]
-    elems = group.elements()
     forms = []
     for taus in itertools.product(*tau_choices):
         for pairs in itertools.product(*pair_choices):
-            values = []
-            for a in elems:
-                value = root_of_unity(1, 0)
-                for tau, ai in zip(taus, a):
-                    value = value * tau ** (ai * ai)
-                for (i, j), sigma in zip(pair_slots, pairs):
-                    value = value * sigma ** (a[i] * a[j])
-                values.append(value)
-            forms.append(QuadraticForm(group, tuple(values)))
+            forms.append(form_from_generators(group, taus, dict(zip(pair_slots, pairs))))
     forms.sort(key=lambda f: tuple((v.order, v.exponent) for v in f.values))
     return forms
 
@@ -148,8 +133,8 @@ def check_pi0(base: PointedBFC):
 
 
 def check_full_rank(base: PointedBFC):
-    matrix = smatrix2(base).matrix
-    full = matrix.rank() == matrix.rows
+    sm = smatrix2(base)
+    full = sm.rank == sm.matrix.rows
     return full, None if full else "determinant is zero"
 
 

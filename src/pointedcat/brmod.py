@@ -205,12 +205,14 @@ class SMatrix2:
     cols: tuple[Element, ...]
     matrix: CycloMatrix
     roots: tuple[tuple[RootOfUnity, ...], ...]
+    rank: int
 
 
 @lru_cache(maxsize=None)
 def smatrix2(base: PointedBFC) -> SMatrix2:
     """Rows over Schur classes (character order), columns over transparent
-    elements (element order); squareness and invertibility are asserted."""
+    elements (element order); squareness and invertibility are asserted, and
+    the certified rank is kept on the result."""
     center = mueger_center(base)
     cols = center.elements
     reps = schur_classes(base)
@@ -225,7 +227,8 @@ def smatrix2(base: PointedBFC) -> SMatrix2:
     matrix = CycloMatrix.from_rows(
         [[embed(r, conductor) for r in row] for row in roots]
     )
-    if matrix.rank() < matrix.rows:
+    rank = matrix.rank()
+    if rank < matrix.rows:
         raise InternalInconsistency("level-2 S-matrix is singular")
     return SMatrix2(
         base,
@@ -234,6 +237,7 @@ def smatrix2(base: PointedBFC) -> SMatrix2:
         cols,
         matrix,
         roots,
+        rank,
     )
 
 

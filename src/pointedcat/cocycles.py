@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import wraps
 
-from .cyclotomic import ONE, RootOfUnity, root_of_unity
+from .cyclotomic import ONE, RootOfUnity, root_of_unity, roots_of_unity
 from .errors import (
     BoundsExceeded,
     ConventionError,
@@ -42,10 +42,6 @@ from .groups import (
     howell_reduce,
     howell_size,
 )
-
-
-def _product(values) -> RootOfUnity:
-    return reduce(lambda a, b: a * b, values, ONE)
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +90,16 @@ class AbelianCocycle:
         object.__setattr__(self, "_add", addition_table(self.group))
         object.__setattr__(self, "_hash", hash((self.group, psi_exp, omega_exp)))
         object.__setattr__(self, "_results", {})
+
+    @classmethod
+    def from_exponents(cls, group: AbelianGroup, modulus: int, psi, omega) -> "AbelianCocycle":
+        """The cocycle with entries z_modulus^k for the exponents k in psi and omega."""
+        roots = roots_of_unity(modulus)
+        return cls(
+            group,
+            tuple(roots[k % modulus] for k in psi),
+            tuple(roots[k % modulus] for k in omega),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -291,12 +297,33 @@ def require_cocycle(c: AbelianCocycle) -> None:
 # Quadratic forms and their polarization.
 # ----------------------------------------------------------------------
 
+def _exponents(roots) -> tuple[int, list[int]]:
+    """(N, [k, ...]) with each root z_N^k, N the lcm of the orders."""
+    conductor = math.lcm(*(r.order for r in roots))
+    return conductor, [r.exponent * (conductor // r.order) for r in roots]
+
+
+def _generator_exponents(taus, pairings):
+    """Generator data over one conductor N: (N, [t_i], [(i, j, s_ij)]) with
+    tau_i = z_N^(t_i) and sigma_ij = z_N^(s_ij)."""
+    conductor, exps = _exponents([*taus, *pairings.values()])
+    cross = [(i, j, sij) for (i, j), sij in zip(pairings, exps[len(taus):])]
+    return conductor, exps[:len(taus)], cross
+
+
+def _basis(g: AbelianGroup) -> list[Element]:
+    """The generators e_i of the cyclic factors (zero on a factor Z/1)."""
+    return [g.reduce(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """q: G -> roots of unity with q(0)=1, q(-g)=q(g), bimultiplicative polarization.
 
-    The polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is cached at
-    construction; it equals the double braiding of any cocycle tracing to q.
+    The checks run on the exponents of the values mod their conductor N.  The
+    polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is cached at
+    construction as lookups into the roots of z_N; it equals the double
+    braiding of any cocycle tracing to q.
     """
 
     group: AbelianGroup
@@ -304,43 +331,35 @@ class QuadraticForm:
 
     def __post_init__(self):
         g = self.group
-        elems = g.elements()
-        if len(self.values) != g.order:
-            raise InvalidQuadraticForm(
-                f"expected {g.order} values, got {len(self.values)}"
-            )
+        n = g.order
+        if len(self.values) != n:
+            raise InvalidQuadraticForm(f"expected {n} values, got {len(self.values)}")
         if not self.values[0].is_one:
             raise InvalidQuadraticForm("q(0) must be 1")
+        conductor, q = _exponents(self.values)
+        elems = g.elements()
         idx = g.element_index
-        for x in elems:
-            if self.values[idx(x)] != self.values[idx(g.neg(x))]:
+        for i, x in enumerate(elems):
+            if q[i] != q[idx(g.neg(x))]:
                 raise InvalidQuadraticForm(f"q(-g) != q(g) at g = {x}")
-        n = g.order
-        sigma = [ONE] * (n * n)
-        for x in elems:
-            ix = idx(x)
-            qx_inv = self.values[ix].inv()
-            for y in elems:
-                sigma[ix * n + idx(y)] = (
-                    self.values[idx(g.add(x, y))] * qx_inv * self.values[idx(y)].inv()
-                )
+        add = addition_table(g)
+        sigma = [
+            [(q[xy] - q[i] - qy) % conductor for xy, qy in zip(add[i * n:(i + 1) * n], q)]
+            for i in range(n)
+        ]
         # bimultiplicativity in one slot (the other follows by symmetry of sigma);
         # stepping by basis vectors is equivalent to the full check by induction
-        basis = [
-            g.reduce(tuple(1 if j == i else 0 for j in range(g.rank)))
-            for i in range(g.rank)
-        ]
-        for e in basis:
+        for e in _basis(g):
             ie = idx(e)
-            for x in elems:
-                ix, ixe = idx(x), idx(g.add(x, e))
-                for y in elems:
-                    iy = idx(y)
-                    if sigma[ixe * n + iy] != sigma[ix * n + iy] * sigma[ie * n + iy]:
+            for i, x in enumerate(elems):
+                rows = zip(elems, sigma[add[i * n + ie]], sigma[i], sigma[ie])
+                for y, xe_y, x_y, e_y in rows:
+                    if (xe_y - x_y - e_y) % conductor:
                         raise InvalidQuadraticForm(
                             f"polarization not bimultiplicative at ({x}+{e}, {y})"
                         )
-        object.__setattr__(self, "_sigma", tuple(sigma))
+        roots = roots_of_unity(conductor)
+        object.__setattr__(self, "_sigma", tuple(roots[s] for row in sigma for s in row))
 
     def q(self, g: Element) -> RootOfUnity:
         return self.values[self.group.element_index(g)]
@@ -349,32 +368,24 @@ class QuadraticForm:
         idx = self.group.element_index
         return self._sigma[idx(g) * self.group.order + idx(h)]
 
-    @property
-    def conductor(self) -> int:
-        return math.lcm(*(v.order for v in self.values))
 
+def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
+    """q(a) = prod_i tau_i^(a_i^2) prod_(i<j) sigma_ij^(a_i a_j), Wall's generator form.
 
-@dataclass(frozen=True, eq=False)
-class Pairing:
-    """Symmetric bimultiplicative pairing table (the polarization)."""
-
-    group: AbelianGroup
-    table: tuple[RootOfUnity, ...]
-
-    def eval(self, g: Element, h: Element) -> RootOfUnity:
-        idx = self.group.element_index
-        return self.table[idx(g) * self.group.order + idx(h)]
-
-
-def polarization(q: QuadraticForm) -> Pairing:
-    """sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1; symmetry and bimultiplicativity checked."""
-    pairing = Pairing(q.group, q._sigma)
-    elems = q.group.elements()
-    for g in elems:
-        for h in elems:
-            if pairing.eval(g, h) != pairing.eval(h, g):
-                raise InvalidQuadraticForm(f"polarization not symmetric at ({g}, {h})")
-    return pairing
+    ``taus[i]`` is q(e_i) and ``pairings`` maps (i, j) with i < j to
+    sigma(e_i, e_j).  The exponents are summed mod one conductor N and the
+    values looked up in the roots of z_N.
+    """
+    conductor, t, cross = _generator_exponents(taus, pairings)
+    roots = roots_of_unity(conductor)
+    values = tuple(
+        roots[
+            (sum(ti * ai * ai for ti, ai in zip(t, a))
+             + sum(sij * a[i] * a[j] for i, j, sij in cross)) % conductor
+        ]
+        for a in group.elements()
+    )
+    return QuadraticForm(group, values)
 
 
 def trace_form(c: AbelianCocycle) -> QuadraticForm:
@@ -439,15 +450,13 @@ def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
 def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
     """The canonical (psi, omega) pair whose trace is q.
 
-    Per cyclic factor Z/n with tau = q(e_i):
-        omega(a, b) *= tau^(a_i b_i),   psi(a, b, c) *= tau^(n a_i floor((b_i+c_i)/n))
-    and cross terms omega(a, b) *= sigma(e_i, e_j)^(a_i b_j) for i < j.
+    With tau_i = q(e_i) = z_N^(t_i) on the cyclic factor Z/n_i and
+    sigma(e_i, e_j) = z_N^(s_ij):
+        omega(a, b) = z_N^(sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j)
+        psi(a, b, c) = z_N^(sum_i t_i n_i a_i floor((b_i + c_i) / n_i))
     """
     g = q.group
-    basis = [
-        g.reduce(tuple(1 if j == i else 0 for j in range(g.rank)))
-        for i in range(g.rank)
-    ]
+    basis = _basis(g)
     taus = [q.q(e) for e in basis]
     for n, tau in zip(g.factors, taus):
         allowed = n if n % 2 == 1 else 2 * n
@@ -466,25 +475,22 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
                 )
             cross[(i, j)] = s
 
+    modulus, t, cross_exp = _generator_exponents(taus, cross)
     elems = g.elements()
-    omega = {}
-    psi = {}
-    for a in elems:
-        for b in elems:
-            parts = [tau ** (ai * bi) for tau, ai, bi in zip(taus, a, b)]
-            parts += [
-                cross[(i, j)] ** (a[i] * b[j])
-                for i in range(g.rank)
-                for j in range(i + 1, g.rank)
-            ]
-            omega[(a, b)] = _product(parts)
-            for c in elems:
-                parts = [
-                    taus[i] ** (g.factors[i] * a[i] * ((b[i] + c[i]) // g.factors[i]))
-                    for i in range(g.rank)
-                ]
-                psi[(a, b, c)] = _product(parts)
-    out = cocycle_from_tables(g, psi, omega)
+    omega = [
+        sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
+        + sum(sij * a[i] * b[j] for i, j, sij in cross_exp)
+        for a in elems
+        for b in elems
+    ]
+    weights = [[ti * n * ai for ti, n, ai in zip(t, g.factors, a)] for a in elems]
+    carries = [
+        [i for i, n in enumerate(g.factors) if b[i] + c[i] >= n]
+        for b in elems
+        for c in elems
+    ]
+    psi = [sum(w[i] for i in carry) for w in weights for carry in carries]
+    out = AbelianCocycle.from_exponents(g, modulus, psi, omega)
     failure = cocycle_failure(out)
     if failure is not None:
         raise ConventionError(
@@ -537,13 +543,6 @@ def _solve_exponents(count: int, modulus: int, equations):
     yield from dfs(0)
 
 
-def _rou_exponent(r: RootOfUnity, modulus: int) -> int | None:
-    """Exponent k with r = z_modulus^k, or None if the order does not divide."""
-    if modulus % r.order != 0:
-        return None
-    return (r.exponent * (modulus // r.order)) % modulus
-
-
 # ----------------------------------------------------------------------
 # Trivializing 2-cochains on subgroups.
 # ----------------------------------------------------------------------
@@ -564,36 +563,38 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
         raise NotACocycle("mu search requires a normalized cocycle")
 
     g = c.group
-    zero = g.zero
-    domain = sub.elements
-    free = [(a, b) for a in domain for b in domain if a != zero and b != zero]
+    n, add, psi, conductor = g.order, c._add, c._psi_exp, c._conductor
+    domain = [g.element_index(x) for x in sub.elements]
+    # index 0 is the identity, where mu is normalized to 1
+    free = [(a, b) for a in domain for b in domain if a and b]
     slot = {pair: i for i, pair in enumerate(free)}
 
-    def term(a: Element, b: Element, coeff: int):
-        if a == zero or b == zero:
-            return []
-        return [(slot[(a, b)], coeff)]
+    def term(a: int, b: int, coeff: int):
+        return [(slot[(a, b)], coeff)] if a and b else []
 
     equations = []
     for a in domain:
         for b in domain:
             for cc in domain:
-                target = _rou_exponent(c.psi_at(a, b, cc), value_order)
-                if target is None:
+                # psi(a, b, c) = z_N^k must be a value_order-th root: z_V^(k V / N)
+                scaled = psi[(a * n + b) * n + cc] * value_order
+                if scaled % conductor:
                     return None
                 terms = (
                     term(b, cc, +1)
-                    + term(a, g.add(b, cc), +1)
-                    + term(g.add(a, b), cc, -1)
+                    + term(a, add[b * n + cc], +1)
+                    + term(add[a * n + b], cc, -1)
                     + term(a, b, -1)
                 )
-                equations.append((terms, target))
+                equations.append((terms, scaled // conductor))
 
+    elems = g.elements()
     for solution in _solve_exponents(len(free), value_order, equations):
         table = {
-            pair: root_of_unity(value_order, k) for pair, k in zip(free, solution)
+            (elems[a], elems[b]): root_of_unity(value_order, k)
+            for (a, b), k in zip(free, solution)
         }
-        return two_cochain_from_table(g, domain, table)
+        return two_cochain_from_table(g, sub.elements, table)
     return None
 
 
@@ -703,13 +704,17 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
             f"{howell_size(cocycles, n)} cocycles"
         )
 
+    size, idx = g.order, g.element_index
+    psi_slots = [(idx(a) * size + idx(b)) * size + idx(c) for a, b, c in triples]
+    omega_slots = [idx(a) * size + idx(b) for a, b in pairs]
     classes = []
     for vec in reps:
-        rep = cocycle_from_tables(
-            g,
-            {t: root_of_unity(n, vec[column[t]]) for t in triples},
-            {p: root_of_unity(n, vec[column[p]]) for p in pairs},
-        )
+        psi, omega = [0] * size**3, [0] * size**2
+        for pos, k in zip(psi_slots, vec):
+            psi[pos] = k
+        for pos, k in zip(omega_slots, vec[len(triples):]):
+            omega[pos] = k
+        rep = AbelianCocycle.from_exponents(g, n, psi, omega)
         classes.append(CocycleClass(rep, trace_form(rep), orbit_size))
 
     forms = [tuple((v.order, v.exponent) for v in cls.form.values) for cls in classes]

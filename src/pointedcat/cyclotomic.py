@@ -225,6 +225,12 @@ ONE = root_of_unity(1, 0)
 MINUS_ONE = root_of_unity(2, 1)
 
 
+@lru_cache(maxsize=None)
+def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
+    """Entry k is z_n^k: turns exponents mod n into roots without arithmetic."""
+    return tuple(root_of_unity(n, k) for k in range(n))
+
+
 def parse_root(text: str) -> RootOfUnity:
     """Parse the literal syntax "zN^k"; "1" and "-1" are accepted aliases."""
     s = text.strip()
@@ -285,10 +291,6 @@ class CycloNumber:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
 
     def promote(self, target: int) -> "CycloNumber":
         """Rewrite at a larger conductor; target must be a multiple of ours."""

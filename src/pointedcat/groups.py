@@ -610,10 +610,6 @@ def restrict(chi: Character, sub: Subgroup) -> Character:
     return restricted
 
 
-def character_eval(chi: Character, g: Element) -> RootOfUnity:
-    return chi.eval(g)
-
-
 def character_table(group: AbelianGroup) -> CycloMatrix:
     """|G| x |G| matrix of chi(g); rows by characters(), columns by elements()."""
     conductor = group.exponent

@@ -29,7 +29,9 @@ from .groups import (
     format_group,
     subgroup_from_elements,
 )
-from .cocycles import AbelianCocycle, QuadraticForm, standard_cocycle, trace_form
+from .cocycles import (
+    AbelianCocycle, QuadraticForm, form_from_generators, standard_cocycle, trace_form,
+)
 
 # The S-matrix rank is cross-checked against the transparent subgroup up to
 # this order, which covers D(Z6) and D(Z8).  Past it only the (provably
@@ -183,20 +185,17 @@ def is_nondegenerate(category: PointedBFC) -> bool:
 def drinfeld_double(group: AbelianGroup) -> PointedBFC:
     """The metric group on G x G^ with q(g, chi) = chi(g).
 
-    The dual group is realized on the same cyclic factors, pairing the
-    matching coordinates through their canonical roots of unity.
+    The dual group is realized on the same cyclic factors: the generators
+    have twist 1, and coordinate i of G pairs with coordinate i of G^
+    through z_(n_i).
     """
     double = AbelianGroup(group.factors + group.factors)
     r = group.rank
-    exponent = group.exponent
-    values = []
-    for pair in double.elements():
-        g, chi = pair[:r], pair[r:]
-        total = sum(
-            ci * gi * (exponent // ni) for ci, gi, ni in zip(chi, g, group.factors)
-        )
-        values.append(root_of_unity(exponent, total % exponent))
-    form = QuadraticForm(double, tuple(values))
+    form = form_from_generators(
+        double,
+        [root_of_unity(1, 0)] * (2 * r),
+        {(i, r + i): root_of_unity(n, 1) for i, n in enumerate(group.factors)},
+    )
     cocycle = standard_cocycle(form) if double.order <= DOUBLE_COCYCLE_BOUND else None
     category = make_category(form, cocycle, label=f"double:{format_group(group)}")
     if not is_nondegenerate(category):
@@ -270,9 +269,7 @@ def detect_center(
 # ----------------------------------------------------------------------
 
 def _rank_one_form(order: int, q1: RootOfUnity) -> QuadraticForm:
-    group = AbelianGroup((order,))
-    values = [root_of_unity(q1.order, (q1.exponent * k * k) % q1.order) for k in range(order)]
-    return QuadraticForm(group, tuple(values))
+    return form_from_generators(AbelianGroup((order,)), [q1], {})
 
 
 def preset_names() -> list[str]:
@@ -284,10 +281,7 @@ def preset(name: str) -> PointedBFC:
     """Named example categories; "double:<group>" builds a Drinfeld double."""
     key = name.strip().lower()
     if key == "trivial":
-        group = AbelianGroup((1,))
-        return category_from_form(
-            QuadraticForm(group, (root_of_unity(1, 0),)), label="trivial"
-        )
+        return category_from_form(_rank_one_form(1, root_of_unity(1, 0)), label="trivial")
     if key == "svect":
         return category_from_form(_rank_one_form(2, root_of_unity(2, 1)), label="svect")
     if key == "semion":

@@ -22,6 +22,7 @@ from .cocycles import (
     QuadraticForm,
     cocycle_failure,
     cocycle_from_tables,
+    form_from_generators,
     standard_cocycle,
     trace_form,
 )
@@ -56,10 +57,6 @@ def _parse_args(text: str, group: AbelianGroup, count: int) -> tuple[Element, ..
             )
         out.append(group.reduce(coords))
     return tuple(out)
-
-
-def parse_element_key(text: str, group: AbelianGroup) -> Element:
-    return _parse_args(text, group, 1)[0]
 
 
 def _object(raw, what: str) -> dict:
@@ -103,15 +100,7 @@ def qf_from_json(data: dict, group: AbelianGroup) -> QuadraticForm:
             if not 0 <= i < j < group.rank:
                 raise ParseError(f"pairing key {key!r} out of range")
             pairings[(i, j)] = parse_root(str(literal))
-        values = []
-        for a in group.elements():
-            value = ONE
-            for tau, ai in zip(gens, a):
-                value = value * tau ** (ai * ai)
-            for (i, j), sigma in pairings.items():
-                value = value * sigma ** (a[i] * a[j])
-            values.append(value)
-        return QuadraticForm(group, tuple(values))
+        return form_from_generators(group, gens, pairings)
     raise ParseError('quadratic form JSON needs a "q" or "q_gen" entry')
 
 
@@ -147,23 +136,10 @@ def raw_cocycle_from_source(source: str, stdin_text: str | None = None):
     cocycle; files and stdin are parsed but deliberately not validated.
     """
     name = source.strip()
-    if name != "-" and (name.lower() in preset_names() or name.lower().startswith("double:")):
+    if _is_preset(name):
         cat = preset(name)
         return cat.label, cat.cocycle
-    if name == "-":
-        if stdin_text is None:
-            raise ParseError("no data on stdin for category '-'")
-        text = stdin_text
-    else:
-        try:
-            with open(name, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except FileNotFoundError as exc:
-            raise ParseError(f"cannot read {name!r}") from exc
-    try:
-        payload = _category_payload(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{name!r} is not valid JSON: {exc}") from exc
+    payload = _category_payload(_read_json(name, stdin_text))
     group = parse_group(str(payload["group"]))
     label = str(payload.get("label", ""))
     if "psi" not in payload and "omega" not in payload:
@@ -236,30 +212,38 @@ def category_to_json(category: PointedBFC) -> dict:
     return out
 
 
-def load_category(source: str, stdin_text: str | None = None) -> PointedBFC:
-    """Resolve a category argument: preset name, "-" for stdin, or a JSON file."""
-    name = source.strip()
+def _is_preset(name: str) -> bool:
+    return name.lower() in preset_names() or name.lower().startswith("double:")
+
+
+def _read_json(name: str, stdin_text: str | None):
+    """The JSON value of a category argument that is not a preset: "-" for
+    stdin, else a UTF-8 file path.  Every read or decode failure is a ParseError."""
     if name == "-":
         if stdin_text is None:
             raise ParseError("no data on stdin for category '-'")
         try:
-            data = json.loads(stdin_text)
+            return json.loads(stdin_text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"stdin is not valid JSON: {exc}") from exc
-        return category_from_json(data)
-    if name.lower() in preset_names() or name.lower().startswith("double:"):
-        return preset(name)
     try:
         with open(name, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError as exc:
+            return json.load(handle)
+    except OSError as exc:
         raise ParseError(
             f"{name!r} is neither a preset ({', '.join(preset_names())}, "
             f"double:<group>) nor a readable file"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ParseError(f"{name!r} is not valid JSON: {exc}") from exc
-    return category_from_json(data)
+
+
+def load_category(source: str, stdin_text: str | None = None) -> PointedBFC:
+    """Resolve a category argument: preset name, "-" for stdin, or a JSON file."""
+    name = source.strip()
+    if _is_preset(name):
+        return preset(name)
+    return category_from_json(_read_json(name, stdin_text))
 
 
 # ----------------------------------------------------------------------

@@ -205,6 +205,7 @@ def test_smatrix2_square_invertible_on_battery(battery_categories):
         sm = smatrix2(cat)
         assert len(sm.rows) == len(sm.cols)
         assert not sm.matrix.det().is_zero
+        assert sm.rank == sm.matrix.rows
         assert verify_character_table(cat)
         assert verify_group_hom(cat)
         assert pi0_report(cat).equal

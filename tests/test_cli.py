@@ -255,3 +255,15 @@ def test_non_object_tables_exit_2(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "center", "-")
         assert code == 2, payload
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["center", "cocycle-check"])
+def test_unreadable_sources_exit_2(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"group": "Z2", "label": "café"}'.encode("latin-1"))
+    for source, message in ((tmp_path, "nor a readable file"), (latin1, "is not valid JSON")):
+        code, out, err = run_cli(capsys, command, str(source), "--json")
+        assert code == 2, source
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err

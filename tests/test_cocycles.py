@@ -21,7 +21,6 @@ from pointedcat.cocycles import (
     cocycle_from_tables,
     find_mu,
     is_abelian_cocycle,
-    polarization,
     standard_cocycle,
     trace_form,
     two_cochain_from_table,
@@ -91,14 +90,13 @@ def test_trace_form_examples():
 
 def test_polarization_examples():
     q_svect = QuadraticForm(Z2, (ONE, MINUS))
-    assert polarization(q_svect).eval(e, e) == ONE
+    assert q_svect.pairing(e, e) == ONE
     q_semion = QuadraticForm(Z2, (ONE, I))
-    assert polarization(q_semion).eval(e, e) == MINUS
+    assert q_semion.pairing(e, e) == MINUS
     q_z8 = QuadraticForm(Z4, tuple(root_of_unity(8, a * a % 8) for a in range(4)))
-    sigma = polarization(q_z8)
     for a in range(4):
         for b in range(4):
-            assert sigma.eval((a,), (b,)) == root_of_unity(4, a * b % 4)
+            assert q_z8.pairing((a,), (b,)) == root_of_unity(4, a * b % 4)
 
 
 def test_quadratic_form_validation():
