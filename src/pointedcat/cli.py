@@ -447,6 +447,10 @@ def _run(argv) -> int:
             args.cat = args.cat or args.cat_positional
             if not args.cat:
                 parser.error("a category is required (positional or --cat)")
+            if args.max_group_order < 1:
+                raise ParseError(
+                    f"--max-group-order must be at least 1, got {args.max_group_order}"
+                )
         args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):

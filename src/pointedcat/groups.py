@@ -2,10 +2,10 @@
 
 Elements are plain tuples of residues, ordered lexicographically everywhere
 so matrix rows and columns are reproducible across runs.  Subgroups are
-extensional (identified by their sorted element list), quotients are
-presented in cyclic-factor form via Smith normal form of the relation
-matrix, and the dual group is realized as coordinate tuples of the same
-shape as elements.
+extensional (identified by their sorted element list) and grow as sets of
+element indices, coset by coset over the addition table; quotients are in
+cyclic-factor form via Smith normal form of the relation matrix, and the
+dual group is realized as coordinate tuples of the same shape as elements.
 
 The group literal syntax "Z2", "Z4xZ2", "Z2xZ2xZ3" (case-insensitive) is
 shared by the CLI and all file formats.
@@ -80,9 +80,6 @@ class AbelianGroup:
         self._check(g)
         return tuple((-a) % n for a, n in zip(g, self.factors))
 
-    def sub(self, g: Element, h: Element) -> Element:
-        return self.add(g, self.neg(h))
-
     def scalar_mul(self, k: int, g: Element) -> Element:
         self._check(g)
         return tuple((k * a) % n for a, n in zip(g, self.factors))
@@ -141,19 +138,23 @@ class Subgroup:
     generators: tuple[Element, ...]
 
     def __post_init__(self):
-        elems = self.elements
+        parent, elems = self.parent, self.elements
         if list(elems) != sorted(set(elems)):
             raise NotSubgroup("subgroup element list must be sorted and deduplicated")
         elemset = frozenset(elems)
-        if self.parent.zero not in elemset:
+        if parent.zero not in elemset:
             raise NotSubgroup("subgroup must contain the identity")
-        for g in elems:
-            if self.parent.neg(g) not in elemset:
+        every, table, n = parent.elements(), addition_table(parent), parent.order
+        index = [parent.element_index(parent.reduce(g)) for g in elems]
+        # sums are reduced, so an unreduced tuple is never a member
+        members = {i for g, i in zip(elems, index) if every[i] == g}
+        for g, i in zip(elems, index):
+            if parent.neg(g) not in elemset:
                 raise NotSubgroup(f"subgroup not closed under negation at {g}")
-            for h in elems:
-                if self.parent.add(g, h) not in elemset:
+            for h, j in zip(elems, index):
+                if table[i * n + j] not in members:
                     raise NotSubgroup(f"subgroup not closed under addition at {g}+{h}")
-        if self.parent.order % len(elems) != 0:
+        if parent.order % len(elems) != 0:
             raise NotSubgroup("subgroup order does not divide the group order")
         object.__setattr__(self, "_elemset", elemset)
 
@@ -169,46 +170,43 @@ class Subgroup:
         return g in self._elemset
 
 
-def _closure(group: AbelianGroup, seed) -> frozenset:
-    out = {group.zero}
-    frontier = [group.reduce(g) for g in seed]
-    out.update(frontier)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in list(out):
-                s = group.add(g, h)
-                if s not in out:
-                    out.add(s)
-                    nxt.append(s)
-        frontier = nxt
+def _span(group: AbelianGroup, members: frozenset, g: int) -> frozenset:
+    """<H, g> on element indices, H the subgroup on ``members``: the cosets
+    H + k g up to the first k g back in the set, which then lies in H."""
+    table, n = addition_table(group), group.order
+    out, step = set(members), g
+    while step not in out:
+        out.update([table[step * n + h] for h in members])
+        step = table[step * n + g]
     return frozenset(out)
+
+
+def _subgroup_on(group: AbelianGroup, members: frozenset) -> Subgroup:
+    """The subgroup on a set of element indices, generated greedily: scanning
+    in element order, by each element outside the span of those before."""
+    elems, ordered = group.elements(), sorted(members)
+    gens, have = [], frozenset({0})
+    for i in ordered:
+        if have == members:
+            break
+        if i not in have:
+            gens.append(elems[i])
+            have = _span(group, have, i)
+    return Subgroup(group, tuple(elems[i] for i in ordered), tuple(gens))
 
 
 def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
     gens = tuple(group.reduce(g) for g in gens)
-    elems = tuple(sorted(_closure(group, gens)))
-    return Subgroup(group, elems, gens)
+    members = frozenset({0})
+    for g in gens:
+        members = _span(group, members, group.element_index(g))
+    elems = group.elements()
+    return Subgroup(group, tuple(elems[i] for i in sorted(members)), gens)
 
 
 def subgroup_from_elements(group: AbelianGroup, elems) -> Subgroup:
-    elems = tuple(sorted({group.reduce(g) for g in elems} | {group.zero}))
-    return Subgroup(group, elems, minimal_generators(group, elems))
-
-
-def minimal_generators(group: AbelianGroup, elems) -> tuple[Element, ...]:
-    """Greedy generating set, scanning the sorted element list."""
-    gens: list[Element] = []
-    have = frozenset({group.zero})
-    target = frozenset(elems)
-    for g in sorted(elems):
-        if g in have:
-            continue
-        gens.append(g)
-        have = _closure(group, gens)
-        if have == target:
-            break
-    return tuple(gens)
+    members = frozenset(group.element_index(group.reduce(g)) for g in elems)
+    return _subgroup_on(group, members | {0})
 
 
 def trivial_subgroup(group: AbelianGroup) -> Subgroup:
@@ -216,41 +214,41 @@ def trivial_subgroup(group: AbelianGroup) -> Subgroup:
 
 
 def full_subgroup(group: AbelianGroup) -> Subgroup:
-    return subgroup_from_elements(group, group.elements())
+    return _subgroup_on(group, frozenset(range(group.order)))
 
 
 def _subgroups_over(group: AbelianGroup, universe) -> list[Subgroup]:
-    """All subgroups whose elements lie in the (closed) universe."""
-    universe = sorted(universe)
-    found = {frozenset({group.zero})}
-    frontier = [frozenset({group.zero})]
-    while frontier:
-        nxt = []
-        for current in frontier:
-            for g in universe:
-                if g in current:
-                    continue
-                grown = _closure(group, list(current) + [g])
-                if grown not in found:
-                    found.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    subs = [subgroup_from_elements(group, elems) for elems in found]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
+    """All subgroups whose element indices lie in the (closed) universe.  Each
+    one found grows by one element per coset, as <H, g> depends on g + H."""
+    table, n = addition_table(group), group.order
+    found = {frozenset({0})}
+    todo = list(found)
+    while todo:
+        current = todo.pop()
+        covered = set(current)
+        for g in universe:
+            if g in covered:
+                continue
+            covered.update([table[g * n + h] for h in current])
+            grown = _span(group, current, g)
+            if grown not in found:
+                found.add(grown)
+                todo.append(grown)
+    # index order is element order: this sorts by (order, element list)
+    return [_subgroup_on(group, s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
 def all_subgroups(group: AbelianGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, element list)."""
     if group.order > max_order:
         raise GroupTooLarge(f"|G| = {group.order} exceeds the bound {max_order}")
-    return _subgroups_over(group, group.elements())
+    return _subgroups_over(group, range(group.order))
 
 
 def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> list[Subgroup]:
     if sub.parent.order > max_order:
         raise GroupTooLarge(f"|G| = {sub.parent.order} exceeds the bound {max_order}")
-    return _subgroups_over(sub.parent, sub.elements)
+    return _subgroups_over(sub.parent, list(map(sub.parent.element_index, sub.elements)))
 
 
 # ----------------------------------------------------------------------
@@ -423,16 +421,16 @@ def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
         relations.append(list(h))
     diag = smith_diagonal(relations)
     factors = tuple(sorted((d for d in diag if d > 1), reverse=True)) or (1,)
+    table, n, elems = addition_table(group), group.order, group.elements()
+    members = [group.element_index(group.reduce(h)) for h in sub.elements]
     rep_of = {}
     reps = []
-    for g in group.elements():
+    for i, g in enumerate(elems):
         if g in rep_of:
             continue
-        coset = sorted(group.add(g, h) for h in sub.elements)
-        for member in coset:
-            rep_of[member] = coset[0]
-        reps.append(coset[0])
-    reps.sort()
+        for j in members:  # in element order, g is the least of its coset
+            rep_of[elems[table[i * n + j]]] = g
+        reps.append(g)
     q = AbelianGroup(factors)
     if q.order != group.order // sub.order or len(reps) != q.order:
         raise InternalInconsistency(

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .cyclotomic import CycloMatrix, CycloNumber, RootOfUnity, embed, root_of_unity
 from .errors import (
     InternalInconsistency,
+    NotSubgroup,
     ParseError,
     ValidationError,
 )
@@ -138,14 +139,10 @@ def mueger_center(category: PointedBFC) -> Subgroup:
     q = category.form
     elems = group.elements()
     center = [g for g in elems if all(q.pairing(g, h).is_one for h in elems)]
-    center_set = set(center)
-    for g in center:
-        for h in center:
-            if group.add(g, h) not in center_set:
-                raise InternalInconsistency(
-                    f"transparent elements not closed under addition at {g}+{h}"
-                )
-    return subgroup_from_elements(group, center)
+    try:
+        return subgroup_from_elements(group, center)
+    except NotSubgroup as exc:
+        raise InternalInconsistency(f"transparent elements are no subgroup: {exc}") from exc
 
 
 def is_symmetric(category: PointedBFC) -> bool:

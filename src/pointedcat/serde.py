@@ -218,13 +218,13 @@ def _is_preset(name: str) -> bool:
 
 def _read_json(name: str, stdin_text: str | None):
     """The JSON value of a category argument that is not a preset: "-" for
-    stdin, else a UTF-8 file path.  Every read or decode failure is a ParseError."""
+    stdin, else a UTF-8 file path.  Every read, decode or nesting failure is a ParseError."""
     if name == "-":
         if stdin_text is None:
             raise ParseError("no data on stdin for category '-'")
         try:
             return json.loads(stdin_text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"stdin is not valid JSON: {exc}") from exc
     try:
         with open(name, "r", encoding="utf-8") as handle:
@@ -234,7 +234,7 @@ def _read_json(name: str, stdin_text: str | None):
             f"{name!r} is neither a preset ({', '.join(preset_names())}, "
             f"double:<group>) nor a readable file"
         ) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{name!r} is not valid JSON: {exc}") from exc
 
 

@@ -267,3 +267,28 @@ def test_unreadable_sources_exit_2(tmp_path, capsys, command):
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_max_group_order_below_one_exits_2(capsys, bound):
+    code, out, err = run_cli(capsys, "lagrangian", "--max-group-order", bound, "double:Z2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-group-order must be at least 1, got {bound}\n"
+
+
+@pytest.mark.parametrize("source", ["-", "file"])
+def test_deeply_nested_json_exits_2(tmp_path, source):
+    nested = "[" * 100000
+    path = tmp_path / "nested.json"
+    path.write_text(nested)
+    src = str(Path(pointedcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pointedcat.cli", "center", "-" if source == "-" else str(path)],
+        input=nested, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "not valid JSON" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from pointedcat.cyclotomic import ONE, CycloMatrix, CycloNumber, root_of_unity
-from pointedcat.errors import ParseError, ValidationError
+from pointedcat.errors import InternalInconsistency, ParseError, ValidationError
 from pointedcat.groups import parse_group
 from pointedcat.cocycles import QuadraticForm, apply_coboundary, trace_form, two_cochain_from_table
 from pointedcat.metric import (
@@ -79,6 +81,14 @@ def test_mueger_center_examples():
     assert mueger_center(category_from_form(z8_form)).elements == ((0,),)
     i_form = QuadraticForm(z4, tuple(root_of_unity(4, a * a % 4) for a in range(4)))
     assert mueger_center(category_from_form(i_form)).elements == ((0,), (2,))
+
+
+def test_mueger_center_aborts_when_transparent_elements_are_no_subgroup():
+    # only an arithmetic bug can get here, so it is exit 3, not a validation error
+    pairing = lambda g, h: ONE if g in {(0,), (1,)} else MINUS  # noqa: E731
+    fake = SimpleNamespace(group=parse_group("Z4"), form=SimpleNamespace(pairing=pairing))
+    with pytest.raises(InternalInconsistency, match="transparent elements"):
+        mueger_center.__wrapped__(fake)
 
 
 def test_nondegenerate_and_symmetric():

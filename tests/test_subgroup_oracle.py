@@ -1,0 +1,111 @@
+"""The index subgroup engine against the tuple engine in subgroup_oracle.py,
+and the Lagrangian count of D(A) against its closed form."""
+
+import itertools
+import math
+import random
+
+import pytest
+
+import subgroup_oracle as oracle
+from pointedcat.battery import _abelian_groups_of_order
+from pointedcat.errors import NotSubgroup
+from pointedcat.groups import (
+    Subgroup,
+    all_subgroups,
+    cyclic_presentation,
+    parse_group,
+    quotient,
+    subgroup_from_elements,
+    subgroup_generated,
+    subgroups_of,
+)
+from pointedcat.metric import drinfeld_double, lagrangian_subgroups
+
+GROUPS = [g for n in range(1, 25) for g in _abelian_groups_of_order(n)] + [parse_group("Z6xZ6")]
+
+
+def _same(subs, expected):
+    assert [(s.elements, s.generators) for s in subs] == [
+        (s.elements, s.generators) for s in expected
+    ]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_lattice_matches_tuple_oracle(group):
+    subs = all_subgroups(group)
+    _same(subs, oracle.all_subgroups(group))
+    # subgroups_of on the largest proper subgroups and on the whole group
+    for sub in [s for s in subs if s.order * 2 >= group.order][:3]:
+        _same(subgroups_of(sub), oracle.subgroups_of(sub))
+    for sub in subs:
+        q = quotient(group, sub)
+        reps, rep_of = oracle.quotient_reps(group, sub)
+        assert q.reps == reps
+        assert {g: q.rep_of(g) for g in group.elements()} == rep_of
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_builders_match_tuple_oracle(group):
+    rng = random.Random(f"builders {group}")
+    elems = group.elements()
+    for _ in range(12):
+        gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
+        # unreduced coordinates are reduced by both engines
+        gens = [tuple(c + n * rng.randint(-1, 1) for c, n in zip(g, group.factors))
+                for g in gens]
+        built = subgroup_generated(group, gens)
+        expected = oracle.subgroup_generated(group, gens)
+        assert (built.elements, built.generators) == (expected.elements, expected.generators)
+        members = list(built.elements) * 2
+        rng.shuffle(members)
+        built = subgroup_from_elements(group, members)
+        expected = oracle.subgroup_from_elements(group, members)
+        assert (built.elements, built.generators) == (expected.elements, expected.generators)
+
+
+def _message(group, elems):
+    try:
+        Subgroup(group, tuple(elems), ())
+    except NotSubgroup as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("literal", ["Z2", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z8"])
+def test_validation_messages_match_tuple_oracle(literal):
+    group = parse_group(literal)
+    rng = random.Random(f"validation {literal}")
+    elems = group.elements()
+    cases = [list(s.elements) for s in all_subgroups(group)]
+    for _ in range(60):
+        subset = sorted(rng.sample(elems, rng.randint(1, len(elems))))
+        cases += [subset, subset[::-1], subset + subset[-1:]]
+    # unreduced coordinates are never members: (4,) is not 0 in Z4
+    cases += [[(0,), (2,), (4,)], [(0,), (2,), (4,), (6,)], [(0,), (1,), (2,), (7,)]]
+    for case in cases:
+        if len(case[0]) != group.rank:
+            continue
+        assert _message(group, case) == oracle.subgroup_failure(group, case), case
+    assert _message(group, elems[1:2]) == "subgroup must contain the identity"
+
+
+def _alternating_count(sub):
+    m = cyclic_presentation(sub).group.factors
+    return math.prod(math.gcd(a, b) for a, b in itertools.combinations(m, 2))
+
+
+@pytest.mark.parametrize(
+    "group", [g for n in range(1, 9) for g in _abelian_groups_of_order(n)], ids=str
+)
+def test_lagrangians_of_double_count_alternating_bicharacters(group):
+    """Lagrangians of D(A) are pairs (H <= A, alternating bicharacter on H);
+    on H = sum Z/m_i there are prod_(i<j) gcd(m_i, m_j) of those."""
+    expected = sum(_alternating_count(sub) for sub in all_subgroups(group))
+    assert len(lagrangian_subgroups(drinfeld_double(group))) == expected
+
+
+def test_alternating_counts_of_the_order_8_doubles():
+    counts = {str(g): sum(_alternating_count(s) for s in all_subgroups(g))
+              for g in _abelian_groups_of_order(8)}
+    assert counts == {"Z8": 4, "Z4xZ2": 10, "Z2xZ2xZ2": 30}
