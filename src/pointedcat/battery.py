@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cyclotomic import (
     CycloMatrix,
@@ -161,11 +161,14 @@ def check_unit_row_col(base: PointedBFC):
 
 def check_well_definedness(base: PointedBFC):
     """Every admissible (H, mu, chi): all entries agree across coset reps and the
-    Schur class does not depend on H or mu."""
+    Schur class does not depend on H or mu.  mu and the cosets depend on H
+    alone, so each H is built once and every chi attached to it."""
     center = mueger_center(base)
+    classes = schur_classes(base)
     for sub in admissible_subgroups(base):
-        for item in schur_classes(base):
-            mod = build_module_cat(base, sub, item.representative.chi)
+        over_h = build_module_cat(base, sub, classes[0].representative.chi)
+        for item in classes:
+            mod = replace(over_h, chi=item.representative.chi)
             if schur_class(mod) != item.schur:
                 return False, f"Schur class moved under H = {sub.elements}"
             for g in center.elements:

@@ -17,7 +17,7 @@ disagreement aborts, since the common value is forced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .cyclotomic import CycloMatrix, CycloNumber, RootOfUnity, embed
@@ -171,11 +171,12 @@ class ClassRep:
 @lru_cache(maxsize=None)
 def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
     """One class per character of the transparent subgroup, each represented on
-    the regular module (H trivial) by a lifted character of G."""
+    the regular module (H trivial, built once) by a lifted character of G."""
     group = base.group
     center = mueger_center(base)
     pres = cyclic_presentation(center)
     lifts = characters(group)
+    regular = build_module_cat(base, trivial_subgroup(group), lifts[0])
     out = []
     for target in characters(pres.group):
         lift = None
@@ -188,8 +189,7 @@ def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
                 f"no character of G restricts to {target.coords} on the "
                 "transparent subgroup; this contradicts character extension"
             )
-        mod = build_module_cat(base, trivial_subgroup(group), lift)
-        out.append(ClassRep(SchurClass(base, target), mod))
+        out.append(ClassRep(SchurClass(base, target), replace(regular, chi=lift)))
     return tuple(out)
 
 

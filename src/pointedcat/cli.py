@@ -54,6 +54,7 @@ from .serde import (
     matrix_strings,
     qf_to_json,
     raw_cocycle_from_source,
+    source_group,
 )
 
 
@@ -94,18 +95,15 @@ def _emit(args, command: str, inputs, results, human_lines, started: float) -> N
             print(line)
 
 
-def _load(args, max_group_order: int | None = None):
-    """The category argument; with a bound on subgroup enumeration, a
-    "double:<G>" source over it fails before the double is built."""
-    name = args.cat.strip().lower()
-    if max_group_order is not None and name.startswith("double:"):
-        order = parse_group(name.removeprefix("double:")).order ** 2
-        if order > max_group_order:
-            raise GroupTooLarge(f"|G| = {order} exceeds the bound {max_group_order}")
-    stdin_text = None
-    if args.cat == "-":
-        stdin_text = sys.stdin.read()
-    return load_category(args.cat, stdin_text)
+def _load(args, load=load_category):
+    """``load`` of the category argument, once its |G| is within
+    --max-group-order: read from the "double:<G>" literal or the JSON's
+    "group", so a source over the bound fails before anything is built."""
+    stdin_text = sys.stdin.read() if args.cat == "-" else None
+    order = source_group(args.cat, stdin_text).order
+    if order > args.max_group_order:
+        raise GroupTooLarge(f"|G| = {order} exceeds the bound {args.max_group_order}")
+    return load(args.cat, stdin_text)
 
 
 def _category_inputs(args, category) -> dict:
@@ -192,7 +190,7 @@ def cmd_center(args) -> None:
 
 def cmd_lagrangian(args) -> None:
     started = time.perf_counter()
-    category = _load(args, args.max_group_order)
+    category = _load(args)
     report: CenterReport = detect_center(category, args.max_group_order)
     results = {
         "category": category.label,
@@ -269,7 +267,7 @@ def cmd_classify(args) -> None:
 
 def cmd_modcats(args) -> None:
     started = time.perf_counter()
-    category = _load(args, args.max_group_order)
+    category = _load(args)
     center = mueger_center(category)
     subs = admissible_subgroups(category, args.max_group_order)
     classes = schur_classes(category)
@@ -303,8 +301,7 @@ def cmd_modcats(args) -> None:
 
 def cmd_cocycle_check(args) -> None:
     started = time.perf_counter()
-    stdin_text = sys.stdin.read() if args.cat == "-" else None
-    label, cocycle = raw_cocycle_from_source(args.cat, stdin_text)
+    label, cocycle = _load(args, raw_cocycle_from_source)
     if cocycle is None:
         raise ParseError("the input carries no cocycle tables to check")
     normalized = cocycle.normalized
@@ -378,7 +375,7 @@ def _add_category_arg(sub) -> None:
         "--max-group-order",
         type=int,
         default=256,
-        help="bound on subgroup enumeration (default 256)",
+        help="bound on |G|, checked before the category is built (default 256)",
     )
 
 

@@ -49,12 +49,12 @@ from .groups import (
 # ----------------------------------------------------------------------
 
 def _kept(scan):
-    """Run scan(cocycle) once per cocycle and keep its result on the cocycle."""
+    """Run scan(obj) once per object and keep its result in obj._results."""
     @wraps(scan)
-    def kept(c):
-        results = c._results
+    def kept(obj):
+        results = obj._results
         if scan.__name__ not in results:
-            results[scan.__name__] = scan(c)
+            results[scan.__name__] = scan(obj)
         return results[scan.__name__]
 
     return kept

@@ -53,6 +53,9 @@ def max_conductor() -> int:
 
 
 def _common_conductor(a: int, b: int) -> int:
+    """lcm(a, b), refused above the cap; equal conductors promote nothing."""
+    if a == b:
+        return a
     target = math.lcm(a, b)
     cap = max_conductor()
     if target > cap:

@@ -3,9 +3,10 @@
 Elements are plain tuples of residues, ordered lexicographically everywhere
 so matrix rows and columns are reproducible across runs.  Subgroups are
 extensional (identified by their sorted element list) and grow as sets of
-element indices, coset by coset over the addition table; quotients are in
-cyclic-factor form via Smith normal form of the relation matrix, and the
-dual group is realized as coordinate tuples of the same shape as elements.
+element indices, coset by coset over the addition table.  One invariant-factor
+decomposition on the same table gives quotients their cyclic factors and
+subgroups their cyclic presentations, and the dual group is realized as
+coordinate tuples of the same shape as elements.
 
 The group literal syntax "Z2", "Z4xZ2", "Z2xZ2xZ3" (case-insensitive) is
 shared by the CLI and all file formats.
@@ -252,64 +253,6 @@ def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> lis
 
 
 # ----------------------------------------------------------------------
-# Quotients via Smith normal form.
-# ----------------------------------------------------------------------
-
-def smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Nonnegative invariant factors d_1 | d_2 | ... of an integer matrix."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        dirty = False
-        for i in range(top + 1, nrows):
-            q = m[i][top] // m[top][top]
-            if q:
-                for j in range(top, ncols):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top] != 0:
-                dirty = True
-        for j in range(top + 1, ncols):
-            q = m[top][j] // m[top][top]
-            if q:
-                for i in range(top, nrows):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry for the invariant-factor chain
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % m[top][top] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, ncols):
-                m[top][j] += m[offender][j]
-            continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    return diag
-
-
-# ----------------------------------------------------------------------
 # Howell form over Z/N (Storjohann and Mulders, ESA 1998).
 # ----------------------------------------------------------------------
 
@@ -397,6 +340,66 @@ def howell_kernel(rows: list, ncols: int, modulus: int) -> list[list[int]]:
     return [row[split:] for row in howell_form(augmented, modulus) if not any(row[:split])]
 
 
+# ----------------------------------------------------------------------
+# Invariant factors, quotients and presentations on the addition table.
+# ----------------------------------------------------------------------
+
+def _multiples(group: AbelianGroup, g: int, m: int) -> list[int]:
+    """Element indices of 0, g, 2g, ..., (m - 1)g."""
+    table, n = addition_table(group), group.order
+    out = [0]
+    for _ in range(m - 1):
+        out.append(table[out[-1] * n + g])
+    return out
+
+
+def _cosets(group: AbelianGroup, members, below: frozenset) -> dict:
+    """Each index in ``members`` mapped to the least index of its coset of
+    ``below``: scanning in element order, the first member of a new coset is
+    its least."""
+    table, n = addition_table(group), group.order
+    rep_of = {}
+    for i in sorted(members):
+        if i not in rep_of:
+            for b in below:
+                rep_of[table[i * n + b]] = i
+    return rep_of
+
+
+def _decompose(group: AbelianGroup, members, below: frozenset) -> list[tuple[int, int]]:
+    """Invariant-factor generators [(g, m), ...] of <members>/<below> on element
+    indices, m_1 >= m_2 >= ... and m_{i+1} | m_i, each g least in its coset.
+
+    Splits off the least coset representative of largest order, recurses on
+    the quotient by it and lifts the generators found there, correcting each
+    by a multiple of the head so its order is preserved.
+    """
+    if len(members) == len(below):
+        return []
+    table, n = addition_table(group), group.order
+    rep_of = _cosets(group, members, below)
+
+    def order(x):
+        k, acc = 1, x
+        while acc not in below:
+            acc, k = table[acc * n + x], k + 1
+        return k
+
+    head, head_order = max(
+        ((x, order(x)) for x in sorted(set(rep_of.values()))), key=lambda pair: pair[1]
+    )
+    multiples = _multiples(group, head, head_order)
+    position = {rep_of[x]: c for c, x in enumerate(multiples)}
+    out = [(head, head_order)]
+    for gen, m in _decompose(group, members, _span(group, below, head)):
+        # m gen lies in <head> + below; find it as c head, then cancel (c // m) head
+        c = position.get(rep_of[_multiples(group, gen, m + 1)[-1]])
+        if c is None or c % m:
+            raise InternalInconsistency("lift correction must be divisible by the quotient order")
+        out.append((rep_of[table[gen * n + multiples[-(c // m) % head_order]]], m))
+    return out
+
+
 @dataclass(frozen=True)
 class Quotient:
     """G/H in cyclic-factor form plus the coset-representative map."""
@@ -413,94 +416,19 @@ def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
     """Quotient group with lexicographically minimal coset representatives."""
     if sub.parent != group:
         raise NotSubgroup("subgroup belongs to a different group")
-    relations = [
-        [group.factors[i] if i == j else 0 for j in range(group.rank)]
-        for i in range(group.rank)
-    ]
-    for h in sub.elements:
-        relations.append(list(h))
-    diag = smith_diagonal(relations)
-    factors = tuple(sorted((d for d in diag if d > 1), reverse=True)) or (1,)
-    table, n, elems = addition_table(group), group.order, group.elements()
-    members = [group.element_index(group.reduce(h)) for h in sub.elements]
-    rep_of = {}
-    reps = []
-    for i, g in enumerate(elems):
-        if g in rep_of:
-            continue
-        for j in members:  # in element order, g is the least of its coset
-            rep_of[elems[table[i * n + j]]] = g
-        reps.append(g)
+    elems, every = group.elements(), range(group.order)
+    below = frozenset(group.element_index(group.reduce(h)) for h in sub.elements)
+    rep_of = _cosets(group, every, below)
+    reps = sorted(set(rep_of.values()))
+    factors = tuple(m for _, m in _decompose(group, every, below)) or (1,)
     q = AbelianGroup(factors)
     if q.order != group.order // sub.order or len(reps) != q.order:
         raise InternalInconsistency(
             f"quotient of order {group.order}/{sub.order} presented with {factors}"
         )
-    return Quotient(q, tuple(reps), rep_of)
-
-
-# ----------------------------------------------------------------------
-# Cyclic-factor presentation of a subgroup.
-# ----------------------------------------------------------------------
-
-def _decompose(elems, add, neg, zero):
-    """Invariant-factor generators [(g, m), ...] with m_1 >= m_2 >= ..., m_{i+1} | m_i.
-
-    Splits off a maximal-order cyclic summand, recurses on the quotient and
-    lifts the quotient generators, correcting each lift by a multiple of the
-    first generator so its order is preserved.
-    """
-    if len(elems) == 1:
-        return []
-
-    def order_of(x):
-        k, acc = 1, x
-        while acc != zero:
-            acc = add(acc, x)
-            k += 1
-        return k
-
-    best = None
-    for x in sorted(elems):
-        m = order_of(x)
-        if best is None or m > best[1]:
-            best = (x, m)
-    head, head_order = best
-
-    cyclic = []
-    acc = zero
-    for _ in range(head_order):
-        cyclic.append(acc)
-        acc = add(acc, head)
-
-    rep_of = {}
-    for x in elems:
-        rep_of[x] = min(add(x, c) for c in cyclic)
-    reps = sorted(set(rep_of.values()))
-
-    rest = _decompose(
-        reps,
-        lambda a, b: rep_of[add(a, b)],
-        lambda a: rep_of[neg(a)],
-        zero,
+    return Quotient(
+        q, tuple(elems[i] for i in reps), {elems[i]: elems[r] for i, r in rep_of.items()}
     )
-
-    out = [(head, head_order)]
-    for gen, m in rest:
-        acc = zero
-        for _ in range(m):
-            acc = add(acc, gen)
-        # acc lies in <head>; find it as c * head, then cancel (c//m) * head
-        c, probe = 0, zero
-        while probe != acc:
-            probe = add(probe, head)
-            c += 1
-        assert c % m == 0, "lift correction must be divisible by the quotient order"
-        shift = zero
-        for _ in range(c // m):
-            shift = add(shift, head)
-        out.append((add(gen, neg(shift)), m))
-    return out
 
 
 @dataclass(frozen=True)
@@ -535,26 +463,19 @@ def cyclic_presentation(sub: Subgroup) -> Presentation:
         )
         return Presentation(parent, basis, ident, ident)
 
-    pairs = _decompose(list(sub.elements), parent.add, parent.neg, parent.zero)
-    if not pairs:
-        group = AbelianGroup((1,))
-        zero = parent.zero
-        return Presentation(group, (zero,), {(0,): zero}, {zero: (0,)})
-
-    factors = tuple(m for _, m in pairs)
-    gens = tuple(g for g, _ in pairs)
-    group = AbelianGroup(factors)
-    to_parent = {}
-    from_parent = {}
-    for coords in group.elements():
-        g = parent.zero
-        for c, gen in zip(coords, gens):
-            g = parent.add(g, parent.scalar_mul(c, gen))
-        to_parent[coords] = g
-        from_parent[g] = coords
+    elems, table, n = parent.elements(), addition_table(parent), parent.order
+    members = frozenset(map(parent.element_index, sub.elements))
+    pairs = _decompose(parent, members, frozenset({0})) or [(0, 1)]
+    group = AbelianGroup(tuple(m for _, m in pairs))
+    # element index of sum_i c_i gens_i, for coords c in group.elements() order
+    index = [0]
+    for g, m in pairs:
+        index = [table[x * n + k] for x in index for k in _multiples(parent, g, m)]
+    to_parent = {coords: elems[i] for coords, i in zip(group.elements(), index)}
+    from_parent = {g: coords for coords, g in to_parent.items()}
     if len(from_parent) != sub.order or set(from_parent) != set(sub.elements):
         raise InternalInconsistency("cyclic presentation is not a bijection")
-    return Presentation(group, gens, to_parent, from_parent)
+    return Presentation(group, tuple(elems[g] for g, _ in pairs), to_parent, from_parent)
 
 
 # ----------------------------------------------------------------------

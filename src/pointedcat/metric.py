@@ -31,7 +31,7 @@ from .groups import (
     subgroup_from_elements,
 )
 from .cocycles import (
-    AbelianCocycle, QuadraticForm, form_from_generators, standard_cocycle, trace_form,
+    AbelianCocycle, QuadraticForm, _kept, form_from_generators, standard_cocycle, trace_form,
 )
 
 # The S-matrix rank is cross-checked against the transparent subgroup up to
@@ -46,7 +46,8 @@ DOUBLE_COCYCLE_BOUND = 16
 
 @dataclass(frozen=True)
 class PointedBFC:
-    """A metric group (G, q), optionally carrying an explicit cocycle."""
+    """A metric group (G, q), optionally carrying an explicit cocycle.  What
+    is decided about it once is kept in ``_results`` (see ``cocycles._kept``)."""
 
     group: AbelianGroup
     form: QuadraticForm
@@ -55,6 +56,7 @@ class PointedBFC:
 
     def __post_init__(self):
         assert self.form.group == self.group
+        object.__setattr__(self, "_results", {})
 
 
 def make_category(
@@ -158,11 +160,12 @@ def is_symmetric(category: PointedBFC) -> bool:
     return all_trivial
 
 
+@_kept
 def is_nondegenerate(category: PointedBFC) -> bool:
     """True iff the S-matrix is invertible, equivalently the center is trivial.
 
     Both criteria are computed and compared (up to RANK_CHECK_BOUND, past
-    which only the center criterion is evaluated).
+    which only the center criterion is evaluated), once per category object.
     """
     center_trivial = mueger_center(category).order == 1
     if category.group.order <= RANK_CHECK_BOUND:

@@ -238,6 +238,17 @@ def _read_json(name: str, stdin_text: str | None):
         raise ParseError(f"{name!r} is not valid JSON: {exc}") from exc
 
 
+def source_group(source: str, stdin_text: str | None = None) -> AbelianGroup:
+    """The group of a category argument, found without building the category:
+    G x G for "double:<G>", else the preset's group or the JSON's "group"."""
+    name = source.strip()
+    if name.lower().startswith("double:"):
+        return AbelianGroup(parse_group(name[len("double:"):]).factors * 2)
+    if _is_preset(name):
+        return preset(name).group
+    return parse_group(str(_category_payload(_read_json(name, stdin_text))["group"]))
+
+
 def load_category(source: str, stdin_text: str | None = None) -> PointedBFC:
     """Resolve a category argument: preset name, "-" for stdin, or a JSON file."""
     name = source.strip()

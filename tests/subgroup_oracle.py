@@ -4,8 +4,11 @@ This is the engine `pointedcat.groups` used before subgroups moved onto
 element indices over `addition_table`: closure by repeated tuple addition,
 greedy generators that re-close at every step, the lattice BFS that grows
 every subgroup by every element, the O(|H|^2) tuple validation and the
-sorted-coset quotient representatives.  `tests/test_subgroup_oracle.py`
-compares the index engine with it on elements, generators and list order.
+sorted-coset quotient representatives.  Below them are the invariant-factor
+engines: Smith normal form for quotient factors and the recursive tuple
+decomposition behind cyclic presentations.  `tests/test_subgroup_oracle.py`
+compares the index engine with all of it on elements, generators, factors
+and list order.
 """
 
 from __future__ import annotations
@@ -115,3 +118,160 @@ def quotient_reps(group: AbelianGroup, sub: Subgroup) -> tuple[tuple, dict]:
         reps.append(coset[0])
     reps.sort()
     return tuple(reps), rep_of
+
+
+# ----------------------------------------------------------------------
+# Invariant factors: the Smith normal form of the relation matrix and the
+# recursive tuple decomposition, as used before both moved onto one
+# decomposition over element indices.
+# ----------------------------------------------------------------------
+
+def smith_diagonal(mat: list[list[int]]) -> list[int]:
+    """Nonnegative invariant factors d_1 | d_2 | ... of an integer matrix."""
+    m = [row[:] for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    diag = []
+    top = 0
+    while top < min(nrows, ncols):
+        pivot = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        m[top], m[pi] = m[pi], m[top]
+        for row in m:
+            row[top], row[pj] = row[pj], row[top]
+        dirty = False
+        for i in range(top + 1, nrows):
+            q = m[i][top] // m[top][top]
+            if q:
+                for j in range(top, ncols):
+                    m[i][j] -= q * m[top][j]
+            if m[i][top] != 0:
+                dirty = True
+        for j in range(top + 1, ncols):
+            q = m[top][j] // m[top][top]
+            if q:
+                for i in range(top, nrows):
+                    m[i][j] -= q * m[i][top]
+            if m[top][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        # pivot must divide every remaining entry for the invariant-factor chain
+        offender = None
+        for i in range(top + 1, nrows):
+            for j in range(top + 1, ncols):
+                if m[i][j] % m[top][top] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for j in range(top, ncols):
+                m[top][j] += m[offender][j]
+            continue
+        diag.append(abs(m[top][top]))
+        top += 1
+    return diag
+
+
+def _decompose(elems, add, neg, zero):
+    """Invariant-factor generators [(g, m), ...] with m_1 >= m_2 >= ..., m_{i+1} | m_i.
+
+    Splits off a maximal-order cyclic summand, recurses on the quotient and
+    lifts the quotient generators, correcting each lift by a multiple of the
+    first generator so its order is preserved.
+    """
+    if len(elems) == 1:
+        return []
+
+    def order_of(x):
+        k, acc = 1, x
+        while acc != zero:
+            acc = add(acc, x)
+            k += 1
+        return k
+
+    best = None
+    for x in sorted(elems):
+        m = order_of(x)
+        if best is None or m > best[1]:
+            best = (x, m)
+    head, head_order = best
+
+    cyclic = []
+    acc = zero
+    for _ in range(head_order):
+        cyclic.append(acc)
+        acc = add(acc, head)
+
+    rep_of = {}
+    for x in elems:
+        rep_of[x] = min(add(x, c) for c in cyclic)
+    reps = sorted(set(rep_of.values()))
+
+    rest = _decompose(
+        reps,
+        lambda a, b: rep_of[add(a, b)],
+        lambda a: rep_of[neg(a)],
+        zero,
+    )
+
+    out = [(head, head_order)]
+    for gen, m in rest:
+        acc = zero
+        for _ in range(m):
+            acc = add(acc, gen)
+        # acc lies in <head>; find it as c * head, then cancel (c//m) * head
+        c, probe = 0, zero
+        while probe != acc:
+            probe = add(probe, head)
+            c += 1
+        assert c % m == 0, "lift correction must be divisible by the quotient order"
+        shift = zero
+        for _ in range(c // m):
+            shift = add(shift, head)
+        out.append((add(gen, neg(shift)), m))
+    return out
+
+
+def presentation(sub: Subgroup) -> tuple[tuple, tuple, dict]:
+    """(generators, factors, to_parent) of the tuple cyclic presentation; the
+    whole group keeps its own factors and unit vectors."""
+    parent = sub.parent
+    if sub.order == parent.order:
+        basis = tuple(
+            parent.reduce(tuple(1 if j == i else 0 for j in range(parent.rank)))
+            for i in range(parent.rank)
+        )
+        return basis, parent.factors, {g: g for g in parent.elements()}
+    pairs = _decompose(list(sub.elements), parent.add, parent.neg, parent.zero)
+    if not pairs:
+        zero = parent.zero
+        return (zero,), (1,), {(0,): zero}
+    gens = tuple(g for g, _ in pairs)
+    factors = tuple(m for _, m in pairs)
+    to_parent = {}
+    for coords in AbelianGroup(factors).elements():
+        g = parent.zero
+        for c, gen in zip(coords, gens):
+            g = parent.add(g, parent.scalar_mul(c, gen))
+        to_parent[coords] = g
+    return gens, factors, to_parent
+
+
+def quotient_factors(group: AbelianGroup, sub: Subgroup) -> tuple[int, ...]:
+    """Invariant factors of G/H from the Smith normal form of its relations."""
+    relations = [
+        [group.factors[i] if i == j else 0 for j in range(group.rank)]
+        for i in range(group.rank)
+    ]
+    for h in sub.elements:
+        relations.append(list(h))
+    diag = smith_diagonal(relations)
+    return tuple(sorted((d for d in diag if d > 1), reverse=True)) or (1,)

@@ -81,3 +81,23 @@ def test_empty_roster_is_vacuous_pass_with_warning():
     assert summary.all_pass
     assert summary.rows == ()
     assert summary.warning == "battery ran with no cases"
+
+
+def test_mu_is_searched_once_per_admissible_subgroup(monkeypatch):
+    """mu depends on H alone: the Schur classes build the regular module once
+    and the well-definedness check builds each admissible H once."""
+    import pointedcat.brmod as brmod
+    from pointedcat.battery import CASE_CHECKS
+    from pointedcat.cocycles import QuadraticForm
+    from pointedcat.metric import category_from_form
+
+    group = parse_group("Z2xZ2")
+    base = category_from_form(QuadraticForm(group, (ONE,) * 4), label="mu search count")
+    searched = []
+    original = brmod.find_mu
+    monkeypatch.setattr(brmod, "find_mu", lambda *args: searched.append(args) or original(*args))
+    for name, check in CASE_CHECKS:
+        assert check(base) == (True, None), name
+    subs = brmod.admissible_subgroups(base)
+    assert len(subs) == 5
+    assert len(searched) == len(subs) + 1

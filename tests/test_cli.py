@@ -277,6 +277,25 @@ def test_max_group_order_below_one_exits_2(capsys, bound):
     assert err == f"error: --max-group-order must be at least 1, got {bound}\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["smatrix", "tmatrix", "center", "lagrangian", "modcats", "cocycle-check"]
+)
+@pytest.mark.parametrize("source", ["double", "file", "-"])
+def test_max_group_order_bounds_every_category_command(tmp_path, capsys, monkeypatch,
+                                                       command, source):
+    """|G| is read from the double's literal or the JSON's "group" and checked
+    before the category is built, so nothing over the bound is computed."""
+    payload = json.dumps({"group": "Z16xZ16", "q": {}})
+    path = tmp_path / "big.json"
+    path.write_text(payload)
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    cat = {"double": "double:Z16", "file": str(path), "-": "-"}[source]
+    code, out, err = run_cli(capsys, command, cat, "--max-group-order", "4")
+    assert code == 4
+    assert out == ""
+    assert err == "error: |G| = 256 exceeds the bound 4\n"
+
+
 @pytest.mark.parametrize("source", ["-", "file"])
 def test_deeply_nested_json_exits_2(tmp_path, source):
     nested = "[" * 100000

@@ -222,6 +222,18 @@ def test_conductor_cap(monkeypatch):
     assert not (a * b).is_zero
 
 
+def test_single_conductor_matrix_reads_the_cap_at_most_once(monkeypatch):
+    import pointedcat.cyclotomic as cyclotomic
+
+    reads = []
+    original = cyclotomic.max_conductor
+    monkeypatch.setattr(cyclotomic, "max_conductor", lambda: reads.append(1) or original())
+    rows = [[embed(root_of_unity(8, i * j), 8) for j in range(16)] for i in range(16)]
+    matrix = CycloMatrix.from_rows(rows)
+    assert matrix.at(1, 1) == embed(root_of_unity(8, 1), 8)
+    assert len(reads) <= 1
+
+
 # -- matrices ----------------------------------------------------------
 
 def _m(rows):

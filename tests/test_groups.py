@@ -5,6 +5,7 @@ import pytest
 
 from pointedcat.cyclotomic import CycloMatrix, CycloNumber, root_of_unity
 from pointedcat.errors import GroupTooLarge, NotSubgroup, ParseError, ShapeMismatch
+from subgroup_oracle import smith_diagonal
 from pointedcat.groups import (
     AbelianGroup,
     all_subgroups,
@@ -19,7 +20,6 @@ from pointedcat.groups import (
     parse_group,
     quotient,
     restrict,
-    smith_diagonal,
     subgroup_from_elements,
     subgroup_generated,
     trivial_subgroup,

@@ -150,6 +150,21 @@ def test_double_rank_cross_check_runs_up_to_the_bound(literal, checked, monkeypa
     assert ranks == ([(n, n)] if checked else [])
 
 
+def test_nondegeneracy_is_decided_once_per_category(monkeypatch):
+    """Building D(Z4) decides non-degeneracy; detect_center and the CLI's
+    center report read the kept answer instead of ranking the S-matrix again."""
+    import pointedcat.metric as metric
+
+    calls = []
+    original_smatrix1, original_rank = metric.smatrix1, CycloMatrix.rank
+    monkeypatch.setattr(metric, "smatrix1", lambda c: calls.append("smatrix1") or original_smatrix1(c))
+    monkeypatch.setattr(CycloMatrix, "rank", lambda m: calls.append("rank") or original_rank(m))
+    double = drinfeld_double.__wrapped__(parse_group("Z4"))
+    assert detect_center(double).is_center
+    assert is_nondegenerate(double)
+    assert calls == ["smatrix1", "rank"]
+
+
 # -- isotropic / Lagrangian ---------------------------------------------------
 
 def test_toric_lagrangians():

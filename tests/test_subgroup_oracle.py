@@ -1,4 +1,5 @@
 """The index subgroup engine against the tuple engine in subgroup_oracle.py,
+the invariant factors against Smith normal form and the tuple decomposition,
 and the Lagrangian count of D(A) against its closed form."""
 
 import itertools
@@ -11,7 +12,9 @@ import subgroup_oracle as oracle
 from pointedcat.battery import _abelian_groups_of_order
 from pointedcat.errors import NotSubgroup
 from pointedcat.groups import (
+    AbelianGroup,
     Subgroup,
+    _decompose,
     all_subgroups,
     cyclic_presentation,
     parse_group,
@@ -62,6 +65,42 @@ def test_builders_match_tuple_oracle(group):
         built = subgroup_from_elements(group, members)
         expected = oracle.subgroup_from_elements(group, members)
         assert (built.elements, built.generators) == (expected.elements, expected.generators)
+
+
+# Z4xZ4 is the first group whose quotient generators need the lift correction
+# (by <(2, 2)>), Z8xZ8 the first whose presentations do (of <(0, 2), (2, 1)>).
+@pytest.mark.parametrize("group", GROUPS + [parse_group("Z8xZ8")], ids=str)
+def test_invariant_factors_match_tuple_oracle(group):
+    elems = group.elements()
+    for sub in all_subgroups(group):
+        pres = cyclic_presentation(sub)
+        assert (pres.gens, pres.group.factors, pres._to_parent) == oracle.presentation(sub)
+        assert quotient(group, sub).group.factors == oracle.quotient_factors(group, sub)
+        # the tuple decomposition of G/H, run on its least coset representatives
+        reps, rep_of = oracle.quotient_reps(group, sub)
+        expected = oracle._decompose(
+            list(reps), lambda a, b: rep_of[group.add(a, b)],
+            lambda a: rep_of[group.neg(a)], group.zero,
+        )
+        below = frozenset(map(group.element_index, sub.elements))
+        got = _decompose(group, range(group.order), below)
+        assert [(elems[g], m) for g, m in got] == expected
+
+
+@pytest.mark.parametrize("literal", ["Z4xZ2", "Z2xZ2xZ2", "Z6xZ6"])
+def test_presentations_and_quotients_make_no_tuple_arithmetic(literal, monkeypatch):
+    group = parse_group(literal)
+    subs = all_subgroups(group)
+
+    def refuse(*args):
+        raise AssertionError("tuple arithmetic")
+
+    for name in ("add", "neg", "scalar_mul"):
+        monkeypatch.setattr(AbelianGroup, name, refuse)
+    for sub in subs:
+        pres = cyclic_presentation.__wrapped__(sub)
+        assert len(pres.group.elements()) == sub.order
+        assert quotient(group, sub).group.order * sub.order == group.order
 
 
 def _message(group, elems):
