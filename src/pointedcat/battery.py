@@ -162,11 +162,13 @@ def check_unit_row_col(base: PointedBFC):
 def check_well_definedness(base: PointedBFC):
     """Every admissible (H, mu, chi): all entries agree across coset reps and the
     Schur class does not depend on H or mu.  mu and the cosets depend on H
-    alone, so each H is built once and every chi attached to it."""
+    alone, so each nontrivial H is built once and every chi attached to it;
+    the trivial H is the regular module that the Schur classes hold."""
     center = mueger_center(base)
     classes = schur_classes(base)
+    regular = classes[0].representative
     for sub in admissible_subgroups(base):
-        over_h = build_module_cat(base, sub, classes[0].representative.chi)
+        over_h = build_module_cat(base, sub, regular.chi) if sub.order > 1 else regular
         for item in classes:
             mod = replace(over_h, chi=item.representative.chi)
             if schur_class(mod) != item.schur:

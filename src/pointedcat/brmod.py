@@ -44,7 +44,7 @@ from .groups import (
     subgroups_of,
     trivial_subgroup,
 )
-from .cocycles import TwoCochain, find_mu
+from .cocycles import TwoCochain, find_mu, two_cochain_from_table
 from .metric import PointedBFC, mueger_center
 
 
@@ -71,7 +71,8 @@ def build_module_cat(
 ) -> BraidedModuleCat:
     """Assemble a braided module category, searching for mu on an escalating
     value-order schedule exp(H), 2 exp(H), 4 exp(H) (capped at the mu-search
-    bound).  A subgroup outside the transparent subgroup is rejected."""
+    bound); on the trivial H, mu = 1 and no cocycle is read.  A subgroup outside
+    the transparent subgroup is rejected."""
     group = base.group
     if sub.parent != group:
         raise ShapeMismatch("subgroup belongs to a different group")
@@ -82,6 +83,9 @@ def build_module_cat(
         raise NotAdmissible(
             "braidings only exist over subgroups of the transparent subgroup"
         )
+    if sub.order == 1:
+        mu = two_cochain_from_table(group, sub.elements, {})
+        return BraidedModuleCat(base, sub, mu, chi, tuple(group.elements()))
     if base.cocycle is None:
         raise ValidationError(
             "module categories need an explicit cocycle on the base category"

@@ -2,9 +2,9 @@
 
 A pair of tables (psi, omega) on G encodes a braided monoidal structure on
 G-graded lines: psi is the associator scalar on triples, omega the braiding
-scalar on pairs.  The pentagon and two hexagon identities below pin the
-scalar conventions.  Each cocycle is validated once, on the integer
-exponents of its entries, and the result is kept on it; two theorem-backed
+scalar on pairs, stored as integer exponents of z_N for one conductor N.
+The pentagon and two hexagon identities below pin the scalar conventions.
+Each cocycle is validated once and the result is kept on it; two theorem-backed
 assertions guard the convention: the trace g -> omega(g, g) of any valid
 pair must be a quadratic form, and building the standard pair back from a
 quadratic form must return it as its trace.  If either ever fails the build
@@ -60,58 +60,64 @@ def _kept(scan):
     return kept
 
 
+def _exponents(roots) -> tuple[int, list[int]]:
+    """(N, [k, ...]) with each root z_N^k, N the lcm of the orders."""
+    conductor = math.lcm(*(r.order for r in roots))
+    return conductor, [r.exponent * (conductor // r.order) for r in roots]
+
+
 @dataclass(frozen=True)
 class AbelianCocycle:
-    """Dense (psi, omega) tables indexed by element-index triples and pairs.
+    """(psi, omega) as exponents mod ``conductor`` N, indexed by element indices.
 
-    Every entry is a power of z_N for one conductor N, the lcm of the entry
-    orders, so the tables also have an integer view: ``_psi_exp`` and
-    ``_omega_exp`` hold the exponents mod N, and the cocycle conditions are
-    congruences on them.  Scan results are kept in ``_results`` (see
-    ``_kept``) and the hash is computed once; equality still compares the
-    tables.
+    psi(a, b, c) = z_N^psi_exp[(a*n + b)*n + c] and omega(a, b) =
+    z_N^omega_exp[a*n + b] for element indices a, b, c of a group of order n.
+    The constructor brings (N, exponents) to lowest terms: it divides them by
+    their gcd with N and takes each exponent mod the reduced N.  So N is the
+    lcm of the entry orders, and equal tables have equal fields and hashes.
+    ``psi`` and ``omega`` are read-only RootOfUnity views.  Scan results are
+    kept in ``_results`` (see ``_kept``) and the hash is computed once.
     """
 
     group: AbelianGroup
-    psi: tuple[RootOfUnity, ...]
-    omega: tuple[RootOfUnity, ...]
+    conductor: int
+    psi_exp: tuple[int, ...]
+    omega_exp: tuple[int, ...]
 
     def __post_init__(self):
         n = self.group.order
-        assert len(self.psi) == n**3 and len(self.omega) == n**2
-        orders = {v.order for v in self.psi} | {v.order for v in self.omega}
-        conductor = math.lcm(*orders)
-        scale = {k: conductor // k for k in orders}
-        psi_exp = tuple(v.exponent * scale[v.order] for v in self.psi)
-        omega_exp = tuple(v.exponent * scale[v.order] for v in self.omega)
-        object.__setattr__(self, "_conductor", conductor)
-        object.__setattr__(self, "_psi_exp", psi_exp)
-        object.__setattr__(self, "_omega_exp", omega_exp)
+        assert len(self.psi_exp) == n**3 and len(self.omega_exp) == n**2
+        common = math.gcd(self.conductor, *self.psi_exp, *self.omega_exp)
+        conductor = self.conductor // common
+        psi_exp = tuple(k // common % conductor for k in self.psi_exp)
+        omega_exp = tuple(k // common % conductor for k in self.omega_exp)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "psi_exp", psi_exp)
+        object.__setattr__(self, "omega_exp", omega_exp)
         object.__setattr__(self, "_add", addition_table(self.group))
         object.__setattr__(self, "_hash", hash((self.group, psi_exp, omega_exp)))
         object.__setattr__(self, "_results", {})
 
-    @classmethod
-    def from_exponents(cls, group: AbelianGroup, modulus: int, psi, omega) -> "AbelianCocycle":
-        """The cocycle with entries z_modulus^k for the exponents k in psi and omega."""
-        roots = roots_of_unity(modulus)
-        return cls(
-            group,
-            tuple(roots[k % modulus] for k in psi),
-            tuple(roots[k % modulus] for k in omega),
-        )
-
     def __hash__(self) -> int:
         return self._hash
 
+    @property
+    def psi(self) -> tuple[RootOfUnity, ...]:
+        roots = roots_of_unity(self.conductor)
+        return tuple(roots[k] for k in self.psi_exp)
+
+    @property
+    def omega(self) -> tuple[RootOfUnity, ...]:
+        roots = roots_of_unity(self.conductor)
+        return tuple(roots[k] for k in self.omega_exp)
+
     def psi_at(self, a: Element, b: Element, c: Element) -> RootOfUnity:
-        n = self.group.order
-        idx = self.group.element_index
-        return self.psi[(idx(a) * n + idx(b)) * n + idx(c)]
+        n, idx = self.group.order, self.group.element_index
+        return roots_of_unity(self.conductor)[self.psi_exp[(idx(a) * n + idx(b)) * n + idx(c)]]
 
     def omega_at(self, a: Element, b: Element) -> RootOfUnity:
         idx = self.group.element_index
-        return self.omega[idx(a) * self.group.order + idx(b)]
+        return roots_of_unity(self.conductor)[self.omega_exp[idx(a) * self.group.order + idx(b)]]
 
     @property
     def normalized(self) -> bool:
@@ -123,7 +129,7 @@ class AbelianCocycle:
         n = self.group.order
         elems = self.group.elements()
         zero = self.group.zero
-        psi, omega = self._psi_exp, self._omega_exp
+        psi, omega = self.psi_exp, self.omega_exp
         for a in range(n):
             if omega[a * n]:
                 return ("omega", (elems[a], zero))
@@ -149,7 +155,8 @@ def cocycle_from_tables(group: AbelianGroup, psi_table: dict, omega_table: dict)
         for c in elems
     ]
     omega = [omega_table.get((a, b), ONE) for a in elems for b in elems]
-    return AbelianCocycle(group, tuple(psi), tuple(omega))
+    conductor, exps = _exponents(psi + omega)
+    return AbelianCocycle(group, conductor, exps[:len(psi)], exps[len(psi):])
 
 
 @dataclass(frozen=True)
@@ -207,10 +214,10 @@ def check_pentagon(c: AbelianCocycle):
     normalized table, quadruples with a zero argument hold identically, so
     only all-nonzero ones are scanned; a trivial associator passes outright.
     """
-    psi = c._psi_exp
+    psi = c.psi_exp
     if not any(psi):
         return True, None
-    n, add, conductor = c.group.order, c._add, c._conductor
+    n, add, conductor = c.group.order, c._add, c.conductor
     indices = _scan_range(c)
     for a in indices:
         for b in indices:
@@ -241,8 +248,8 @@ def check_hexagons(c: AbelianCocycle):
     For a normalized table both identities hold automatically whenever an
     argument is zero, so only all-nonzero triples are scanned then.
     """
-    psi, omega = c._psi_exp, c._omega_exp
-    n, add, conductor = c.group.order, c._add, c._conductor
+    psi, omega = c.psi_exp, c.omega_exp
+    n, add, conductor = c.group.order, c._add, c.conductor
     indices = _scan_range(c)
     for a in indices:
         for b in indices:
@@ -296,12 +303,6 @@ def require_cocycle(c: AbelianCocycle) -> None:
 # ----------------------------------------------------------------------
 # Quadratic forms and their polarization.
 # ----------------------------------------------------------------------
-
-def _exponents(roots) -> tuple[int, list[int]]:
-    """(N, [k, ...]) with each root z_N^k, N the lcm of the orders."""
-    conductor = math.lcm(*(r.order for r in roots))
-    return conductor, [r.exponent * (conductor // r.order) for r in roots]
-
 
 def _generator_exponents(taus, pairings):
     """Generator data over one conductor N: (N, [t_i], [(i, j, s_ij)]) with
@@ -388,6 +389,12 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
     return QuadraticForm(group, values)
 
 
+def _trace(c: AbelianCocycle) -> tuple[RootOfUnity, ...]:
+    """The omega diagonal g -> omega(g, g) in element order."""
+    roots = roots_of_unity(c.conductor)
+    return tuple(roots[k] for k in c.omega_exp[::c.group.order + 1])
+
+
 def trace_form(c: AbelianCocycle) -> QuadraticForm:
     """q(g) = omega(g, g) of a valid cocycle.
 
@@ -395,9 +402,8 @@ def trace_form(c: AbelianCocycle) -> QuadraticForm:
     a failure here means the convention itself is broken, so it aborts.
     """
     require_cocycle(c)
-    values = tuple(c.omega_at(g, g) for g in c.group.elements())
     try:
-        return QuadraticForm(c.group, values)
+        return QuadraticForm(c.group, _trace(c))
     except InvalidQuadraticForm as exc:
         raise ConventionError(
             f"trace of a valid cocycle is not a quadratic form: {exc}"
@@ -412,33 +418,34 @@ def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
 
     The direction of the omega twist is the one coherent with the hexagon
     identities in check_hexagons (the opposite twist breaks them already on
-    Z/3).  The output must still be a cocycle and must keep its trace form.
+    Z/3).  It is summed on exponents mod lcm(N, phi's conductor).  The output
+    must still be a cocycle and must keep its trace form.
     """
     g = c.group
     if len(phi.domain) != g.order or phi.parent != g:
         raise NotSubgroup("coboundary cochain must be defined on the whole group")
-    elems = g.elements()
-    psi = {}
-    omega = {}
-    for a in elems:
-        for b in elems:
-            omega[(a, b)] = c.omega_at(a, b) * phi.at(b, a) * phi.at(a, b).inv()
-            for cc in elems:
-                psi[(a, b, cc)] = (
-                    c.psi_at(a, b, cc)
-                    * phi.at(b, cc)
-                    * phi.at(a, g.add(b, cc))
-                    * phi.at(g.add(a, b), cc).inv()
-                    * phi.at(a, b).inv()
-                )
-    out = cocycle_from_tables(g, psi, omega)
+    phi_conductor, f = _exponents([phi.at(*p) for p in itertools.product(g.elements(), repeat=2)])
+    conductor = math.lcm(c.conductor, phi_conductor)
+    s, t = conductor // c.conductor, conductor // phi_conductor
+    n, add, indices = g.order, c._add, range(g.order)
+    omega = [
+        s * c.omega_exp[a * n + b] + t * (f[b * n + a] - f[a * n + b])
+        for a in indices for b in indices
+    ]
+    psi = [
+        s * c.psi_exp[(a * n + b) * n + cc]
+        + t * (f[b * n + cc] + f[a * n + add[b * n + cc]]
+               - f[add[a * n + b] * n + cc] - f[a * n + b])
+        for a in indices for b in indices for cc in indices
+    ]
+    out = AbelianCocycle(g, conductor, psi, omega)
     failure = cocycle_failure(out)
     if failure is not None:
         raise NotACocycle(
             f"coboundary twist broke the {failure[0]} condition at {failure[1]}; "
             "this signals a convention bug"
         )
-    if tuple(out.omega_at(x, x) for x in elems) != tuple(c.omega_at(x, x) for x in elems):
+    if _trace(out) != _trace(c):
         raise ConventionError("coboundary changed the trace form")
     return out
 
@@ -490,13 +497,13 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
         for c in elems
     ]
     psi = [sum(w[i] for i in carry) for w in weights for carry in carries]
-    out = AbelianCocycle.from_exponents(g, modulus, psi, omega)
+    out = AbelianCocycle(g, modulus, psi, omega)
     failure = cocycle_failure(out)
     if failure is not None:
         raise ConventionError(
             f"standard cocycle violates the {failure[0]} condition at {failure[1]}"
         )
-    if tuple(out.omega_at(x, x) for x in elems) != q.values:
+    if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
     return out
 
@@ -563,7 +570,7 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
         raise NotACocycle("mu search requires a normalized cocycle")
 
     g = c.group
-    n, add, psi, conductor = g.order, c._add, c._psi_exp, c._conductor
+    n, add, psi, conductor = g.order, c._add, c.psi_exp, c.conductor
     domain = [g.element_index(x) for x in sub.elements]
     # index 0 is the identity, where mu is normalized to 1
     free = [(a, b) for a in domain for b in domain if a and b]
@@ -714,7 +721,7 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
             psi[pos] = k
         for pos, k in zip(omega_slots, vec[len(triples):]):
             omega[pos] = k
-        rep = AbelianCocycle.from_exponents(g, n, psi, omega)
+        rep = AbelianCocycle(g, n, psi, omega)
         classes.append(CocycleClass(rep, trace_form(rep), orbit_size))
 
     forms = [tuple((v.order, v.exponent) for v in cls.form.values) for cls in classes]

@@ -4,8 +4,7 @@ A ``CycloNumber`` is a dense vector of rationals in the power basis
 1, zeta, ..., zeta^(phi(N)-1) of Q[x]/Phi_N(x), so equality at a fixed
 conductor is coefficient-wise and every invertibility question is decided
 without floating point.  Mixed-conductor arithmetic promotes both operands
-to the lcm conductor, capped (default 10080, override with the
-``SMATRIX_MAX_CONDUCTOR`` environment variable).
+to the lcm conductor, capped at 10080.
 
 Roots of unity get their own canonical type: ``RootOfUnity(order, exponent)``
 means e^(2*pi*i*exponent/order), stored with gcd(exponent, order) = 1 so the
@@ -25,7 +24,6 @@ True
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,29 +36,17 @@ from .errors import (
     ParseError,
 )
 
-DEFAULT_MAX_CONDUCTOR = 10080
-
-
-def max_conductor() -> int:
-    """Current lcm cap for mixed-conductor arithmetic."""
-    raw = os.environ.get("SMATRIX_MAX_CONDUCTOR")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParseError(f"SMATRIX_MAX_CONDUCTOR={raw!r} is not an integer") from exc
-    return DEFAULT_MAX_CONDUCTOR
+MAX_CONDUCTOR = 10080
 
 
 def _common_conductor(a: int, b: int) -> int:
-    """lcm(a, b), refused above the cap; equal conductors promote nothing."""
+    """lcm(a, b), refused above MAX_CONDUCTOR; equal conductors promote nothing."""
     if a == b:
         return a
     target = math.lcm(a, b)
-    cap = max_conductor()
-    if target > cap:
+    if target > MAX_CONDUCTOR:
         raise ConductorCapExceeded(
-            f"conductor lcm({a}, {b}) = {target} exceeds the cap {cap}"
+            f"conductor lcm({a}, {b}) = {target} exceeds the cap {MAX_CONDUCTOR}"
         )
     return target
 

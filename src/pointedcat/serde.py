@@ -11,10 +11,11 @@ integer arrays in emitted JSON; roots of unity use the "zN^k" literal with
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
-from .cyclotomic import ONE, format_root, parse_root
+from .cyclotomic import ONE, format_root, parse_root, roots_of_unity
 from .errors import ParseError, ValidationError
 from .groups import AbelianGroup, Element, format_group, parse_group
 from .cocycles import (
@@ -148,22 +149,14 @@ def raw_cocycle_from_source(source: str, stdin_text: str | None = None):
 
 
 def cocycle_to_json(cocycle: AbelianCocycle) -> dict:
-    group = cocycle.group
-    elems = group.elements()
-    psi = {}
-    omega = {}
-    for a in elems:
-        for b in elems:
-            value = cocycle.omega_at(a, b)
-            if not value.is_one:
-                key = f"{format_element_key(a)},{format_element_key(b)}"
-                omega[key] = format_root(value)
-            for c in elems:
-                value = cocycle.psi_at(a, b, c)
-                if not value.is_one:
-                    key = ",".join(format_element_key(x) for x in (a, b, c))
-                    psi[key] = format_root(value)
-    return {"group": format_group(group), "psi": psi, "omega": omega}
+    """The entries other than 1, from the exponents, keyed in element-index order."""
+    keys = [format_element_key(g) for g in cocycle.group.elements()]
+    roots = roots_of_unity(cocycle.conductor)
+    out = {"group": format_group(cocycle.group)}
+    for name, exps, arity in (("psi", cocycle.psi_exp, 3), ("omega", cocycle.omega_exp, 2)):
+        slots = itertools.product(keys, repeat=arity)
+        out[name] = {",".join(s): format_root(roots[k]) for s, k in zip(slots, exps) if k}
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,33 @@
-"""Scan oracle for the cocycle conditions: products of RootOfUnity objects.
+"""Oracles for the integer-exponent cocycle code: products of RootOfUnity objects.
 
 These are the pentagon, hexagon and normalization scans that the integer
 exponent kernels in pointedcat.cocycles replaced, kept as they were (the
 only change: they take the cocycle as an argument and never read its kept
 results).  They serve to cross-check the kernels' verdicts and witnesses.
+``apply_coboundary`` and ``cocycle_to_json`` are the RootOfUnity-product
+versions of the coboundary twist and the JSON writer, kept as they were.
+``cocycle_from_roots`` builds a cocycle from RootOfUnity tables.
 """
 
 import itertools
+
+from pointedcat.cocycles import (
+    AbelianCocycle,
+    TwoCochain,
+    _exponents,
+    cocycle_failure,
+    cocycle_from_tables,
+)
+from pointedcat.cyclotomic import format_root
+from pointedcat.errors import ConventionError, NotACocycle, NotSubgroup
+from pointedcat.groups import format_group
+from pointedcat.serde import format_element_key
+
+
+def cocycle_from_roots(group, psi, omega):
+    """The cocycle with the RootOfUnity tables psi (triples) and omega (pairs)."""
+    conductor, exps = _exponents([*psi, *omega])
+    return AbelianCocycle(group, conductor, exps[:len(psi)], exps[len(psi):])
 
 
 def normalization_witness(c):
@@ -67,3 +88,61 @@ def check_hexagons(c):
         if c.omega_at(g.add(a, b), cc) != h2:
             return False, ("H2", (a, b, cc))
     return True, None
+
+
+def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
+    """Twist by a normalized 2-cochain on the whole group.
+
+    psi'(a,b,c) = psi(a,b,c) phi(b,c) phi(a,b+c) phi(a+b,c)^-1 phi(a,b)^-1
+    omega'(a,b) = omega(a,b) phi(b,a) phi(a,b)^-1
+
+    The direction of the omega twist is the one coherent with the hexagon
+    identities in check_hexagons (the opposite twist breaks them already on
+    Z/3).  The output must still be a cocycle and must keep its trace form.
+    """
+    g = c.group
+    if len(phi.domain) != g.order or phi.parent != g:
+        raise NotSubgroup("coboundary cochain must be defined on the whole group")
+    elems = g.elements()
+    psi = {}
+    omega = {}
+    for a in elems:
+        for b in elems:
+            omega[(a, b)] = c.omega_at(a, b) * phi.at(b, a) * phi.at(a, b).inv()
+            for cc in elems:
+                psi[(a, b, cc)] = (
+                    c.psi_at(a, b, cc)
+                    * phi.at(b, cc)
+                    * phi.at(a, g.add(b, cc))
+                    * phi.at(g.add(a, b), cc).inv()
+                    * phi.at(a, b).inv()
+                )
+    out = cocycle_from_tables(g, psi, omega)
+    failure = cocycle_failure(out)
+    if failure is not None:
+        raise NotACocycle(
+            f"coboundary twist broke the {failure[0]} condition at {failure[1]}; "
+            "this signals a convention bug"
+        )
+    if tuple(out.omega_at(x, x) for x in elems) != tuple(c.omega_at(x, x) for x in elems):
+        raise ConventionError("coboundary changed the trace form")
+    return out
+
+
+def cocycle_to_json(cocycle: AbelianCocycle) -> dict:
+    group = cocycle.group
+    elems = group.elements()
+    psi = {}
+    omega = {}
+    for a in elems:
+        for b in elems:
+            value = cocycle.omega_at(a, b)
+            if not value.is_one:
+                key = f"{format_element_key(a)},{format_element_key(b)}"
+                omega[key] = format_root(value)
+            for c in elems:
+                value = cocycle.psi_at(a, b, c)
+                if not value.is_one:
+                    key = ",".join(format_element_key(x) for x in (a, b, c))
+                    psi[key] = format_root(value)
+    return {"group": format_group(group), "psi": psi, "omega": omega}

@@ -84,8 +84,10 @@ def test_empty_roster_is_vacuous_pass_with_warning():
 
 
 def test_mu_is_searched_once_per_admissible_subgroup(monkeypatch):
-    """mu depends on H alone: the Schur classes build the regular module once
-    and the well-definedness check builds each admissible H once."""
+    """mu depends on H alone: the Schur classes build the regular module once,
+    with mu = 1 and no search, and the well-definedness check reuses it and
+    builds each nontrivial admissible H once."""
+    import pointedcat.battery as battery
     import pointedcat.brmod as brmod
     from pointedcat.battery import CASE_CHECKS
     from pointedcat.cocycles import QuadraticForm
@@ -93,11 +95,20 @@ def test_mu_is_searched_once_per_admissible_subgroup(monkeypatch):
 
     group = parse_group("Z2xZ2")
     base = category_from_form(QuadraticForm(group, (ONE,) * 4), label="mu search count")
-    searched = []
+    searched, built = [], []
     original = brmod.find_mu
     monkeypatch.setattr(brmod, "find_mu", lambda *args: searched.append(args) or original(*args))
+    build = brmod.build_module_cat
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(brmod, "build_module_cat", counted)
+    monkeypatch.setattr(battery, "build_module_cat", counted)
     for name, check in CASE_CHECKS:
         assert check(base) == (True, None), name
     subs = brmod.admissible_subgroups(base)
     assert len(subs) == 5
-    assert len(searched) == len(subs) + 1
+    assert len(searched) == len(subs) - 1
+    assert len(built) == len(subs)

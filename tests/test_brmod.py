@@ -1,7 +1,7 @@
 import pytest
 
 from pointedcat.cyclotomic import CycloNumber, ONE, root_of_unity
-from pointedcat.errors import BaseMismatch, NotAdmissible
+from pointedcat.errors import BaseMismatch, NotAdmissible, ValidationError
 from pointedcat.groups import (
     character_table,
     characters,
@@ -10,7 +10,7 @@ from pointedcat.groups import (
     trivial_subgroup,
 )
 from pointedcat.cocycles import QuadraticForm
-from pointedcat.metric import category_from_form, mueger_center, preset
+from pointedcat.metric import category_from_form, make_category, mueger_center, preset
 from pointedcat.brmod import (
     admissible_subgroups,
     build_module_cat,
@@ -62,6 +62,20 @@ def test_build_semion_regular_module():
     chi = characters(semion.group)[0]
     mod = build_module_cat(semion, trivial_subgroup(semion.group), chi)
     assert mod.coset_reps == ((0,), (1,))
+
+
+def test_only_the_regular_module_is_built_without_a_cocycle():
+    """make_category(form) attaches no cocycle: mu on the trivial H is 1, a
+    nontrivial H <= T is still refused."""
+    group = parse_group("Z2")
+    base = make_category(QuadraticForm(group, (ONE, ONE)))
+    assert base.cocycle is None
+    chi = characters(group)[0]
+    regular = build_module_cat(base, trivial_subgroup(group), chi)
+    assert regular.mu.table == (ONE,) and regular.coset_reps == ((0,), (1,))
+    assert full_subgroup(group) in admissible_subgroups(base)
+    with pytest.raises(ValidationError, match="explicit cocycle"):
+        build_module_cat(base, full_subgroup(group), chi)
 
 
 def test_build_semion_rejects_whole_group():

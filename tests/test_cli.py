@@ -217,10 +217,19 @@ def test_smatrix2_on_double_z4(capsys):
     assert report["results"]["character_table_match"] is True
 
 
-def test_modcats_needs_a_cocycle(capsys):
-    code, _, err = run_cli(capsys, "modcats", "double:Z8")
-    assert code == 2
-    assert "cocycle" in err
+@pytest.mark.parametrize("literal", ["Z5", "Z8", "Z16"])
+def test_level2_on_doubles_without_a_cocycle(capsys, literal):
+    """A double has T = 1, so only the regular module is admissible; it needs
+    no cocycle, and doubles above order 16 carry none."""
+    source = f"double:{literal}"
+    assert preset(source).cocycle is None
+    sm = run_json(capsys, "smatrix", source, "--level", "2")["results"]
+    assert sm["matrix"] == [["1"]]
+    assert sm["character_table_match"] is True
+    assert sm["classes"] == [[0]]
+    mc = run_json(capsys, "modcats", source)["results"]
+    assert mc["classes"] == [[0]]
+    assert mc["pi0"] == {"pi0": 1, "pi0_omega": 1, "equal": True}
 
 
 # -- invalid inputs exit 2, never with a traceback ----------------------------------------

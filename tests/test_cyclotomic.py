@@ -213,25 +213,21 @@ def test_conj_is_an_involution_and_fixes_rationals():
 
 
 def test_conductor_cap(monkeypatch):
-    monkeypatch.setenv("SMATRIX_MAX_CONDUCTOR", "10")
-    a = embed(root_of_unity(4, 1), 4)
-    b = embed(root_of_unity(3, 1), 3)
+    """lcm(101, 103) = 10403 is above the cap 10080: refused before promoting."""
+    a = embed(root_of_unity(101, 1), 101)
+    b = embed(root_of_unity(103, 1), 103)
+    promoted = []
+    promote = CycloNumber.promote
+    monkeypatch.setattr(
+        CycloNumber, "promote", lambda self, n: promoted.append(n) or promote(self, n)
+    )
     with pytest.raises(ConductorCapExceeded):
         a * b
-    monkeypatch.setenv("SMATRIX_MAX_CONDUCTOR", "12")
-    assert not (a * b).is_zero
-
-
-def test_single_conductor_matrix_reads_the_cap_at_most_once(monkeypatch):
-    import pointedcat.cyclotomic as cyclotomic
-
-    reads = []
-    original = cyclotomic.max_conductor
-    monkeypatch.setattr(cyclotomic, "max_conductor", lambda: reads.append(1) or original())
-    rows = [[embed(root_of_unity(8, i * j), 8) for j in range(16)] for i in range(16)]
-    matrix = CycloMatrix.from_rows(rows)
-    assert matrix.at(1, 1) == embed(root_of_unity(8, 1), 8)
-    assert len(reads) <= 1
+    assert promoted == []
+    c = embed(root_of_unity(4, 1), 4)
+    d = embed(root_of_unity(3, 1), 3)
+    assert not (c * d).is_zero
+    assert promoted == [12, 12]
 
 
 # -- matrices ----------------------------------------------------------

@@ -9,10 +9,10 @@ import itertools
 
 import pytest
 
+from cocycle_scan_oracle import cocycle_from_roots
 from form_oracle import polarization_table, q_gen_values, standard_tables
 from pointedcat.battery import enumerate_quadratic_forms
 from pointedcat.cocycles import (
-    AbelianCocycle,
     QuadraticForm,
     classify_h3ab,
     standard_cocycle,
@@ -62,12 +62,12 @@ def test_quadratic_form_shape_checks_match_oracle():
 
 
 def _check_rebuilt(cocycle):
-    """The exponent path keeps the constructor's integer view and hash."""
-    rebuilt = AbelianCocycle(cocycle.group, cocycle.psi, cocycle.omega)
+    """Rebuilt from its RootOfUnity tables, a cocycle has the same fields and hash."""
+    rebuilt = cocycle_from_roots(cocycle.group, cocycle.psi, cocycle.omega)
     assert cocycle == rebuilt and hash(cocycle) == hash(rebuilt)
-    assert cocycle._conductor == rebuilt._conductor
-    assert cocycle._psi_exp == rebuilt._psi_exp
-    assert cocycle._omega_exp == rebuilt._omega_exp
+    assert cocycle.conductor == rebuilt.conductor
+    assert cocycle.psi_exp == rebuilt.psi_exp
+    assert cocycle.omega_exp == rebuilt.omega_exp
 
 
 def _check_standard(form):
@@ -98,7 +98,7 @@ def test_classify_representatives_keep_the_constructor_view(literal, value_order
     conductors = set()
     for cls in classify_h3ab(parse_group(literal), value_order):
         _check_rebuilt(cls.representative)
-        conductors.add(cls.representative._conductor)
+        conductors.add(cls.representative.conductor)
     assert len(conductors) > 1
 
 
