@@ -17,7 +17,6 @@ from .cyclotomic import (
     CycloMatrix,
     CycloNumber,
     RootOfUnity,
-    as_root_of_unity,
     cyclotomic_polynomial,
     embed,
     format_root,
@@ -48,7 +47,6 @@ from .cocycles import (
     check_pentagon,
     classify_h3ab,
     find_mu,
-    is_abelian_cocycle,
     standard_cocycle,
     trace_form,
 )
@@ -66,6 +64,7 @@ from .metric import (
     mueger_center,
     preset,
     smatrix1,
+    smatrix_rank,
     tmatrix,
 )
 from .brmod import (
@@ -74,13 +73,10 @@ from .brmod import (
     SMatrix2,
     admissible_subgroups,
     build_module_cat,
-    class_product,
-    module_braiding,
     pi0_report,
     schur_class,
     schur_classes,
     smatrix2,
-    smatrix2_entry,
     verify_character_table,
     verify_group_hom,
 )
@@ -100,16 +96,15 @@ __all__ = [
     "PointedBFC", "PointedCatError", "QuadraticForm", "RootOfUnity",
     "SMatrix2", "SchurClass", "Subgroup", "TwoCochain", "ValidationError",
     "admissible_subgroups", "all_subgroups", "apply_coboundary",
-    "as_root_of_unity", "build_module_cat", "category_from_form",
-    "character_table", "characters", "check_hexagons", "check_pentagon",
-    "class_product", "classify_h3ab", "cyclic_presentation",
-    "cyclotomic_polynomial", "detect_center", "drinfeld_double", "embed",
-    "enumerate_quadratic_forms", "find_mu", "format_group", "format_root",
-    "is_abelian_cocycle", "is_nondegenerate", "is_symmetric",
+    "build_module_cat", "category_from_form", "character_table",
+    "characters", "check_hexagons", "check_pentagon", "classify_h3ab",
+    "cyclic_presentation", "cyclotomic_polynomial", "detect_center",
+    "drinfeld_double", "embed", "enumerate_quadratic_forms", "find_mu",
+    "format_group", "format_root", "is_nondegenerate", "is_symmetric",
     "isotropic_subgroups", "lagrangian_subgroups", "make_category",
-    "module_braiding", "mueger_center", "parse_group", "parse_root",
-    "pi0_report", "preset", "quotient", "restrict",
-    "root_of_unity", "run_all", "schur_class", "schur_classes", "smatrix1",
-    "smatrix2", "smatrix2_entry", "standard_cocycle", "subgroup_generated",
-    "tmatrix", "trace_form", "verify_character_table", "verify_group_hom",
+    "mueger_center", "parse_group", "parse_root", "pi0_report", "preset",
+    "quotient", "restrict", "root_of_unity", "run_all", "schur_class",
+    "schur_classes", "smatrix1", "smatrix2", "smatrix_rank",
+    "standard_cocycle", "subgroup_generated", "tmatrix", "trace_form",
+    "verify_character_table", "verify_group_hom",
 ]

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .cyclotomic import CycloMatrix, CycloNumber, RootOfUnity, embed
+from .cyclotomic import CycloMatrix, RootOfUnity, embed
 from .errors import (
-    BaseMismatch,
     InternalInconsistency,
     LiftNotFound,
     NoMuFound,
@@ -108,19 +107,9 @@ def build_module_cat(
     return BraidedModuleCat(base, sub, mu, chi, reps)
 
 
-def module_braiding(mod: BraidedModuleCat, k: Element, g: Element) -> CycloNumber:
-    """The braiding scalar on the simple indexed by k against the grade g."""
-    r = _braiding_root(mod, k, g)
-    return embed(r, r.order)
-
-
 def _braiding_root(mod: BraidedModuleCat, k: Element, g: Element) -> RootOfUnity:
+    """The braiding scalar on the simple indexed by k against the grade g."""
     return mod.base.form.pairing(k, g) * mod.chi.eval(g)
-
-
-def smatrix2_entry(mod: BraidedModuleCat, g: Element) -> CycloNumber:
-    r = _entry_root(mod, g)
-    return embed(r, r.order)
 
 
 def _entry_root(mod: BraidedModuleCat, g: Element) -> RootOfUnity:
@@ -160,12 +149,6 @@ def schur_class(mod: BraidedModuleCat) -> SchurClass:
     return SchurClass(mod.base, restrict(mod.chi, center))
 
 
-def class_product(a: SchurClass, b: SchurClass) -> SchurClass:
-    if a.base != b.base:
-        raise BaseMismatch("Schur classes live over different base categories")
-    return SchurClass(a.base, a.restricted * b.restricted)
-
-
 @dataclass(frozen=True)
 class ClassRep:
     schur: SchurClass
@@ -175,19 +158,19 @@ class ClassRep:
 @lru_cache(maxsize=None)
 def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
     """One class per character of the transparent subgroup, each represented on
-    the regular module (H trivial, built once) by a lifted character of G."""
+    the regular module (H trivial, built once) by a lifted character of G: the
+    first in character order with that restriction."""
     group = base.group
     center = mueger_center(base)
     pres = cyclic_presentation(center)
     lifts = characters(group)
     regular = build_module_cat(base, trivial_subgroup(group), lifts[0])
+    lift_of = {}
+    for chi in lifts:
+        lift_of.setdefault(restrict(chi, center).coords, chi)
     out = []
     for target in characters(pres.group):
-        lift = None
-        for chi in lifts:
-            if restrict(chi, center).coords == target.coords:
-                lift = chi
-                break
+        lift = lift_of.get(target.coords)
         if lift is None:
             raise LiftNotFound(
                 f"no character of G restricts to {target.coords} on the "

@@ -21,7 +21,7 @@ import time
 from . import __version__
 from .errors import GroupTooLarge, ParseError, PointedCatError, exit_code_for
 from .cyclotomic import format_root
-from .groups import format_group, parse_group
+from .groups import DEFAULT_MAX_GROUP_ORDER, format_group, parse_group
 from .cocycles import (
     check_hexagons,
     check_pentagon,
@@ -36,6 +36,7 @@ from .metric import (
     is_symmetric,
     mueger_center,
     smatrix1,
+    smatrix_rank,
     tmatrix_diagonal,
 )
 from .brmod import (
@@ -119,7 +120,7 @@ def cmd_smatrix(args) -> None:
     category = _load(args)
     if args.level == 1:
         sm = smatrix1(category)
-        rank = sm.matrix.rank()
+        rank = smatrix_rank(category)
         results = {
             "category": category.label,
             "level": 1,
@@ -217,6 +218,10 @@ def cmd_lagrangian(args) -> None:
 def cmd_double(args) -> None:
     started = time.perf_counter()
     group = parse_group(args.group)
+    if group.order ** 2 > DEFAULT_MAX_GROUP_ORDER:
+        raise GroupTooLarge(
+            f"|G| = {group.order ** 2} exceeds the bound {DEFAULT_MAX_GROUP_ORDER}"
+        )
     category = drinfeld_double(group)
     results = {
         "group": format_group(group),
@@ -374,7 +379,7 @@ def _add_category_arg(sub) -> None:
     sub.add_argument(
         "--max-group-order",
         type=int,
-        default=256,
+        default=DEFAULT_MAX_GROUP_ORDER,
         help="bound on |G|, checked before the category is built (default 256)",
     )
 
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_category_arg(la)
     la.set_defaults(fn=cmd_lagrangian)
 
-    do = subs.add_parser("double", help="Drinfeld double of a finite abelian group")
+    do = subs.add_parser("double", help="Drinfeld double of an abelian group, |G|^2 <= 256")
     do.add_argument("group", help='group literal such as "Z2" or "Z2xZ3"')
     do.add_argument("--json", action="store_true")
     do.add_argument("--human", action="store_true")

@@ -271,10 +271,6 @@ def check_hexagons(c: AbelianCocycle):
     return True, None
 
 
-def is_abelian_cocycle(c: AbelianCocycle) -> bool:
-    return check_pentagon(c)[0] and check_hexagons(c)[0]
-
-
 @_kept
 def cocycle_failure(c: AbelianCocycle):
     """(condition name, witness) for the first violated condition, else None.
@@ -322,9 +318,10 @@ class QuadraticForm:
     """q: G -> roots of unity with q(0)=1, q(-g)=q(g), bimultiplicative polarization.
 
     The checks run on the exponents of the values mod their conductor N.  The
-    polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is cached at
-    construction as lookups into the roots of z_N; it equals the double
-    braiding of any cocycle tracing to q.
+    polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is kept as exponents:
+    sigma(g, h) = z_N^sigma_exp[i*n + j] for element indices i, j of a group
+    of order n.  It equals the double braiding of any cocycle tracing to q;
+    ``pairing`` is a lookup view.  The hash is computed once.
     """
 
     group: AbelianGroup
@@ -359,15 +356,19 @@ class QuadraticForm:
                         raise InvalidQuadraticForm(
                             f"polarization not bimultiplicative at ({x}+{e}, {y})"
                         )
-        roots = roots_of_unity(conductor)
-        object.__setattr__(self, "_sigma", tuple(roots[s] for row in sigma for s in row))
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "sigma_exp", tuple(s for row in sigma for s in row))
+        object.__setattr__(self, "_hash", hash((g, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def q(self, g: Element) -> RootOfUnity:
         return self.values[self.group.element_index(g)]
 
     def pairing(self, g: Element, h: Element) -> RootOfUnity:
         idx = self.group.element_index
-        return self._sigma[idx(g) * self.group.order + idx(h)]
+        return roots_of_unity(self.conductor)[self.sigma_exp[idx(g) * self.group.order + idx(h)]]
 
 
 def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:

@@ -421,20 +421,6 @@ def embed(r: RootOfUnity, target_conductor: int) -> CycloNumber:
     return CycloNumber(target_conductor, _root_powers(target_conductor)[k % target_conductor])
 
 
-def as_root_of_unity(x: CycloNumber) -> RootOfUnity | None:
-    """Recover the canonical root equal to x, or None if x is not one.
-
-    The roots of unity inside Q(zeta_N) are exactly those of order dividing N
-    for even N and 2N for odd N.
-    """
-    m = x.conductor if x.conductor % 2 == 0 else 2 * x.conductor
-    promoted = x.promote(m)
-    for k in range(m):
-        if promoted.coeffs == _root_powers(m)[k]:
-            return root_of_unity(m, k)
-    return None
-
-
 # ----------------------------------------------------------------------
 # Matrices.
 # ----------------------------------------------------------------------

@@ -70,10 +70,6 @@ class NoMuFound(ValidationError):
     pass
 
 
-class BaseMismatch(ValidationError):
-    pass
-
-
 # -- internal cross-checks (abort loudly) ------------------------------
 
 class InternalInconsistency(InconsistencyError):

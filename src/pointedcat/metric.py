@@ -4,17 +4,20 @@ All simple objects are invertible with quantum dimension 1, so the
 1-categorical S-matrix entry at (g, h) is just the double-braiding scalar
 sigma(g, h) = omega(g,h) omega(h,g), the polarization of q.  Non-degeneracy
 (invertible S-matrix) and triviality of the transparent subgroup are two
-routes to one fact and are cross-checked against each other; a disagreement
-aborts because it can only mean an arithmetic bug.
+routes to one fact and are cross-checked against each other at every order;
+a disagreement aborts because it can only mean an arithmetic bug.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cyclotomic import CycloMatrix, CycloNumber, RootOfUnity, embed, root_of_unity
+from .cyclotomic import (
+    CycloMatrix, CycloNumber, RootOfUnity, _poly_divmod_exact, cyclotomic_polynomial, embed,
+    root_of_unity, roots_of_unity,
+)
 from .errors import (
     InternalInconsistency,
     NotSubgroup,
@@ -34,12 +37,6 @@ from .cocycles import (
     AbelianCocycle, QuadraticForm, _kept, form_from_generators, standard_cocycle, trace_form,
 )
 
-# The S-matrix rank is cross-checked against the transparent subgroup up to
-# this order, which covers D(Z6) and D(Z8).  Past it only the (provably
-# equivalent) transparent-subgroup criterion runs: on D(Z16) the modular rank
-# alone takes about 1 s in pure Python, on top of 0.2 s for smatrix1.
-RANK_CHECK_BOUND = 64
-
 # Dense cocycle tables are |G|^3; only attach them to doubles this small.
 DOUBLE_COCYCLE_BOUND = 16
 
@@ -47,7 +44,8 @@ DOUBLE_COCYCLE_BOUND = 16
 @dataclass(frozen=True)
 class PointedBFC:
     """A metric group (G, q), optionally carrying an explicit cocycle.  What
-    is decided about it once is kept in ``_results`` (see ``cocycles._kept``)."""
+    is decided about it once is kept in ``_results`` (see ``cocycles._kept``)
+    and the hash is computed once."""
 
     group: AbelianGroup
     form: QuadraticForm
@@ -57,6 +55,10 @@ class PointedBFC:
     def __post_init__(self):
         assert self.form.group == self.group
         object.__setattr__(self, "_results", {})
+        object.__setattr__(self, "_hash", hash((self.group, self.form, self.cocycle, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def make_category(
@@ -85,8 +87,9 @@ def category_from_form(form: QuadraticForm, label: str = "") -> PointedBFC:
 
 @dataclass(frozen=True, eq=False)
 class SMatrix1:
+    """The roots sigma(g, h); the CycloMatrix is built on first access."""
+
     category: PointedBFC
-    matrix: CycloMatrix
     roots: tuple[tuple[RootOfUnity, ...], ...]
 
     def __post_init__(self):
@@ -98,18 +101,23 @@ class SMatrix1:
                 if self.roots[i][j] != self.roots[j][i]:
                     raise InternalInconsistency(f"S-matrix not symmetric at ({i},{j})")
 
+    @cached_property
+    def matrix(self) -> CycloMatrix:
+        conductor = math.lcm(*(r.order for row in self.roots for r in row))
+        return CycloMatrix.from_rows(
+            [[embed(r, conductor) for r in row] for row in self.roots]
+        )
+
 
 def smatrix1(category: PointedBFC) -> SMatrix1:
     """Entry (g, h) is the double braiding sigma(g, h); rows/cols in element order."""
-    group = category.group
-    elems = group.elements()
     q = category.form
-    roots = tuple(tuple(q.pairing(g, h) for h in elems) for g in elems)
-    conductor = math.lcm(*(r.order for row in roots for r in row))
-    matrix = CycloMatrix.from_rows(
-        [[embed(r, conductor) for r in row] for row in roots]
+    n = category.group.order
+    roots = roots_of_unity(q.conductor)
+    rows = tuple(
+        tuple(roots[s] for s in q.sigma_exp[i * n:(i + 1) * n]) for i in range(n)
     )
-    return SMatrix1(category, matrix, roots)
+    return SMatrix1(category, rows)
 
 
 def tmatrix(category: PointedBFC) -> CycloMatrix:
@@ -138,9 +146,8 @@ def tmatrix_diagonal(category: PointedBFC) -> tuple[RootOfUnity, ...]:
 def mueger_center(category: PointedBFC) -> Subgroup:
     """The subgroup of g whose double braiding with everything is trivial."""
     group = category.group
-    q = category.form
-    elems = group.elements()
-    center = [g for g in elems if all(q.pairing(g, h).is_one for h in elems)]
+    sigma, n = category.form.sigma_exp, group.order
+    center = [g for i, g in enumerate(group.elements()) if not any(sigma[i * n:(i + 1) * n])]
     try:
         return subgroup_from_elements(group, center)
     except NotSubgroup as exc:
@@ -148,11 +155,8 @@ def mueger_center(category: PointedBFC) -> Subgroup:
 
 
 def is_symmetric(category: PointedBFC) -> bool:
-    group = category.group
-    q = category.form
-    elems = group.elements()
-    all_trivial = all(q.pairing(g, h).is_one for g in elems for h in elems)
-    center_is_everything = mueger_center(category).order == group.order
+    all_trivial = not any(category.form.sigma_exp)
+    center_is_everything = mueger_center(category).order == category.group.order
     if all_trivial != center_is_everything:
         raise InternalInconsistency(
             "sigma == 1 disagrees with the transparent subgroup being everything"
@@ -161,20 +165,37 @@ def is_symmetric(category: PointedBFC) -> bool:
 
 
 @_kept
-def is_nondegenerate(category: PointedBFC) -> bool:
-    """True iff the S-matrix is invertible, equivalently the center is trivial.
+def smatrix_rank(category: PointedBFC) -> int:
+    """rank S = |G/T| for the transparent subgroup T, certified exactly.
 
-    Both criteria are computed and compared (up to RANK_CHECK_BOUND, past
-    which only the center criterion is evaluated), once per category object.
+    sigma is a bicharacter, so (S S^H)[g, h] = sum_k sigma(g - h, k), which
+    must be |G| for g - h in T and 0 otherwise: |G| times the coset indicator
+    of T, of rank |G/T|, and rank S = rank S S^H.  Each row sum sum_j h_j z_N^j
+    is taken from the histogram h of its exponents mod N reduced modulo Phi_N,
+    so it is exact.  Runs once per category object, at every order; any other
+    value aborts.
     """
-    center_trivial = mueger_center(category).order == 1
-    if category.group.order <= RANK_CHECK_BOUND:
-        full_rank = smatrix1(category).matrix.rank() == category.group.order
-        if full_rank != center_trivial:
+    q, n = category.form, category.group.order
+    phi = list(cyclotomic_polynomial(q.conductor))
+    center = mueger_center(category)
+    transparent = {category.group.element_index(g) for g in center.elements}
+    for d in range(n):
+        histogram = [0] * q.conductor
+        for s in q.sigma_exp[d * n:(d + 1) * n]:
+            histogram[s] += 1
+        _, row_sum = _poly_divmod_exact(histogram, phi)
+        if row_sum != ([n] if d in transparent else []):
             raise InternalInconsistency(
-                "S-matrix rank criterion disagrees with the transparent subgroup"
+                f"row sum {row_sum} of sigma at element index {d} disagrees "
+                "with the transparent subgroup"
             )
-    return center_trivial
+    return n // center.order
+
+
+def is_nondegenerate(category: PointedBFC) -> bool:
+    """True iff the S-matrix is invertible, equivalently the center is trivial;
+    the two are cross-checked by ``smatrix_rank``."""
+    return smatrix_rank(category) == category.group.order
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,26 @@
 import pytest
 
-from pointedcat.cyclotomic import CycloNumber, ONE, root_of_unity
-from pointedcat.errors import BaseMismatch, NotAdmissible, ValidationError
+from pointedcat.cyclotomic import ONE, root_of_unity
+from pointedcat.errors import NotAdmissible, ValidationError
 from pointedcat.groups import (
     character_table,
     characters,
     full_subgroup,
     parse_group,
+    restrict,
     trivial_subgroup,
 )
 from pointedcat.cocycles import QuadraticForm
 from pointedcat.metric import category_from_form, make_category, mueger_center, preset
 from pointedcat.brmod import (
+    _braiding_root,
+    _entry_root,
     admissible_subgroups,
     build_module_cat,
-    class_product,
-    module_braiding,
     pi0_report,
     schur_class,
     schur_classes,
     smatrix2,
-    smatrix2_entry,
     verify_character_table,
     verify_group_hom,
 )
@@ -91,27 +91,27 @@ def test_module_braiding_examples():
     svect = preset("svect")
     nontrivial = characters(svect.group)[1]
     mod = build_module_cat(svect, trivial_subgroup(svect.group), nontrivial)
-    assert module_braiding(mod, (0,), (1,)) == CycloNumber.from_rational(-1)
-    assert module_braiding(mod, (1,), (0,)) == CycloNumber.one()
+    assert _braiding_root(mod, (0,), (1,)) == MINUS
+    assert _braiding_root(mod, (1,), (0,)) == ONE
 
     semion = preset("semion")
     regular = build_module_cat(
         semion, trivial_subgroup(semion.group), characters(semion.group)[0]
     )
-    assert module_braiding(regular, (1,), (1,)) == CycloNumber.from_rational(-1)
+    assert _braiding_root(regular, (1,), (1,)) == MINUS
 
 
 def test_smatrix2_entry_examples():
     svect = preset("svect")
     nontrivial = characters(svect.group)[1]
     mod = build_module_cat(svect, trivial_subgroup(svect.group), nontrivial)
-    assert smatrix2_entry(mod, (1,)) == CycloNumber.from_rational(-1)
-    assert smatrix2_entry(mod, (0,)) == CycloNumber.one()
+    assert _entry_root(mod, (1,)) == MINUS
+    assert _entry_root(mod, (0,)) == ONE
 
     sym = symmetric_z2xz2()
     chi = characters(sym.group)[sym.group.element_index((1, 0))]
     mod = build_module_cat(sym, trivial_subgroup(sym.group), chi)
-    assert smatrix2_entry(mod, (1, 1)) == CycloNumber.from_rational(-1)
+    assert _entry_root(mod, (1, 1)) == MINUS
 
 
 def test_smatrix2_entry_requires_transparency():
@@ -120,7 +120,7 @@ def test_smatrix2_entry_requires_transparency():
         semion, trivial_subgroup(semion.group), characters(semion.group)[0]
     )
     with pytest.raises(NotAdmissible):
-        smatrix2_entry(mod, (1,))
+        _entry_root(mod, (1,))
 
 
 # -- Schur classes ----------------------------------------------------------------
@@ -150,6 +150,19 @@ def test_schur_class_ignores_h_and_mu(battery_categories):
             for sub in admissible_subgroups(cat):
                 mod = build_module_cat(cat, sub, item.representative.chi)
                 assert schur_class(mod) == item.schur
+
+
+def test_each_class_is_lifted_by_the_first_matching_character(battery_categories):
+    """The lift is the first character of G, in character order, whose
+    restriction to the transparent subgroup is the class."""
+    for cat in battery_categories + [symmetric_z2xz2()]:
+        center = mueger_center(cat)
+        for item in schur_classes(cat):
+            first = next(
+                chi for chi in characters(cat.group)
+                if restrict(chi, center).coords == item.schur.restricted.coords
+            )
+            assert item.representative.chi == first, cat.label
 
 
 def test_schur_class_counts():
@@ -195,16 +208,6 @@ def test_pi0_reports():
     assert pi0_report(preset("semion")).pi0 == 1
     report = pi0_report(symmetric_z2xz2())
     assert (report.pi0, report.pi0_omega, report.equal) == (4, 4, True)
-
-
-def test_class_product():
-    svect = preset("svect")
-    rows = smatrix2(svect).rows
-    trivial, nontrivial = rows
-    assert class_product(trivial, nontrivial) == nontrivial
-    assert class_product(nontrivial, nontrivial) == trivial
-    with pytest.raises(BaseMismatch):
-        class_product(rows[0], smatrix2(preset("semion")).rows[0])
 
 
 def test_verify_group_hom_on_presets():

@@ -305,6 +305,24 @@ def test_max_group_order_bounds_every_category_command(tmp_path, capsys, monkeyp
     assert err == "error: |G| = 256 exceeds the bound 4\n"
 
 
+@pytest.mark.parametrize("literal, code", [("Z16", 0), ("Z17", 4)])
+def test_double_is_bounded_before_it_is_built(capsys, monkeypatch, literal, code):
+    """The double of G has |G|^2 elements; past the group-order bound the
+    command exits 4 without building it."""
+    import pointedcat.cli as cli
+
+    built = []
+    original = cli.drinfeld_double
+    monkeypatch.setattr(cli, "drinfeld_double", lambda g: built.append(g) or original(g))
+    status, out, err = run_cli(capsys, "double", literal, "--json")
+    assert status == code
+    if code == 4:
+        assert (out, built) == ("", [])
+        assert err == "error: |G| = 289 exceeds the bound 256\n"
+    else:
+        assert json.loads(out)["results"]["category"]["group"] == "Z16xZ16"
+
+
 @pytest.mark.parametrize("source", ["-", "file"])
 def test_deeply_nested_json_exits_2(tmp_path, source):
     nested = "[" * 100000

@@ -9,7 +9,6 @@ from pointedcat.cyclotomic import (
     CycloMatrix,
     CycloNumber,
     cyclotomic_polynomial,
-    as_root_of_unity,
     embed,
     euler_phi,
     format_root,
@@ -154,15 +153,6 @@ def test_embedding_is_multiplicative_random(n1, k1, n2, k2):
     s = root_of_unity(n2, k2 % n2)
     n = math.lcm(r.order, s.order)
     assert embed(r * s, n) == embed(r, n) * embed(s, n)
-
-
-def test_as_root_of_unity_round_trip():
-    for r in _roots_of_order_dividing(12):
-        assert as_root_of_unity(embed(r, r.order)) == r
-    # -zeta_3^2 lives at conductor 3 but has order 6
-    z3sq = embed(root_of_unity(3, 2), 3)
-    assert as_root_of_unity(-z3sq) == root_of_unity(6, 1)
-    assert as_root_of_unity(CycloNumber.from_rational(5)) is None
 
 
 # -- field arithmetic --------------------------------------------------

@@ -1,13 +1,19 @@
+import functools
 from types import SimpleNamespace
 
 import pytest
 
-from pointedcat.cyclotomic import ONE, CycloMatrix, CycloNumber, root_of_unity
+import pointedcat.metric as metric
+from pointedcat.battery import enumerate_quadratic_forms
+from pointedcat.cyclotomic import ONE, CycloMatrix, CycloNumber, RootOfUnity, root_of_unity
 from pointedcat.errors import InternalInconsistency, ParseError, ValidationError
-from pointedcat.groups import parse_group
-from pointedcat.cocycles import QuadraticForm, apply_coboundary, trace_form, two_cochain_from_table
+from pointedcat.groups import parse_group, subgroup_generated, trivial_subgroup
+from pointedcat.cocycles import (
+    QuadraticForm, _kept, apply_coboundary, form_from_generators, trace_form,
+    two_cochain_from_table,
+)
 from pointedcat.metric import (
-    RANK_CHECK_BOUND,
+    PointedBFC,
     category_from_form,
     detect_center,
     drinfeld_double,
@@ -19,6 +25,7 @@ from pointedcat.metric import (
     mueger_center,
     preset,
     smatrix1,
+    smatrix_rank,
     tmatrix,
     tmatrix_diagonal,
 )
@@ -85,8 +92,8 @@ def test_mueger_center_examples():
 
 def test_mueger_center_aborts_when_transparent_elements_are_no_subgroup():
     # only an arithmetic bug can get here, so it is exit 3, not a validation error
-    pairing = lambda g, h: ONE if g in {(0,), (1,)} else MINUS  # noqa: E731
-    fake = SimpleNamespace(group=parse_group("Z4"), form=SimpleNamespace(pairing=pairing))
+    sigma_exp = (0,) * 8 + (1,) * 8  # rows of (0,) and (1,) trivial, the others not
+    fake = SimpleNamespace(group=parse_group("Z4"), form=SimpleNamespace(sigma_exp=sigma_exp))
     with pytest.raises(InternalInconsistency, match="transparent elements"):
         mueger_center.__wrapped__(fake)
 
@@ -131,38 +138,108 @@ def test_doubles_are_nondegenerate_with_lagrangians():
         assert len(lagrangian_subgroups(double)) >= 1
 
 
-@pytest.mark.parametrize("literal, checked", [("Z6", True), ("Z8", True), ("Z9", False)])
-def test_double_rank_cross_check_runs_up_to_the_bound(literal, checked, monkeypatch):
-    """Building D(G) runs the S-matrix rank against the transparent subgroup
-    for |D(G)| <= RANK_CHECK_BOUND (36 and 64 here), and skips it past that."""
-    ranks = []
-    original = CycloMatrix.rank
+def _count_rank_work(monkeypatch) -> list:
+    """Record every run of the rank certificate (with |G|), every S-matrix
+    build and every elimination."""
+    calls = []
+    certify = smatrix_rank.__wrapped__
 
-    def counted(self):
-        rank = original(self)
-        ranks.append((self.rows, rank))
-        return rank
+    @functools.wraps(certify)
+    def counted(category):
+        calls.append(("certificate", category.group.order))
+        return certify(category)
 
-    monkeypatch.setattr(CycloMatrix, "rank", counted)
+    original_smatrix1, original_rank = metric.smatrix1, CycloMatrix.rank
+    monkeypatch.setattr(metric, "smatrix_rank", _kept(counted))
+    monkeypatch.setattr(metric, "smatrix1", lambda c: calls.append(("smatrix1",)) or original_smatrix1(c))
+    monkeypatch.setattr(CycloMatrix, "rank", lambda m: calls.append(("rank",)) or original_rank(m))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "literal, oracle", [("Z6", True), ("Z8", True), ("Z9", False), ("Z16", False)]
+)
+def test_double_rank_cross_check_runs_up_to_the_bound(literal, oracle, monkeypatch):
+    """Building D(G) runs the rank certificate once, at every |D(G)| up to the
+    group-order bound 256, and neither builds nor eliminates the S-matrix.
+    Where the elimination is cheap (|D(G)| <= 64 here) it agrees."""
+    calls = _count_rank_work(monkeypatch)
     double = drinfeld_double.__wrapped__(parse_group(literal))
     n = double.group.order
-    assert (n <= RANK_CHECK_BOUND) == checked
-    assert ranks == ([(n, n)] if checked else [])
+    assert calls == [("certificate", n)]
+    if oracle:
+        assert smatrix1(double).matrix.rank() == smatrix_rank(double) == n
 
 
 def test_nondegeneracy_is_decided_once_per_category(monkeypatch):
-    """Building D(Z4) decides non-degeneracy; detect_center and the CLI's
-    center report read the kept answer instead of ranking the S-matrix again."""
-    import pointedcat.metric as metric
-
-    calls = []
-    original_smatrix1, original_rank = metric.smatrix1, CycloMatrix.rank
-    monkeypatch.setattr(metric, "smatrix1", lambda c: calls.append("smatrix1") or original_smatrix1(c))
-    monkeypatch.setattr(CycloMatrix, "rank", lambda m: calls.append("rank") or original_rank(m))
+    """Building D(Z4) certifies the rank; detect_center and the CLI's center
+    report read the kept answer.  A rebuilt category is certified again."""
+    calls = _count_rank_work(monkeypatch)
     double = drinfeld_double.__wrapped__(parse_group("Z4"))
     assert detect_center(double).is_center
-    assert is_nondegenerate(double)
-    assert calls == ["smatrix1", "rank"]
+    assert is_nondegenerate(double) and smatrix_rank(double) == 16
+    assert calls == [("certificate", 16)]
+    drinfeld_double.__wrapped__(parse_group("Z4"))
+    assert calls == [("certificate", 16)] * 2
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_rank_certificate_matches_the_elimination_on_every_small_form(order):
+    """On every quadratic form of every abelian group of this order."""
+    groups = {
+        4: ["Z4", "Z2xZ2"], 8: ["Z8", "Z4xZ2", "Z2xZ2xZ2"],
+    }.get(order, [f"Z{order}"])
+    for literal in groups:
+        for form in enumerate_quadratic_forms(parse_group(literal)):
+            cat = make_category(form)
+            assert smatrix_rank(cat) == smatrix1(cat).matrix.rank(), (literal, form.values)
+
+
+@pytest.mark.parametrize(
+    "literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z4xZ2", "Z2xZ2xZ2"]
+)
+def test_rank_certificate_matches_the_elimination_on_doubles(literal):
+    double = drinfeld_double(parse_group(literal))
+    assert smatrix_rank(double) == smatrix1(double).matrix.rank() == double.group.order
+
+
+def test_rank_certificate_on_a_degenerate_category_past_64():
+    """D(Z4) next to Z8 with q = 1: |G| = 128, T = Z8, so rank S = 16."""
+    group = parse_group("Z4xZ4xZ8")
+    form = form_from_generators(group, [ONE] * 3, {(0, 1): root_of_unity(4, 1)})
+    cat = make_category(form)
+    assert mueger_center(cat).order == 8
+    assert smatrix_rank(cat) == 16 and not is_nondegenerate(cat)
+
+
+@pytest.mark.parametrize("cat, wrong", [
+    (lambda: preset("svect"), trivial_subgroup),
+    (lambda: drinfeld_double(parse_group("Z16")),
+     lambda group: subgroup_generated(group, [(8, 0)])),
+])
+def test_rank_certificate_catches_a_wrong_transparent_subgroup(cat, wrong, monkeypatch):
+    """The row sums of sigma contradict a wrong transparent subgroup at any
+    size; D(Z16) has |G| = 256."""
+    kept = cat()
+    fresh = PointedBFC(kept.group, kept.form, kept.cocycle, kept.label)
+    monkeypatch.setattr(metric, "mueger_center", lambda c: wrong(c.group))
+    with pytest.raises(InternalInconsistency, match="row sum"):
+        is_nondegenerate(fresh)
+
+
+def test_forms_and_categories_hash_once(monkeypatch):
+    """Equal forms and categories hash equal, and hashing reads a value kept
+    at construction instead of hashing the |G| roots again."""
+    z4 = parse_group("Z4")
+    values = tuple(root_of_unity(8, a * a % 8) for a in range(4))
+    a, b = QuadraticForm(z4, values), QuadraticForm(z4, tuple(values))
+    cat_a, cat_b = make_category(a, label="x"), make_category(b, label="x")
+    other = QuadraticForm(z4, tuple(root_of_unity(8, 3 * k * k % 8) for k in range(4)))
+    monkeypatch.setattr(RootOfUnity, "__hash__", lambda r: pytest.fail("rehashed a root"))
+    assert a == b and hash(a) == hash(b)
+    assert cat_a == cat_b and hash(cat_a) == hash(cat_b)
+    assert cat_a != make_category(a, label="y")
+    assert hash(other) != hash(a)
 
 
 # -- isotropic / Lagrangian ---------------------------------------------------
