@@ -474,6 +474,11 @@ def main(argv=None) -> int:
         # cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except Exception as exc:
+        # Not one of the package's errors, so a bug: exit 3 like a failed
+        # cross-check, naming only the exception type.
+        print(f"error: internal error: {type(exc).__name__}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -216,7 +216,10 @@ MINUS_ONE = root_of_unity(2, 1)
 
 @lru_cache(maxsize=None)
 def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
-    """Entry k is z_n^k: turns exponents mod n into roots without arithmetic."""
+    """Entry k is z_n^k: turns exponents mod n into roots without arithmetic.
+    Refused above MAX_CONDUCTOR, before the table is built."""
+    if n > MAX_CONDUCTOR:
+        raise ConductorCapExceeded(f"conductor {n} exceeds the cap {MAX_CONDUCTOR}")
     return tuple(root_of_unity(n, k) for k in range(n))
 
 

@@ -109,9 +109,13 @@ def parse_group(text: str) -> AbelianGroup:
     factors = []
     for part in s.split("x"):
         part = part.strip()
-        if not part.startswith("z") or not part[1:].isdigit():
-            raise ParseError(f"cannot parse group literal {text!r}")
-        factors.append(int(part[1:]))
+        try:
+            # isdigit() admits digits int() refuses, such as "²"
+            if not part.startswith("z") or not part[1:].isdigit():
+                raise ValueError
+            factors.append(int(part[1:]))
+        except ValueError:
+            raise ParseError(f"cannot parse group literal {text!r}") from None
     return AbelianGroup(tuple(factors))
 
 
@@ -121,9 +125,19 @@ def format_group(group: AbelianGroup) -> str:
 
 @lru_cache(maxsize=None)
 def addition_table(group: AbelianGroup) -> tuple[int, ...]:
-    """Entry i * |G| + j is the element index of elements()[i] + elements()[j]."""
-    elems = group.elements()
-    return tuple(group.element_index(group.add(x, y)) for x in elems for y in elems)
+    """Entry i * |G| + j is the element index of elements()[i] + elements()[j],
+    built on mixed-radix indices: each cyclic factor m multiplies the index
+    of the sum so far by m and adds the digit (c + d) mod m."""
+    table, size = [0], 1
+    for m in group.factors:
+        digits = [[(c + d) % m for d in range(m)] for c in range(m)]
+        table = [
+            t * m + s
+            for i in range(size) for row in digits
+            for t in table[i * size:(i + 1) * size] for s in row
+        ]
+        size *= m
+    return tuple(table)
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +232,11 @@ def full_subgroup(group: AbelianGroup) -> Subgroup:
     return _subgroup_on(group, frozenset(range(group.order)))
 
 
-def _subgroups_over(group: AbelianGroup, universe) -> list[Subgroup]:
+def _subgroups_over(group: AbelianGroup, universe, guard=None) -> list[Subgroup]:
     """All subgroups whose element indices lie in the (closed) universe.  Each
-    one found grows by one element per coset, as <H, g> depends on g + H."""
+    one found grows by one element per coset, as <H, g> depends on g + H.
+    With ``guard``, a predicate of (H's index set, g) that depends only on
+    g + H, H grows only where it holds, and the universe need not be closed."""
     table, n = addition_table(group), group.order
     found = {frozenset({0})}
     todo = list(found)
@@ -231,6 +247,8 @@ def _subgroups_over(group: AbelianGroup, universe) -> list[Subgroup]:
             if g in covered:
                 continue
             covered.update([table[g * n + h] for h in current])
+            if guard is not None and not guard(current, g):
+                continue
             grown = _span(group, current, g)
             if grown not in found:
                 found.add(grown)

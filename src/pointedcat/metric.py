@@ -19,6 +19,7 @@ from .cyclotomic import (
     root_of_unity, roots_of_unity,
 )
 from .errors import (
+    GroupTooLarge,
     InternalInconsistency,
     NotSubgroup,
     ParseError,
@@ -28,7 +29,8 @@ from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
     AbelianGroup,
     Subgroup,
-    all_subgroups,
+    _subgroups_over,
+    addition_table,
     parse_group,
     format_group,
     subgroup_from_elements,
@@ -231,19 +233,32 @@ def drinfeld_double(group: AbelianGroup) -> PointedBFC:
 def isotropic_subgroups(
     category: PointedBFC, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> list[Subgroup]:
-    """All subgroups on which q is identically 1 (so sigma is too, asserted)."""
-    q = category.form
-    out = []
-    for sub in all_subgroups(category.group, max_order):
-        if all(q.q(g).is_one for g in sub.elements):
-            for g in sub.elements:
-                for h in sub.elements:
-                    if not q.pairing(g, h).is_one:
-                        raise InternalInconsistency(
-                            f"isotropic subgroup with nontrivial pairing at ({g},{h})"
-                        )
-            out.append(sub)
-    return out
+    """All subgroups on which q is identically 1 (so sigma is too, asserted),
+    sorted by (order, element list).
+
+    They are grown from {0} through cosets on which q is 1.  For H isotropic
+    and q(g) = 1, q(g + h) = sigma(g, h) and q(k g + h) = sigma(g, h)^k, so
+    <H, g> is isotropic exactly when the coset g + H is, and every isotropic
+    subgroup is reached one element at a time.  Only those are built.  The
+    growth reads q alone, so sigma stays an independent check on each.
+    """
+    group, n = category.group, category.group.order
+    if n > max_order:
+        raise GroupTooLarge(f"|G| = {n} exceeds the bound {max_order}")
+    table, q, sigma = addition_table(group), category.form.values, category.form.sigma_exp
+    subs = _subgroups_over(
+        group, [i for i, v in enumerate(q) if v.is_one],
+        lambda members, g: all(q[table[g * n + h]].is_one for h in members),
+    )
+    for sub in subs:
+        index = [group.element_index(g) for g in sub.elements]
+        for g, i in zip(sub.elements, index):
+            for h, j in zip(sub.elements, index):
+                if sigma[i * n + j]:
+                    raise InternalInconsistency(
+                        f"isotropic subgroup with nontrivial pairing at ({g},{h})"
+                    )
+    return subs
 
 
 def lagrangian_subgroups(

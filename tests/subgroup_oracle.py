@@ -6,13 +6,16 @@ greedy generators that re-close at every step, the lattice BFS that grows
 every subgroup by every element, the O(|H|^2) tuple validation and the
 sorted-coset quotient representatives.  Below them are the invariant-factor
 engines: Smith normal form for quotient factors and the recursive tuple
-decomposition behind cyclic presentations.  `tests/test_subgroup_oracle.py`
-compares the index engine with all of it on elements, generators, factors
-and list order.
+decomposition behind cyclic presentations.  Last come the addition table
+built through tuple addition and the isotropic subgroups found by filtering
+every subgroup.  `tests/test_subgroup_oracle.py` compares the index engine
+with all of it on elements, generators, factors and list order.
 """
 
 from __future__ import annotations
 
+from pointedcat import groups
+from pointedcat.errors import InternalInconsistency
 from pointedcat.groups import AbelianGroup, Element, Subgroup
 
 
@@ -275,3 +278,29 @@ def quotient_factors(group: AbelianGroup, sub: Subgroup) -> tuple[int, ...]:
         relations.append(list(h))
     diag = smith_diagonal(relations)
     return tuple(sorted((d for d in diag if d > 1), reverse=True)) or (1,)
+
+
+# ----------------------------------------------------------------------
+# The addition table through tuple addition, and isotropic subgroups by
+# filtering every subgroup of the index engine.
+# ----------------------------------------------------------------------
+
+def addition_table(group: AbelianGroup) -> tuple[int, ...]:
+    elems = group.elements()
+    return tuple(group.element_index(group.add(x, y)) for x in elems for y in elems)
+
+
+def isotropic_subgroups(category, max_order: int = groups.DEFAULT_MAX_GROUP_ORDER):
+    """Every subgroup on which q is identically 1, sigma asserted trivial there."""
+    q = category.form
+    out = []
+    for sub in groups.all_subgroups(category.group, max_order):
+        if all(q.q(g).is_one for g in sub.elements):
+            for g in sub.elements:
+                for h in sub.elements:
+                    if not q.pairing(g, h).is_one:
+                        raise InternalInconsistency(
+                            f"isotropic subgroup with nontrivial pairing at ({g},{h})"
+                        )
+            out.append(sub)
+    return out

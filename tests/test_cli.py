@@ -338,3 +338,96 @@ def test_deeply_nested_json_exits_2(tmp_path, source):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "not valid JSON" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# -- the catch-all and a fuzz test of the front door ---------------------------
+
+def test_unexpected_exceptions_exit_3_without_a_traceback(capsys, monkeypatch):
+    import pointedcat.cli as cli
+
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_center", broken)
+    code, out, err = run_cli(capsys, "center", "toric", "--json")
+    assert (code, out, err) == (3, "", "error: internal error: KeyError\n")
+
+
+@pytest.mark.parametrize("payload, code, message", [
+    # "²" passes str.isdigit() but not int(); so do 5000 digits
+    ({"group": "Z²"}, 2, "cannot parse group literal"),
+    ({"group": "Z" + "9" * 5000}, 2, "cannot parse group literal"),
+    # the table of all N roots was built before the form was checked, which
+    # for N = 10^11 never ended; past the cap it is refused
+    ({"group": "Z2", "q_gen": ["z10091^1"]}, 4, "conductor 10091 exceeds the cap 10080"),
+    ({"group": "Z2xZ2", "q_gen": ["1", "1"], "pairings": {"0,1": "z10091^1"}},
+     4, "conductor 10091 exceeds the cap 10080"),
+])
+def test_inputs_that_crashed_or_hung_exit_cleanly(capsys, monkeypatch, payload, code, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    status, out, err = run_cli(capsys, "center", "-", "--json")
+    assert (status, out) == (code, "")
+    assert err.startswith("error: ") and message in err
+
+
+_LITERALS = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "Z4xZ2", "Z300", "Z0", "z2X z2", "Z²"]
+_ROOTS = ["1", "-1", "z4^1", "z4^3", "z8^1", "z3^2", "z2^1", "z0^1", "z4^x", "0",
+          "z10091^1"]
+_KEYS = ["0", "1", "2", "3", "(1,0)", "(0,1)", "(1,1)", "(2,1)", "(1)", "1,1", "0,1", "x"]
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    scalars = (st.none() | st.booleans() | st.integers(-9, 9) | st.text(max_size=4)
+               | st.sampled_from(_ROOTS + _LITERALS))
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _payloads():
+    from hypothesis import strategies as st
+
+    value = _json_values()
+    table = st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=5),
+                            st.sampled_from(_ROOTS) | value, max_size=4)
+    return st.fixed_dictionaries(
+        {"group": st.sampled_from(_LITERALS) | st.text(max_size=6) | value},
+        optional={
+            "q": table | value,
+            "q_gen": st.lists(st.sampled_from(_ROOTS), max_size=3) | value,
+            "pairings": table | value,
+            "psi": table | value,
+            "omega": table | value,
+            "label": value,
+            "category": value,
+            "results": value,
+        },
+    )
+
+
+def test_center_on_random_stdin_never_crashes():
+    """Random text and JSON objects with small group literals on stdin: every
+    run exits 0, 2 or 4 and no traceback reaches stderr."""
+    import contextlib
+    from unittest import mock
+
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.text(max_size=40) | _payloads().map(json.dumps))
+    def check(text):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["center", "-", "--json"])
+        assert code in (0, 2, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

@@ -1,20 +1,25 @@
 """The index subgroup engine against the tuple engine in subgroup_oracle.py,
 the invariant factors against Smith normal form and the tuple decomposition,
-and the Lagrangian count of D(A) against its closed form."""
+isotropic growth against filtering every subgroup, and the Lagrangian count
+of D(A) against its closed form."""
 
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
+import pointedcat.metric as metric
 import subgroup_oracle as oracle
-from pointedcat.battery import _abelian_groups_of_order
-from pointedcat.errors import NotSubgroup
+from pointedcat.battery import _abelian_groups_of_order, enumerate_quadratic_forms
+from pointedcat.cocycles import QuadraticForm
+from pointedcat.errors import GroupTooLarge, InternalInconsistency, NotSubgroup
 from pointedcat.groups import (
     AbelianGroup,
     Subgroup,
     _decompose,
+    addition_table,
     all_subgroups,
     cyclic_presentation,
     parse_group,
@@ -23,7 +28,14 @@ from pointedcat.groups import (
     subgroup_generated,
     subgroups_of,
 )
-from pointedcat.metric import drinfeld_double, lagrangian_subgroups
+from pointedcat.metric import (
+    PointedBFC,
+    detect_center,
+    drinfeld_double,
+    isotropic_subgroups,
+    lagrangian_subgroups,
+    make_category,
+)
 
 GROUPS = [g for n in range(1, 25) for g in _abelian_groups_of_order(n)] + [parse_group("Z6xZ6")]
 
@@ -46,6 +58,15 @@ def test_lattice_matches_tuple_oracle(group):
         reps, rep_of = oracle.quotient_reps(group, sub)
         assert q.reps == reps
         assert {g: q.rep_of(g) for g in group.elements()} == rep_of
+
+
+@pytest.mark.parametrize(
+    "group",
+    GROUPS + [AbelianGroup(f) for f in [(16, 16), (2,) * 6, (8, 8), (3, 1, 2)]],
+    ids=lambda g: "x".join(f"Z{m}" for m in g.factors),
+)
+def test_addition_table_matches_tuple_oracle(group):
+    assert addition_table.__wrapped__(group) == oracle.addition_table(group)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
@@ -148,3 +169,86 @@ def test_alternating_counts_of_the_order_8_doubles():
     counts = {str(g): sum(_alternating_count(s) for s in all_subgroups(g))
               for g in _abelian_groups_of_order(8)}
     assert counts == {"Z8": 4, "Z4xZ2": 10, "Z2xZ2xZ2": 30}
+
+
+# -- isotropic growth --------------------------------------------------------
+
+SMALL_GROUPS = [g for n in range(1, 9) for g in _abelian_groups_of_order(n)]
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+def test_isotropic_growth_matches_the_filter_on_every_small_form(group):
+    """Every quadratic form of the group, degenerate ones included: 664 forms
+    over the orders 1-8."""
+    for form in enumerate_quadratic_forms(group):
+        cat = make_category(form)
+        _same(isotropic_subgroups(cat), oracle.isotropic_subgroups(cat))
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+def test_isotropic_growth_matches_the_filter_on_doubles(group):
+    double = drinfeld_double(group)
+    _same(isotropic_subgroups(double), oracle.isotropic_subgroups(double))
+
+
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Replace groups.<name> in every pointedcat module bound to it."""
+    original = getattr(sys.modules["pointedcat.groups"], name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pointedcat") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def test_isotropic_growth_builds_only_the_isotropic_subgroups(monkeypatch):
+    """D(Z2xZ2xZ2) has 2825 subgroups; 171 are isotropic and only those are
+    built.  A work count, not a timing."""
+    double = drinfeld_double(parse_group("Z2xZ2xZ2"))
+    built, enumerations = [], []
+    post_init = Subgroup.__post_init__
+
+    def counted(self):
+        built.append(self.elements)
+        post_init(self)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    _patch_everywhere(monkeypatch, "all_subgroups",
+                      lambda *args: enumerations.append(args) or all_subgroups(*args))
+    report = detect_center(double)
+    assert len(built) == 171 and enumerations == []
+    assert report.is_center and report.lagrangian_count == 30
+
+
+@pytest.mark.parametrize("literal, first, second", [
+    ("Z2xZ2", (1, 0, 0, 0), (1, 0, 0, 0)),  # sigma(g, g) on <g>
+    ("Z2xZ2", (1, 0, 0, 0), (0, 1, 0, 0)),  # sigma(g, h) on <g, h>
+    ("Z4", (2, 0), (3, 0)),                 # sigma(2g, 3g) on <g>
+])
+def test_isotropic_growth_still_checks_sigma(literal, first, second):
+    """sigma patched to be nontrivial at one pair (and its mirror) of an
+    isotropic subgroup aborts, as it does in the filter."""
+    kept = drinfeld_double(parse_group(literal))
+    group, n = kept.group, kept.group.order
+    form = QuadraticForm(group, kept.form.values)
+    sigma = list(form.sigma_exp)
+    i, j = group.element_index(first), group.element_index(second)
+    sigma[i * n + j] = sigma[j * n + i] = 1
+    object.__setattr__(form, "sigma_exp", tuple(sigma))
+    cat = PointedBFC(group, form, None, "patched")
+    with pytest.raises(InternalInconsistency, match="nontrivial pairing"):
+        isotropic_subgroups(cat)
+    with pytest.raises(InternalInconsistency, match="nontrivial pairing"):
+        oracle.isotropic_subgroups(cat)
+
+
+def test_isotropic_bound_is_checked_before_any_enumeration(monkeypatch):
+    double = drinfeld_double(parse_group("Z4"))
+
+    def refuse(*args):
+        raise AssertionError("enumerated past the bound")
+
+    for name in ("_subgroups_over", "addition_table", "all_subgroups"):
+        _patch_everywhere(monkeypatch, name, refuse)
+    with pytest.raises(GroupTooLarge, match=r"^\|G\| = 16 exceeds the bound 15$"):
+        isotropic_subgroups(double, max_order=15)
+    with pytest.raises(GroupTooLarge, match=r"^\|G\| = 16 exceeds the bound 15$"):
+        lagrangian_subgroups(double, max_order=15)
