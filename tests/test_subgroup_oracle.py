@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-import pointedcat.metric as metric
 import subgroup_oracle as oracle
 from pointedcat.battery import _abelian_groups_of_order, enumerate_quadratic_forms
 from pointedcat.cocycles import QuadraticForm
@@ -63,7 +62,7 @@ def test_lattice_matches_tuple_oracle(group):
 @pytest.mark.parametrize(
     "group",
     GROUPS + [AbelianGroup(f) for f in [(16, 16), (2,) * 6, (8, 8), (3, 1, 2)]],
-    ids=lambda g: "x".join(f"Z{m}" for m in g.factors),
+    ids=str,
 )
 def test_addition_table_matches_tuple_oracle(group):
     assert addition_table.__wrapped__(group) == oracle.addition_table(group)
