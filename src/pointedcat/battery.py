@@ -18,11 +18,12 @@ from .cyclotomic import (
     RootOfUnity,
     cyclotomic_polynomial,
     format_root,
+    root_matrix_rank,
     root_of_unity,
     roots_of_unity,
     _poly_mul,
 )
-from .errors import GroupTooLarge, PointedCatError
+from .errors import GroupTooLarge, NotAdmissible, PointedCatError
 from .groups import AbelianGroup, character_table, parse_group, format_group
 from .cocycles import QuadraticForm, classify_h3ab, find_mu, form_from_generators
 from .metric import (
@@ -45,9 +46,8 @@ from .brmod import (
     pi0_report,
     verify_character_table,
     verify_group_hom,
-    _entry_root,
+    _entry_exponent,
 )
-from .errors import NotAdmissible
 
 ROSTER = ("Z2", "Z3", "Z4", "Z2xZ2")
 
@@ -134,7 +134,7 @@ def check_pi0(base: PointedBFC):
 
 def check_full_rank(base: PointedBFC):
     sm = smatrix2(base)
-    full = sm.rank == sm.matrix.rows
+    full = sm.rank == len(sm.roots)
     return full, None if full else "determinant is zero"
 
 
@@ -144,8 +144,14 @@ def check_group_hom(base: PointedBFC):
 
 
 def check_nondegeneracy_equivalence(base: PointedBFC):
-    rank = smatrix1(base).matrix.rank()
-    full = rank == base.group.order
+    """rank S = |G| iff the transparent subgroup is trivial, with S ranked a
+    second way, apart from ``smatrix_rank``: its sigma exponents mod primes,
+    and the Fraction matrix only when no prime certifies."""
+    form, n = base.form, base.group.order
+    rank = root_matrix_rank(form.sigma_exp, n, form.conductor)
+    if rank is None:
+        rank = smatrix1(base).matrix.rank()
+    full = rank == n
     center_trivial = mueger_center(base).order == 1
     ok = full == center_trivial
     return ok, None if ok else f"rank {rank} vs center order {mueger_center(base).order}"
@@ -163,20 +169,20 @@ def check_well_definedness(base: PointedBFC):
     """Every admissible (H, mu, chi): all entries agree across coset reps and the
     Schur class does not depend on H or mu.  mu and the cosets depend on H
     alone, so each nontrivial H is built once and every chi attached to it;
-    the trivial H is the regular module that the Schur classes hold."""
+    the trivial H is the regular module that the Schur classes hold.  Entries
+    are compared as exponents of chi(g)."""
     center = mueger_center(base)
     classes = schur_classes(base)
     regular = classes[0].representative
     for sub in admissible_subgroups(base):
         over_h = build_module_cat(base, sub, regular.chi) if sub.order > 1 else regular
         for item in classes:
-            mod = replace(over_h, chi=item.representative.chi)
+            chi = item.representative.chi
+            mod = replace(over_h, chi=chi)
             if schur_class(mod) != item.schur:
                 return False, f"Schur class moved under H = {sub.elements}"
-            for g in center.elements:
-                got = _entry_root(mod, g)
-                want = item.representative.chi.eval(g)
-                if got != want:
+            for g, want in zip(center.elements, chi.exponents(center.elements)):
+                if _entry_exponent(mod, g) != want:
                     return False, f"entry at {g} changed under H = {sub.elements}"
     return True, None
 

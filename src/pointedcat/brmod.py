@@ -11,16 +11,17 @@ and two such are equivalent iff their characters agree on the transparent
 subgroup.  Pairing the resulting classes against transparent elements gives a
 square matrix which must come out as the character table of the transparent
 subgroup; every entry is evaluated at all coset representatives and any
-disagreement aborts, since the common value is forced.
+disagreement aborts, since the common value is forced.  All of this runs on
+integer exponents: sigma as the form keeps it, chi as an exponent vector,
+and the rank is certified by character orthogonality.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cyclotomic import CycloMatrix, RootOfUnity, embed
+from .cyclotomic import CycloMatrix, RootOfUnity, root_sum, roots_of_unity
 from .errors import (
     InternalInconsistency,
     LiftNotFound,
@@ -35,7 +36,6 @@ from .groups import (
     Character,
     Element,
     Subgroup,
-    character_table,
     characters,
     cyclic_presentation,
     quotient,
@@ -43,7 +43,7 @@ from .groups import (
     subgroups_of,
     trivial_subgroup,
 )
-from .cocycles import TwoCochain, find_mu, two_cochain_from_table
+from .cocycles import TwoCochain, _exponents, find_mu, two_cochain_from_table
 from .metric import PointedBFC, mueger_center
 
 
@@ -112,24 +112,34 @@ def _braiding_root(mod: BraidedModuleCat, k: Element, g: Element) -> RootOfUnity
     return mod.base.form.pairing(k, g) * mod.chi.eval(g)
 
 
-def _entry_root(mod: BraidedModuleCat, g: Element) -> RootOfUnity:
-    """Evaluate at every coset representative and insist on one common value."""
-    center = mueger_center(mod.base)
-    if not center.contains(g):
-        raise NotAdmissible(f"{g} is not transparent in {mod.base.label or 'the base'}")
-    values = [_braiding_root(mod, k, g) for k in mod.coset_reps]
-    first = values[0]
-    for k, value in zip(mod.coset_reps, values):
-        if value != first:
+def _entry_exponent(mod: BraidedModuleCat, g: Element) -> int:
+    """The entry at the transparent g as k with chi(g) = z_e^k, e = exp G.
+
+    sigma(k, g) is read as an exponent at every coset representative k and
+    must be one value, and that value 0, so each braiding scalar reduces to
+    chi(g); the roots are built only for the error message."""
+    base = mod.base
+    if not mueger_center(base).contains(g):
+        raise NotAdmissible(f"{g} is not transparent in {base.label or 'the base'}")
+    group, sigma, reps = base.group, base.form.sigma_exp, mod.coset_reps
+    n, j = group.order, group.element_index(g)
+    column = [sigma[group.element_index(k) * n + j] for k in reps]
+    for k, s in zip(reps, column):
+        if s != column[0]:
             raise WellDefinednessViolation(
-                f"entry at transparent {g} differs between simples {mod.coset_reps[0]} "
-                f"and {k}: {first} vs {value}"
+                f"entry at transparent {g} differs between simples {reps[0]} and {k}: "
+                f"{_braiding_root(mod, reps[0], g)} vs {_braiding_root(mod, k, g)}"
             )
-    if first != mod.chi.eval(g):
+    if column[0]:
         raise InternalInconsistency(
             "entry at a transparent element must reduce to the character value"
         )
-    return first
+    return mod.chi.exponents([g])[0]
+
+
+def _entry_root(mod: BraidedModuleCat, g: Element) -> RootOfUnity:
+    """The entry at the transparent g, checked by ``_entry_exponent``."""
+    return roots_of_unity(mod.base.group.exponent)[_entry_exponent(mod, g)]
 
 
 # ----------------------------------------------------------------------
@@ -186,13 +196,48 @@ def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SMatrix2:
+    """Roots chi_i(g_j): rows over Schur classes, columns over transparent
+    elements; ``rank`` is certified by orthogonality.  The CycloMatrix is
+    built on first access."""
+
     base: PointedBFC
     rows: tuple[SchurClass, ...]
     representatives: tuple[BraidedModuleCat, ...]
     cols: tuple[Element, ...]
-    matrix: CycloMatrix
     roots: tuple[tuple[RootOfUnity, ...], ...]
     rank: int
+
+    @cached_property
+    def matrix(self) -> CycloMatrix:
+        return CycloMatrix.from_roots(self.roots)
+
+
+def _exponent_rows(roots) -> tuple[int, list[list[int]]]:
+    """(N, rows of k) with each root z_N^k, N the lcm of the orders."""
+    conductor, flat = _exponents([r for row in roots for r in row])
+    width = len(roots[0])
+    return conductor, [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def _orthogonality_rank(roots) -> int:
+    """The rank of a square table of roots, certified by orthogonality.
+
+    Entry (i, j) of S S^H is sum_g z_N^(a_ig - a_jg) for the exponents a; it
+    is taken exactly, from the histogram of the differences mod N reduced
+    modulo Phi_N, and must be |T| delta_ij.  Then S S^H = |T| Id and the rank
+    is |T|.  (j, i) is the conjugate of (i, j), so j >= i suffices; any other
+    value aborts.
+    """
+    conductor, rows = _exponent_rows(roots)
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            total = root_sum([(x - y) % conductor for x, y in zip(a, rows[j])], conductor)
+            want = [len(a)] if i == j else []
+            if total != want:
+                raise InternalInconsistency(
+                    f"level-2 S-matrix rows {i} and {j} pair to {total}, not {want}"
+                )
+    return len(rows)
 
 
 @lru_cache(maxsize=None)
@@ -200,49 +245,38 @@ def smatrix2(base: PointedBFC) -> SMatrix2:
     """Rows over Schur classes (character order), columns over transparent
     elements (element order); squareness and invertibility are asserted, and
     the certified rank is kept on the result."""
-    center = mueger_center(base)
-    cols = center.elements
+    cols = mueger_center(base).elements
     reps = schur_classes(base)
-    roots = tuple(
-        tuple(_entry_root(item.representative, g) for g in cols) for item in reps
-    )
+    roots = tuple(tuple(_entry_root(item.representative, g) for g in cols) for item in reps)
     if len(roots) != len(cols):
         raise InternalInconsistency(
             f"level-2 S-matrix is {len(roots)}x{len(cols)}, not square"
         )
-    conductor = math.lcm(*(r.order for row in roots for r in row))
-    matrix = CycloMatrix.from_rows(
-        [[embed(r, conductor) for r in row] for row in roots]
-    )
-    rank = matrix.rank()
-    if rank < matrix.rows:
-        raise InternalInconsistency("level-2 S-matrix is singular")
     return SMatrix2(
         base,
         tuple(item.schur for item in reps),
         tuple(item.representative for item in reps),
         cols,
-        matrix,
         roots,
-        rank,
+        _orthogonality_rank(roots),
     )
 
 
 def verify_character_table(base: PointedBFC) -> bool:
     """The level-2 S-matrix must be the character table of the transparent
-    subgroup, matched through its cyclic-factor presentation."""
+    subgroup, matched through its cyclic-factor presentation: row i is the
+    i-th character of the presented group at each column."""
     sm = smatrix2(base)
-    center = mueger_center(base)
-    pres = cyclic_presentation(center)
-    table = character_table(pres.group)
-    col_perm = [
-        pres.group.element_index(pres.from_parent(g)) for g in sm.cols
-    ]
-    for i in range(table.rows):
-        for j in range(table.cols):
-            if sm.matrix.at(i, j) != table.at(i, col_perm[j]):
-                return False
-    return True
+    pres = cyclic_presentation(mueger_center(base))
+    chars = characters(pres.group)
+    if len(sm.roots) != len(chars):
+        return False
+    table = roots_of_unity(pres.group.exponent)
+    coords = [pres.from_parent(g) for g in sm.cols]
+    return all(
+        list(row) == [table[k] for k in chi.exponents(coords)]
+        for row, chi in zip(sm.roots, chars)
+    )
 
 
 @dataclass(frozen=True)
@@ -266,12 +300,12 @@ def pi0_report(base: PointedBFC) -> Pi0Report:
 def verify_group_hom(base: PointedBFC) -> bool:
     """Each column of the level-2 S-matrix is multiplicative on classes."""
     sm = smatrix2(base)
+    conductor, rows = _exponent_rows(sm.roots)
     pres_group = sm.rows[0].restricted.parent
     index_of = {cls.restricted.coords: i for i, cls in enumerate(sm.rows)}
     for i, a in enumerate(sm.rows):
         for j, b in enumerate(sm.rows):
             k = index_of[pres_group.add(a.restricted.coords, b.restricted.coords)]
-            for col in range(len(sm.cols)):
-                if sm.roots[k][col] != sm.roots[i][col] * sm.roots[j][col]:
-                    return False
+            if any((x + y - z) % conductor for x, y, z in zip(rows[i], rows[j], rows[k])):
+                return False
     return True

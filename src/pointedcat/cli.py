@@ -142,7 +142,7 @@ def cmd_smatrix(args) -> None:
             "classes": [list(cls.restricted.coords) for cls in sm.rows],
             "matrix": matrix_strings(sm.roots),
             "square": len(sm.rows) == len(sm.cols),
-            "invertible": sm.rank == sm.matrix.rows,
+            "invertible": sm.rank == len(sm.roots),
             "character_table_match": match,
         }
         human = [f"S-matrix (level 2) of {category.label or format_group(category.group)}:"]

@@ -111,14 +111,6 @@ class AbelianCocycle:
         roots = roots_of_unity(self.conductor)
         return tuple(roots[k] for k in self.omega_exp)
 
-    def psi_at(self, a: Element, b: Element, c: Element) -> RootOfUnity:
-        n, idx = self.group.order, self.group.element_index
-        return roots_of_unity(self.conductor)[self.psi_exp[(idx(a) * n + idx(b)) * n + idx(c)]]
-
-    def omega_at(self, a: Element, b: Element) -> RootOfUnity:
-        idx = self.group.element_index
-        return roots_of_unity(self.conductor)[self.omega_exp[idx(a) * self.group.order + idx(b)]]
-
     @property
     def normalized(self) -> bool:
         return self.normalization_witness() is None

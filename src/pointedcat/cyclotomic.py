@@ -141,6 +141,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def root_sum(exponents, n: int) -> list[int]:
+    """sum_k z_n^k over the exponents k (each in range(n)), exactly: the
+    histogram of the exponents, as a polynomial in z_n, reduced modulo Phi_n.
+    Integer power-basis coefficients, trimmed: [] is 0 and [c] the rational c."""
+    histogram = [0] * n
+    for k in exponents:
+        histogram[k] += 1
+    return _poly_divmod_exact(histogram, list(cyclotomic_polynomial(n)))[1]
+
+
 @lru_cache(maxsize=None)
 def _phi_fractions(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in cyclotomic_polynomial(n))
@@ -456,6 +466,12 @@ class CycloMatrix:
         return CycloMatrix(nrows, ncols, flat)
 
     @staticmethod
+    def from_roots(rows) -> "CycloMatrix":
+        """The matrix of a table of roots, at the lcm of their orders."""
+        conductor = math.lcm(*(r.order for row in rows for r in row))
+        return CycloMatrix.from_rows([[embed(r, conductor) for r in row] for row in rows])
+
+    @staticmethod
     def identity(n: int, conductor: int = 1) -> "CycloMatrix":
         one = CycloNumber.one(conductor)
         zero = CycloNumber.zero(conductor)
@@ -537,37 +553,18 @@ class CycloMatrix:
         return pivot_row, sign, last_pivot
 
     def rank(self) -> int:
-        """Rank over Q(zeta_N), certified by elimination modulo primes.
-
-        For a prime p = 1 (mod N) and w of exact order N mod p, zeta -> w is
-        a ring map from the p-integral part of Q(zeta_N) onto GF(p): a minor
-        nonzero mod p is nonzero, so the rank mod p is a lower bound.  The
-        number of distinct nonzero rows, or of columns, is an upper bound.
-        When the two meet the rank is proved; for a bicharacter matrix both
-        are |G/T| on the first prime.  If no listed prime reaches the upper
-        bound, exact Bareiss elimination decides.
-        """
+        """Rank over Q(zeta_N), certified by elimination modulo primes (see
+        ``_prime_rank``); if no listed prime certifies it, exact Bareiss
+        elimination decides."""
         ids: dict[tuple[Fraction, ...], int] = {}
         cells = [ids.setdefault(e.coeffs, len(ids)) for e in self.entries]
         zero = ids.get((Fraction(0),) * euler_phi(self.entries[0].conductor))
-        width = self.cols
-        distinct_rows = dict.fromkeys(
-            tuple(cells[i * width:(i + 1) * width]) for i in range(self.rows)
+        rank = _prime_rank(
+            cells, self.cols, zero, self.entries[0].conductor,
+            lambda p, w: _residues(ids, p, w),
         )
-        distinct_cols = {tuple(cells[j::width]) for j in range(width)}
-        distinct_rows.pop((zero,) * width, None)
-        distinct_cols.discard((zero,) * self.rows)
-        upper = min(len(distinct_rows), len(distinct_cols))
-        if upper == 0:
-            return 0
-        for p, w in _rank_primes(self.entries[0].conductor):
-            residues = _residues(ids, p, w)
-            if residues is None:
-                continue
-            reduced = [[residues[k] for k in row] for row in distinct_rows]
-            if _rank_mod_p(reduced, p) == upper:
-                return upper
-        rank, _, _ = self._eliminate()
+        if rank is None:
+            rank, _, _ = self._eliminate()
         return rank
 
     def det(self) -> CycloNumber:
@@ -627,6 +624,48 @@ def _rank_primes(n: int) -> tuple[tuple[int, int], ...]:
             out.append((p, w))
         p += n
     return tuple(out)
+
+
+def _prime_rank(cells, width: int, zero, n: int, residues) -> int | None:
+    """Rank of a matrix over Q(zeta_n) given as entry ids ``cells`` (row-major,
+    ``width`` per row, ``zero`` the id of 0), when a prime certifies it.
+
+    For a prime p = 1 (mod n) and w of exact order n mod p, zeta -> w is a
+    ring map from the p-integral part of Q(zeta_n) onto GF(p); ``residues(p,
+    w)`` gives the image of each id, or None when p divides a denominator.  A
+    minor nonzero mod p is nonzero, so the rank mod p is a lower bound.  The
+    number of distinct nonzero rows, or of columns, is an upper bound.  When
+    the two meet the rank is proved; for a bicharacter matrix both are |G/T|
+    on the first prime.  None when no listed prime reaches the upper bound.
+    """
+    height = len(cells) // width
+    distinct_rows = dict.fromkeys(
+        tuple(cells[i * width:(i + 1) * width]) for i in range(height)
+    )
+    distinct_cols = {tuple(cells[j::width]) for j in range(width)}
+    distinct_rows.pop((zero,) * width, None)
+    distinct_cols.discard((zero,) * height)
+    upper = min(len(distinct_rows), len(distinct_cols))
+    if upper == 0:
+        return 0
+    for p, w in _rank_primes(n):
+        images = residues(p, w)
+        if images is None:
+            continue
+        reduced = [[images[k] for k in row] for row in distinct_rows]
+        if _rank_mod_p(reduced, p) == upper:
+            return upper
+    return None
+
+
+def root_matrix_rank(exponents, width: int, n: int) -> int | None:
+    """Rank of the matrix of roots z_n^k from the sequence of their exponents k
+    (row-major, ``width`` per row), certified as ``CycloMatrix.rank`` is, with z_n^k ->
+    w^k in GF(p) and no Fractions.  A root is never 0, so every row counts
+    toward the upper bound.  None when no listed prime certifies."""
+    return _prime_rank(
+        exponents, width, None, n, lambda p, w: [pow(w, k, p) for k in range(n)]
+    )
 
 
 def _residues(coeff_tuples, p: int, w: int) -> list[int] | None:

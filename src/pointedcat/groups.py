@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycloMatrix, RootOfUnity, embed, root_of_unity
+from .cyclotomic import CycloMatrix, RootOfUnity, root_of_unity
 from .errors import (
     GroupTooLarge,
     InternalInconsistency,
@@ -512,19 +512,18 @@ class Character:
 
     def eval(self, g: Element) -> RootOfUnity:
         self.parent._check(g)
-        n = self.parent.exponent
-        total = 0
-        for c, gi, ni in zip(self.coords, g, self.parent.factors):
-            total += c * gi * (n // ni)
-        return root_of_unity(n, total % n)
+        return root_of_unity(self.parent.exponent, self.exponents([g])[0])
+
+    def exponents(self, elems) -> list[int]:
+        """chi as an exponent vector: k with chi(g) = z_e^k, e = exp G, for each
+        g in elems; k = sum_i c_i g_i (e / n_i) mod e."""
+        e = self.parent.exponent
+        weights = [c * (e // n) for c, n in zip(self.coords, self.parent.factors)]
+        return [sum(w * x for w, x in zip(weights, g)) % e for g in elems]
 
     def __mul__(self, other: "Character") -> "Character":
         assert self.parent == other.parent
         return Character(self.parent, self.parent.add(self.coords, other.coords))
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 def characters(group: AbelianGroup) -> list[Character]:
@@ -549,9 +548,5 @@ def restrict(chi: Character, sub: Subgroup) -> Character:
 
 def character_table(group: AbelianGroup) -> CycloMatrix:
     """|G| x |G| matrix of chi(g); rows by characters(), columns by elements()."""
-    conductor = group.exponent
     elems = group.elements()
-    rows = []
-    for chi in characters(group):
-        rows.append([embed(chi.eval(g), conductor) for g in elems])
-    return CycloMatrix.from_rows(rows)
+    return CycloMatrix.from_roots([[chi.eval(g) for g in elems] for chi in characters(group)])

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cyclotomic import (
-    CycloMatrix, CycloNumber, RootOfUnity, _poly_divmod_exact, cyclotomic_polynomial, embed,
-    root_of_unity, roots_of_unity,
+    CycloMatrix, CycloNumber, RootOfUnity, embed, root_of_unity, root_sum, roots_of_unity,
 )
 from .errors import (
     GroupTooLarge,
@@ -105,10 +104,7 @@ class SMatrix1:
 
     @cached_property
     def matrix(self) -> CycloMatrix:
-        conductor = math.lcm(*(r.order for row in self.roots for r in row))
-        return CycloMatrix.from_rows(
-            [[embed(r, conductor) for r in row] for row in self.roots]
-        )
+        return CycloMatrix.from_roots(self.roots)
 
 
 def smatrix1(category: PointedBFC) -> SMatrix1:
@@ -178,14 +174,10 @@ def smatrix_rank(category: PointedBFC) -> int:
     value aborts.
     """
     q, n = category.form, category.group.order
-    phi = list(cyclotomic_polynomial(q.conductor))
     center = mueger_center(category)
     transparent = {category.group.element_index(g) for g in center.elements}
     for d in range(n):
-        histogram = [0] * q.conductor
-        for s in q.sigma_exp[d * n:(d + 1) * n]:
-            histogram[s] += 1
-        _, row_sum = _poly_divmod_exact(histogram, phi)
+        row_sum = root_sum(q.sigma_exp[d * n:(d + 1) * n], q.conductor)
         if row_sum != ([n] if d in transparent else []):
             raise InternalInconsistency(
                 f"row sum {row_sum} of sigma at element index {d} disagrees "

@@ -6,7 +6,8 @@ only change: they take the cocycle as an argument and never read its kept
 results).  They serve to cross-check the kernels' verdicts and witnesses.
 ``apply_coboundary`` and ``cocycle_to_json`` are the RootOfUnity-product
 versions of the coboundary twist and the JSON writer, kept as they were.
-``cocycle_from_roots`` builds a cocycle from RootOfUnity tables.
+``cocycle_from_roots`` builds a cocycle from RootOfUnity tables, and
+``psi_at`` and ``omega_at`` read one entry of a cocycle as a RootOfUnity.
 """
 
 import itertools
@@ -18,10 +19,22 @@ from pointedcat.cocycles import (
     cocycle_failure,
     cocycle_from_tables,
 )
-from pointedcat.cyclotomic import format_root
+from pointedcat.cyclotomic import format_root, roots_of_unity
 from pointedcat.errors import ConventionError, NotACocycle, NotSubgroup
 from pointedcat.groups import format_group
 from pointedcat.serde import format_element_key
+
+
+def psi_at(c, a, b, cc):
+    """psi(a, b, cc) as a RootOfUnity, looked up by element indices."""
+    n, idx = c.group.order, c.group.element_index
+    return roots_of_unity(c.conductor)[c.psi_exp[(idx(a) * n + idx(b)) * n + idx(cc)]]
+
+
+def omega_at(c, a, b):
+    """omega(a, b) as a RootOfUnity, looked up by element indices."""
+    idx = c.group.element_index
+    return roots_of_unity(c.conductor)[c.omega_exp[idx(a) * c.group.order + idx(b)]]
 
 
 def cocycle_from_roots(group, psi, omega):
@@ -35,13 +48,13 @@ def normalization_witness(c):
     zero = c.group.zero
     elems = c.group.elements()
     for a in elems:
-        if not c.omega_at(a, zero).is_one:
+        if not omega_at(c, a, zero).is_one:
             return ("omega", (a, zero))
-        if not c.omega_at(zero, a).is_one:
+        if not omega_at(c, zero, a).is_one:
             return ("omega", (zero, a))
         for b in elems:
             for triple in ((zero, a, b), (a, zero, b), (a, b, zero)):
-                if not c.psi_at(*triple).is_one:
+                if not psi_at(c, *triple).is_one:
                     return ("psi", triple)
     return None
 
@@ -55,8 +68,8 @@ def check_pentagon(c):
     if normalization_witness(c) is None:
         elems = [x for x in elems if x != g.zero]
     for a, b, cc, d in itertools.product(elems, repeat=4):
-        lhs = c.psi_at(b, cc, d) * c.psi_at(a, g.add(b, cc), d) * c.psi_at(a, b, cc)
-        rhs = c.psi_at(g.add(a, b), cc, d) * c.psi_at(a, b, g.add(cc, d))
+        lhs = psi_at(c, b, cc, d) * psi_at(c, a, g.add(b, cc), d) * psi_at(c, a, b, cc)
+        rhs = psi_at(c, g.add(a, b), cc, d) * psi_at(c, a, b, g.add(cc, d))
         if lhs != rhs:
             return False, (a, b, cc, d)
     return True, None
@@ -70,22 +83,22 @@ def check_hexagons(c):
         elems = [x for x in elems if x != g.zero]
     for a, b, cc in itertools.product(elems, repeat=3):
         h1 = (
-            c.omega_at(a, b)
-            * c.omega_at(a, cc)
-            * c.psi_at(a, b, cc).inv()
-            * c.psi_at(b, a, cc)
-            * c.psi_at(b, cc, a).inv()
+            omega_at(c, a, b)
+            * omega_at(c, a, cc)
+            * psi_at(c, a, b, cc).inv()
+            * psi_at(c, b, a, cc)
+            * psi_at(c, b, cc, a).inv()
         )
-        if c.omega_at(a, g.add(b, cc)) != h1:
+        if omega_at(c, a, g.add(b, cc)) != h1:
             return False, ("H1", (a, b, cc))
         h2 = (
-            c.omega_at(a, cc)
-            * c.omega_at(b, cc)
-            * c.psi_at(a, b, cc)
-            * c.psi_at(a, cc, b).inv()
-            * c.psi_at(cc, a, b)
+            omega_at(c, a, cc)
+            * omega_at(c, b, cc)
+            * psi_at(c, a, b, cc)
+            * psi_at(c, a, cc, b).inv()
+            * psi_at(c, cc, a, b)
         )
-        if c.omega_at(g.add(a, b), cc) != h2:
+        if omega_at(c, g.add(a, b), cc) != h2:
             return False, ("H2", (a, b, cc))
     return True, None
 
@@ -108,10 +121,10 @@ def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
     omega = {}
     for a in elems:
         for b in elems:
-            omega[(a, b)] = c.omega_at(a, b) * phi.at(b, a) * phi.at(a, b).inv()
+            omega[(a, b)] = omega_at(c, a, b) * phi.at(b, a) * phi.at(a, b).inv()
             for cc in elems:
                 psi[(a, b, cc)] = (
-                    c.psi_at(a, b, cc)
+                    psi_at(c, a, b, cc)
                     * phi.at(b, cc)
                     * phi.at(a, g.add(b, cc))
                     * phi.at(g.add(a, b), cc).inv()
@@ -124,7 +137,7 @@ def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
             f"coboundary twist broke the {failure[0]} condition at {failure[1]}; "
             "this signals a convention bug"
         )
-    if tuple(out.omega_at(x, x) for x in elems) != tuple(c.omega_at(x, x) for x in elems):
+    if tuple(omega_at(out, x, x) for x in elems) != tuple(omega_at(c, x, x) for x in elems):
         raise ConventionError("coboundary changed the trace form")
     return out
 
@@ -136,12 +149,12 @@ def cocycle_to_json(cocycle: AbelianCocycle) -> dict:
     omega = {}
     for a in elems:
         for b in elems:
-            value = cocycle.omega_at(a, b)
+            value = omega_at(cocycle, a, b)
             if not value.is_one:
                 key = f"{format_element_key(a)},{format_element_key(b)}"
                 omega[key] = format_root(value)
             for c in elems:
-                value = cocycle.psi_at(a, b, c)
+                value = psi_at(cocycle, a, b, c)
                 if not value.is_one:
                     key = ",".join(format_element_key(x) for x in (a, b, c))
                     psi[key] = format_root(value)
