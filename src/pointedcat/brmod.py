@@ -10,9 +10,10 @@ acting through
 and two such are equivalent iff their characters agree on the transparent
 subgroup.  Pairing the resulting classes against transparent elements gives a
 square matrix which must come out as the character table of the transparent
-subgroup; every entry is evaluated at all coset representatives and any
-disagreement aborts, since the common value is forced.  All of this runs on
-integer exponents: sigma as the form keeps it, chi as an exponent vector,
+subgroup.  At a transparent g the scalar reduces to chi(g) on every simple,
+which does not involve H or mu; ``check_column`` verifies this once per
+(coset representatives, g) and aborts on any disagreement.  All of this runs
+on integer exponents: sigma as the form keeps it, chi as an exponent vector,
 and the rank is certified by character orthogonality.
 """
 
@@ -43,7 +44,7 @@ from .groups import (
     subgroups_of,
     trivial_subgroup,
 )
-from .cocycles import TwoCochain, _exponents, find_mu, two_cochain_from_table
+from .cocycles import TwoCochain, find_mu, two_cochain_from_table
 from .metric import PointedBFC, mueger_center
 
 
@@ -107,39 +108,26 @@ def build_module_cat(
     return BraidedModuleCat(base, sub, mu, chi, reps)
 
 
-def _braiding_root(mod: BraidedModuleCat, k: Element, g: Element) -> RootOfUnity:
-    """The braiding scalar on the simple indexed by k against the grade g."""
-    return mod.base.form.pairing(k, g) * mod.chi.eval(g)
-
-
-def _entry_exponent(mod: BraidedModuleCat, g: Element) -> int:
-    """The entry at the transparent g as k with chi(g) = z_e^k, e = exp G.
-
-    sigma(k, g) is read as an exponent at every coset representative k and
-    must be one value, and that value 0, so each braiding scalar reduces to
-    chi(g); the roots are built only for the error message."""
-    base = mod.base
+def check_column(base: PointedBFC, reps: tuple[Element, ...], g: Element) -> None:
+    """The braiding scalar sigma(k, g) chi(g) of every simple k at the
+    transparent g reduces to chi(g), whatever chi is: sigma(k, g) is read as
+    an exponent at each coset representative k and must be one value, and
+    that value 0.  The roots are built only for the error message."""
     if not mueger_center(base).contains(g):
         raise NotAdmissible(f"{g} is not transparent in {base.label or 'the base'}")
-    group, sigma, reps = base.group, base.form.sigma_exp, mod.coset_reps
+    group, form = base.group, base.form
     n, j = group.order, group.element_index(g)
-    column = [sigma[group.element_index(k) * n + j] for k in reps]
+    column = [form.sigma_exp[group.element_index(k) * n + j] for k in reps]
     for k, s in zip(reps, column):
         if s != column[0]:
             raise WellDefinednessViolation(
                 f"entry at transparent {g} differs between simples {reps[0]} and {k}: "
-                f"{_braiding_root(mod, reps[0], g)} vs {_braiding_root(mod, k, g)}"
+                f"{form.pairing(reps[0], g)} vs {form.pairing(k, g)}"
             )
     if column[0]:
         raise InternalInconsistency(
             "entry at a transparent element must reduce to the character value"
         )
-    return mod.chi.exponents([g])[0]
-
-
-def _entry_root(mod: BraidedModuleCat, g: Element) -> RootOfUnity:
-    """The entry at the transparent g, checked by ``_entry_exponent``."""
-    return roots_of_unity(mod.base.group.exponent)[_entry_exponent(mod, g)]
 
 
 # ----------------------------------------------------------------------
@@ -196,39 +184,35 @@ def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SMatrix2:
-    """Roots chi_i(g_j): rows over Schur classes, columns over transparent
-    elements; ``rank`` is certified by orthogonality.  The CycloMatrix is
-    built on first access."""
+    """chi_i(g_j) = z_e^exponents[i][j], e = exp G: rows over Schur classes,
+    columns over transparent elements; ``rank`` is certified by orthogonality.
+    ``roots`` and ``matrix`` are views built on first access."""
 
     base: PointedBFC
     rows: tuple[SchurClass, ...]
-    representatives: tuple[BraidedModuleCat, ...]
     cols: tuple[Element, ...]
-    roots: tuple[tuple[RootOfUnity, ...], ...]
+    exponents: tuple[tuple[int, ...], ...]
     rank: int
+
+    @cached_property
+    def roots(self) -> tuple[tuple[RootOfUnity, ...], ...]:
+        table = roots_of_unity(self.base.group.exponent)
+        return tuple(tuple(table[k] for k in row) for row in self.exponents)
 
     @cached_property
     def matrix(self) -> CycloMatrix:
         return CycloMatrix.from_roots(self.roots)
 
 
-def _exponent_rows(roots) -> tuple[int, list[list[int]]]:
-    """(N, rows of k) with each root z_N^k, N the lcm of the orders."""
-    conductor, flat = _exponents([r for row in roots for r in row])
-    width = len(roots[0])
-    return conductor, [flat[i:i + width] for i in range(0, len(flat), width)]
-
-
-def _orthogonality_rank(roots) -> int:
+def _orthogonality_rank(rows, conductor: int) -> int:
     """The rank of a square table of roots, certified by orthogonality.
 
-    Entry (i, j) of S S^H is sum_g z_N^(a_ig - a_jg) for the exponents a; it
-    is taken exactly, from the histogram of the differences mod N reduced
-    modulo Phi_N, and must be |T| delta_ij.  Then S S^H = |T| Id and the rank
-    is |T|.  (j, i) is the conjugate of (i, j), so j >= i suffices; any other
-    value aborts.
+    Entry (i, j) of S S^H is sum_g z_N^(a_ig - a_jg) for the rows a of
+    exponents mod N; it is taken exactly, from the histogram of the
+    differences mod N reduced modulo Phi_N, and must be |T| delta_ij.  Then
+    S S^H = |T| Id and the rank is |T|.  (j, i) is the conjugate of (i, j),
+    so j >= i suffices; any other value aborts.
     """
-    conductor, rows = _exponent_rows(roots)
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
             total = root_sum([(x - y) % conductor for x, y in zip(a, rows[j])], conductor)
@@ -243,39 +227,43 @@ def _orthogonality_rank(roots) -> int:
 @lru_cache(maxsize=None)
 def smatrix2(base: PointedBFC) -> SMatrix2:
     """Rows over Schur classes (character order), columns over transparent
-    elements (element order); squareness and invertibility are asserted, and
-    the certified rank is kept on the result."""
+    elements (element order).  Each column is checked once, over the regular
+    module's simples, so row i is its lift's exponents at the columns;
+    squareness and invertibility are asserted, and the certified rank is
+    kept on the result."""
     cols = mueger_center(base).elements
     reps = schur_classes(base)
-    roots = tuple(tuple(_entry_root(item.representative, g) for g in cols) for item in reps)
-    if len(roots) != len(cols):
+    for g in cols:
+        check_column(base, reps[0].representative.coset_reps, g)
+    rows = tuple(tuple(item.representative.chi.exponents(cols)) for item in reps)
+    if len(rows) != len(cols):
         raise InternalInconsistency(
-            f"level-2 S-matrix is {len(roots)}x{len(cols)}, not square"
+            f"level-2 S-matrix is {len(rows)}x{len(cols)}, not square"
         )
     return SMatrix2(
         base,
         tuple(item.schur for item in reps),
-        tuple(item.representative for item in reps),
         cols,
-        roots,
-        _orthogonality_rank(roots),
+        rows,
+        _orthogonality_rank(rows, base.group.exponent),
     )
 
 
 def verify_character_table(base: PointedBFC) -> bool:
     """The level-2 S-matrix must be the character table of the transparent
     subgroup, matched through its cyclic-factor presentation: row i is the
-    i-th character of the presented group at each column."""
+    i-th character of the presented group at each column, compared as
+    exponents mod exp G."""
     sm = smatrix2(base)
     pres = cyclic_presentation(mueger_center(base))
     chars = characters(pres.group)
-    if len(sm.roots) != len(chars):
+    if len(sm.exponents) != len(chars):
         return False
-    table = roots_of_unity(pres.group.exponent)
+    scale = base.group.exponent // pres.group.exponent
     coords = [pres.from_parent(g) for g in sm.cols]
     return all(
-        list(row) == [table[k] for k in chi.exponents(coords)]
-        for row, chi in zip(sm.roots, chars)
+        list(row) == [k * scale for k in chi.exponents(coords)]
+        for row, chi in zip(sm.exponents, chars)
     )
 
 
@@ -300,12 +288,12 @@ def pi0_report(base: PointedBFC) -> Pi0Report:
 def verify_group_hom(base: PointedBFC) -> bool:
     """Each column of the level-2 S-matrix is multiplicative on classes."""
     sm = smatrix2(base)
-    conductor, rows = _exponent_rows(sm.roots)
+    e, rows = base.group.exponent, sm.exponents
     pres_group = sm.rows[0].restricted.parent
     index_of = {cls.restricted.coords: i for i, cls in enumerate(sm.rows)}
     for i, a in enumerate(sm.rows):
         for j, b in enumerate(sm.rows):
             k = index_of[pres_group.add(a.restricted.coords, b.restricted.coords)]
-            if any((x + y - z) % conductor for x, y, z in zip(rows[i], rows[j], rows[k])):
+            if any((x + y - z) % e for x, y, z in zip(rows[i], rows[j], rows[k])):
                 return False
     return True

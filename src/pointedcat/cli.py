@@ -365,6 +365,12 @@ def cmd_battery(args) -> None:
 # Parser and entry point.
 # ----------------------------------------------------------------------
 
+def _add_report_args(sub) -> None:
+    sub.add_argument("--json", action="store_true", help="emit the JSON run report")
+    sub.add_argument("--human", action="store_true", help="force the aligned table view")
+    sub.add_argument("--out", help="write the JSON run report to a file")
+
+
 def _add_category_arg(sub) -> None:
     sub.add_argument(
         "cat_positional",
@@ -373,9 +379,7 @@ def _add_category_arg(sub) -> None:
         help="preset, double:<group>, JSON file or - for stdin",
     )
     sub.add_argument("--cat", help="same as the positional category argument")
-    sub.add_argument("--json", action="store_true", help="emit the JSON run report")
-    sub.add_argument("--human", action="store_true", help="force the aligned table view")
-    sub.add_argument("--out", help="write the JSON run report to a file")
+    _add_report_args(sub)
     sub.add_argument(
         "--max-group-order",
         type=int,
@@ -411,17 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     do = subs.add_parser("double", help="Drinfeld double of an abelian group, |G|^2 <= 256")
     do.add_argument("group", help='group literal such as "Z2" or "Z2xZ3"')
-    do.add_argument("--json", action="store_true")
-    do.add_argument("--human", action="store_true")
-    do.add_argument("--out")
+    _add_report_args(do)
     do.set_defaults(fn=cmd_double)
 
     cl = subs.add_parser("classify", help="abelian 3-cocycle classes on tiny groups")
     cl.add_argument("group")
     cl.add_argument("--values", type=int, default=4, help="root-of-unity order bound")
-    cl.add_argument("--json", action="store_true")
-    cl.add_argument("--human", action="store_true")
-    cl.add_argument("--out")
+    _add_report_args(cl)
     cl.set_defaults(fn=cmd_classify)
 
     mo = subs.add_parser("modcats", help="braided module categories and Schur classes")
@@ -433,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.set_defaults(fn=cmd_cocycle_check)
 
     ba = subs.add_parser("battery", help="run the full verification battery")
-    ba.add_argument("--json", action="store_true")
-    ba.add_argument("--human", action="store_true")
-    ba.add_argument("--out")
+    _add_report_args(ba)
     ba.set_defaults(fn=cmd_battery)
 
     return parser

@@ -534,16 +534,16 @@ def characters(group: AbelianGroup) -> list[Character]:
 def restrict(chi: Character, sub: Subgroup) -> Character:
     """Restriction to a subgroup, expressed on its cyclic-factor presentation."""
     pres = cyclic_presentation(sub)
+    e = chi.parent.exponent
     coords = []
-    for gen, m in zip(pres.gens, pres.group.factors):
-        value = chi.eval(gen)
-        if m % value.order != 0:
+    for k, m in zip(chi.exponents(pres.gens), pres.group.factors):
+        # chi(gen) = z_e^k = z_m^(k m / e), defined when e divides k m
+        if k * m % e:
             raise InternalInconsistency(
-                f"character value of order {value.order} on a generator of order {m}"
+                f"character value of order {e // math.gcd(k, e)} on a generator of order {m}"
             )
-        coords.append((value.exponent * (m // value.order)) % m)
-    restricted = Character(pres.group, tuple(coords))
-    return restricted
+        coords.append(k * m // e % m)
+    return Character(pres.group, tuple(coords))
 
 
 def character_table(group: AbelianGroup) -> CycloMatrix:

@@ -94,12 +94,12 @@ class SMatrix1:
     roots: tuple[tuple[RootOfUnity, ...], ...]
 
     def __post_init__(self):
-        n = self.category.group.order
+        n, sigma = self.category.group.order, self.category.form.sigma_exp
         for i in range(n):
-            if not (self.roots[0][i].is_one and self.roots[i][0].is_one):
+            if sigma[i] or sigma[i * n]:
                 raise InternalInconsistency("S-matrix unit row/column is not all 1")
             for j in range(n):
-                if self.roots[i][j] != self.roots[j][i]:
+                if sigma[i * n + j] != sigma[j * n + i]:
                     raise InternalInconsistency(f"S-matrix not symmetric at ({i},{j})")
 
     @cached_property

@@ -36,9 +36,9 @@ from pointedcat.metric import (
     smatrix1,
 )
 from pointedcat.brmod import (
-    _entry_root,
     admissible_subgroups,
     build_module_cat,
+    check_column,
     pi0_report,
     schur_classes,
     smatrix2,
@@ -179,14 +179,15 @@ def test_c08_braiding_existence():
 def test_c09_well_definedness():
     def body():
         for cat in battery_categories():
-            center = mueger_center(cat)
-            for item in schur_classes(cat):
+            sm = smatrix2(cat)
+            for i, item in enumerate(schur_classes(cat)):
                 for sub in admissible_subgroups(cat):
                     mod = build_module_cat(cat, sub, item.representative.chi)
-                    for g in center.elements:
-                        # evaluates at every coset representative and aborts
-                        # on any disagreement
-                        assert _entry_root(mod, g) == item.representative.chi.eval(g)
+                    for j, g in enumerate(sm.cols):
+                        # reads sigma at every coset representative and
+                        # aborts unless each braiding scalar is chi(g)
+                        check_column(cat, mod.coset_reps, g)
+                        assert sm.roots[i][j] == item.representative.chi.eval(g)
 
     timed(9, "S-matrix entries agree across all coset representatives", 5.0, body)
 

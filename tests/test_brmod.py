@@ -13,10 +13,9 @@ from pointedcat.groups import (
 from pointedcat.cocycles import QuadraticForm
 from pointedcat.metric import category_from_form, make_category, mueger_center, preset
 from pointedcat.brmod import (
-    _braiding_root,
-    _entry_root,
     admissible_subgroups,
     build_module_cat,
+    check_column,
     pi0_report,
     schur_class,
     schur_classes,
@@ -37,6 +36,19 @@ def symmetric_z2xz2():
 
 def grid_str(roots):
     return [[str(r) for r in row] for row in roots]
+
+
+def braiding_root(mod, k, g):
+    """The braiding scalar sigma(k, g) chi(g) on the simple indexed by k."""
+    return mod.base.form.pairing(k, g) * mod.chi.eval(g)
+
+
+def entry(cat, chi, g):
+    """The level-2 S-matrix entry of chi's class at the transparent g."""
+    sm = smatrix2(cat)
+    center = mueger_center(cat)
+    row = [cls.restricted.coords for cls in sm.rows].index(restrict(chi, center).coords)
+    return sm.roots[row][sm.cols.index(g)]
 
 
 # -- admissible subgroups ---------------------------------------------------
@@ -91,27 +103,25 @@ def test_module_braiding_examples():
     svect = preset("svect")
     nontrivial = characters(svect.group)[1]
     mod = build_module_cat(svect, trivial_subgroup(svect.group), nontrivial)
-    assert _braiding_root(mod, (0,), (1,)) == MINUS
-    assert _braiding_root(mod, (1,), (0,)) == ONE
+    assert braiding_root(mod, (0,), (1,)) == MINUS
+    assert braiding_root(mod, (1,), (0,)) == ONE
 
     semion = preset("semion")
     regular = build_module_cat(
         semion, trivial_subgroup(semion.group), characters(semion.group)[0]
     )
-    assert _braiding_root(regular, (1,), (1,)) == MINUS
+    assert braiding_root(regular, (1,), (1,)) == MINUS
 
 
 def test_smatrix2_entry_examples():
     svect = preset("svect")
     nontrivial = characters(svect.group)[1]
-    mod = build_module_cat(svect, trivial_subgroup(svect.group), nontrivial)
-    assert _entry_root(mod, (1,)) == MINUS
-    assert _entry_root(mod, (0,)) == ONE
+    assert entry(svect, nontrivial, (1,)) == MINUS
+    assert entry(svect, nontrivial, (0,)) == ONE
 
     sym = symmetric_z2xz2()
     chi = characters(sym.group)[sym.group.element_index((1, 0))]
-    mod = build_module_cat(sym, trivial_subgroup(sym.group), chi)
-    assert _entry_root(mod, (1, 1)) == MINUS
+    assert entry(sym, chi, (1, 1)) == MINUS
 
 
 def test_smatrix2_entry_requires_transparency():
@@ -119,8 +129,9 @@ def test_smatrix2_entry_requires_transparency():
     mod = build_module_cat(
         semion, trivial_subgroup(semion.group), characters(semion.group)[0]
     )
+    check_column(semion, mod.coset_reps, (0,))
     with pytest.raises(NotAdmissible):
-        _entry_root(mod, (1,))
+        check_column(semion, mod.coset_reps, (1,))
 
 
 # -- Schur classes ----------------------------------------------------------------

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from pointedcat.cyclotomic import CycloMatrix, CycloNumber, root_of_unity
-from pointedcat.errors import GroupTooLarge, NotSubgroup, ParseError, ShapeMismatch
+from pointedcat.errors import (
+    GroupTooLarge, InternalInconsistency, NotSubgroup, ParseError, ShapeMismatch,
+)
 from subgroup_oracle import smith_diagonal
 from pointedcat.groups import (
     AbelianGroup,
@@ -285,6 +287,32 @@ def test_restrict_is_multiplicative():
             lhs = restrict(chi * psi, sub)
             rhs = restrict(chi, sub) * restrict(psi, sub)
             assert lhs.coords == rhs.coords
+
+
+def test_restrict_agrees_with_chi_on_every_subgroup():
+    for literal in ("Z4", "Z2xZ4", "Z3xZ6", "Z8xZ2"):
+        group = parse_group(literal)
+        for sub in all_subgroups(group):
+            pres = cyclic_presentation(sub)
+            for chi in characters(group):
+                restricted = restrict(chi, sub)
+                for coords in pres.group.elements():
+                    assert restricted.eval(coords) == chi.eval(pres.to_parent(coords))
+
+
+def test_restrict_refuses_a_generator_of_too_small_an_order(monkeypatch):
+    """A presentation claiming (1,) in Z4 has order 2 cannot carry chi(1) = i."""
+    import pointedcat.groups as groups
+
+    z4 = parse_group("Z4")
+    wrong = groups.Presentation(AbelianGroup((2,)), ((1,),), {}, {})
+    monkeypatch.setattr(groups, "cyclic_presentation", lambda sub: wrong)
+    with pytest.raises(
+        InternalInconsistency,
+        match="character value of order 4 on a generator of order 2",
+    ):
+        restrict(characters(z4)[1], subgroup_generated(z4, [(1,)]))
+    assert restrict(characters(z4)[2], subgroup_generated(z4, [(1,)])).coords == (1,)
 
 
 def test_cyclic_presentation_every_subgroup():

@@ -1,11 +1,12 @@
 """The level-2 layer on integer exponents, against the RootOfUnity/Fraction path.
 
-``_entry_exponent`` reads sigma as exponents, ``smatrix2`` certifies its rank
-by character orthogonality, ``verify_character_table`` and
-``verify_group_hom`` compare exponents, and the battery's
-``nondegeneracy-equivalence`` row ranks the sigma exponents mod primes.  The
-oracles below are the code they replaced: products of RootOfUnity objects,
-the character table as a CycloMatrix, and ``CycloMatrix.rank``.
+``check_column`` reads sigma as exponents once per (coset representatives,
+g), ``smatrix2`` keeps chi's exponents and certifies its rank by character
+orthogonality, ``verify_character_table`` and ``verify_group_hom`` compare
+exponents, and the battery's ``nondegeneracy-equivalence`` row ranks the
+sigma exponents mod primes.  The oracles below are the code they replaced:
+products of RootOfUnity braiding scalars per (H, class, g), the character
+table as a CycloMatrix, and ``CycloMatrix.rank``.
 """
 
 from dataclasses import replace
@@ -15,12 +16,10 @@ import pytest
 from pointedcat import battery, brmod
 from pointedcat.battery import default_cases, enumerate_quadratic_forms, run_all
 from pointedcat.brmod import (
-    _braiding_root,
-    _entry_exponent,
-    _entry_root,
     _orthogonality_rank,
     admissible_subgroups,
     build_module_cat,
+    check_column,
     schur_classes,
     smatrix2,
     verify_character_table,
@@ -61,9 +60,14 @@ def every_form():
 
 # -- the replaced code, kept as the oracle -------------------------------------
 
+def braiding_root(mod, k, g):
+    """The braiding scalar sigma(k, g) chi(g) on the simple indexed by k."""
+    return mod.base.form.pairing(k, g) * mod.chi.eval(g)
+
+
 def old_entry_root(mod, g):
     """The RootOfUnity-product entry: one braiding scalar per coset rep."""
-    values = [_braiding_root(mod, k, g) for k in mod.coset_reps]
+    values = [braiding_root(mod, k, g) for k in mod.coset_reps]
     for k, value in zip(mod.coset_reps, values):
         if value != values[0]:
             raise WellDefinednessViolation(
@@ -126,17 +130,20 @@ def test_exponent_rank_matches_the_fraction_rank(every_form):
 
 
 def test_entries_match_the_root_product_oracle(every_form):
-    """Over every admissible H and every class, as the well-definedness row
-    reads them."""
+    """S_2's entry (i, j) is the braiding scalar at g_j on every simple of
+    every admissible H with class i's lift attached, as products of roots."""
+    checked = 0
     for cat in every_form:
-        center = mueger_center(cat)
+        sm = smatrix2(cat)
         classes = schur_classes(cat)
         for sub in admissible_subgroups(cat):
             over_h = build_module_cat(cat, sub, classes[0].representative.chi)
-            for item in classes:
+            for i, item in enumerate(classes):
                 mod = replace(over_h, chi=item.representative.chi)
-                for g in center.elements:
-                    assert _entry_root(mod, g) == old_entry_root(mod, g), cat.label
+                for j, g in enumerate(sm.cols):
+                    assert sm.roots[i][j] == old_entry_root(mod, g), cat.label
+                    checked += 1
+    assert checked > 1000
 
 
 def test_character_table_and_group_hom_match_the_matrix_oracle(every_form):
@@ -178,38 +185,37 @@ def test_nondegeneracy_row_falls_back_to_the_fraction_rank(monkeypatch):
 
 # -- negative tests ----------------------------------------------------------------
 
-def _tamper(roots, i, j):
-    """The table with entry (i, j) multiplied by z_8."""
-    rows = [list(row) for row in roots]
-    rows[i][j] = rows[i][j] * root_of_unity(8, 1)
-    return tuple(tuple(row) for row in rows)
+def _tamper(exponents, e, i, j):
+    """The table, with conductor e, as exponents mod 8e with entry (i, j)
+    multiplied by z_8e: a change no root of order dividing e can make."""
+    rows = [[8 * k for k in row] for row in exponents]
+    rows[i][j] += 1
+    return tuple(tuple(row) for row in rows), 8 * e
 
 
 def test_certificate_rejects_any_changed_entry(every_form):
     tested = 0
     for cat in every_form:
-        sm = smatrix2(cat)
-        if len(sm.roots) < 2:
+        sm, e = smatrix2(cat), cat.group.exponent
+        if len(sm.exponents) < 2:
             continue
-        for i in range(len(sm.roots)):
+        scaled = tuple(tuple(8 * k for k in row) for row in sm.exponents)
+        assert _orthogonality_rank(scaled, 8 * e) == len(scaled)
+        for i in range(len(sm.exponents)):
             for j in range(len(sm.cols)):
                 with pytest.raises(InternalInconsistency, match="rows .* pair to"):
-                    _orthogonality_rank(_tamper(sm.roots, i, j))
+                    _orthogonality_rank(*_tamper(sm.exponents, e, i, j))
                 tested += 1
     assert tested > 500
 
 
 def test_smatrix2_aborts_on_a_changed_entry(monkeypatch):
-    """An entry off by a sign at (1, 1) fails the certificate in smatrix2."""
+    """A class lifted by a wrong character gives row 1 the trivial entries,
+    so rows 0 and 1 fail the certificate in smatrix2."""
     base = preset("svect")
-    original = brmod._entry_exponent
-    spoiled = base.group.exponent // 2
-
-    def off_by_sign(mod, g):
-        k = original(mod, g)
-        return (k + spoiled) % base.group.exponent if mod.chi.coords == (1,) == g else k
-
-    monkeypatch.setattr(brmod, "_entry_exponent", off_by_sign)
+    classes = brmod.schur_classes(base)
+    spoiled = (classes[0], replace(classes[1], representative=classes[0].representative))
+    monkeypatch.setattr(brmod, "schur_classes", lambda _: spoiled)
     with pytest.raises(InternalInconsistency, match="rows 0 and 1 pair to"):
         smatrix2.__wrapped__(base)
 
@@ -221,13 +227,30 @@ def test_verifiers_reject_a_changed_table(monkeypatch):
         QuadraticForm(parse_group("Z4"), (ONE,) * 4), label="symmetric Z4, permuted"
     )
     sm = smatrix2(base)
-    swapped = replace(sm, roots=(sm.roots[0], sm.roots[2], sm.roots[1], sm.roots[3]))
-    assert _orthogonality_rank(swapped.roots) == 4
+    rows = sm.exponents
+    swapped = replace(sm, exponents=(rows[0], rows[2], rows[1], rows[3]))
+    assert _orthogonality_rank(swapped.exponents, base.group.exponent) == 4
     monkeypatch.setattr(brmod, "smatrix2", lambda _: swapped)
     assert not verify_character_table(base)
     assert not old_verify_character_table(base, swapped)
     assert not verify_group_hom(base)
     assert not old_group_hom(swapped)
+
+
+def test_unit_and_rank_rows_read_the_exponents(monkeypatch):
+    """A nonzero exponent in row 0 or column 0 fails ``unit-row-and-column``;
+    a rank below the row count fails ``smatrix2-full-rank``."""
+    base = preset("svect")
+    sm = smatrix2(base)
+    assert battery.check_unit_row_col(base) == (True, None)
+    assert battery.check_full_rank(base) == (True, None)
+    for spoiled in (((0, 1), (0, 1)), ((0, 0), (1, 1))):
+        monkeypatch.setattr(battery, "smatrix2", lambda _: replace(sm, exponents=spoiled))
+        assert battery.check_unit_row_col(base) == (
+            False, "unit row or column contains a value other than 1"
+        )
+    monkeypatch.setattr(battery, "smatrix2", lambda _: replace(sm, rank=1))
+    assert battery.check_full_rank(base) == (False, "determinant is zero")
 
 
 def _fresh_svect(label):
@@ -246,16 +269,20 @@ def _set_sigma(base, i, j, value):
     object.__setattr__(form, "sigma_exp", tuple(sigma))
 
 
-def test_tampered_sigma_column_raises_the_old_message():
+def test_tampered_sigma_column_fails_smatrix2():
+    """The check names sigma(k0, g) and sigma(k, g); the oracle names the
+    braiding scalars, which are those times chi(g) = -1."""
     base = _fresh_svect("svect, tampered sigma column")
     mod = build_module_cat(base, trivial_subgroup(base.group), characters(base.group)[1])
     _set_sigma(base, 1, 1, 1)  # sigma((1,), (1,)) = -1, so the column is (1, -1)
     with pytest.raises(WellDefinednessViolation) as new:
-        _entry_root(mod, (1,))
+        smatrix2.__wrapped__(base)
     with pytest.raises(WellDefinednessViolation) as old:
         old_entry_root(mod, (1,))
-    assert str(new.value) == str(old.value)
     assert str(new.value) == (
+        "entry at transparent (1,) differs between simples (0,) and (1,): 1 vs -1"
+    )
+    assert str(old.value) == (
         "entry at transparent (1,) differs between simples (0,) and (1,): -1 vs 1"
     )
 
@@ -276,9 +303,33 @@ def test_nonzero_common_sigma_raises_internal_inconsistency():
     assert mod.coset_reps == ((0,),)
     _set_sigma(base, 0, 1, 1)
     with pytest.raises(InternalInconsistency, match="reduce to the character value"):
-        _entry_exponent(mod, (1,))
+        check_column(base, mod.coset_reps, (1,))
     with pytest.raises(InternalInconsistency, match="reduce to the character value"):
         old_entry_root(mod, (1,))
+
+
+def test_each_column_is_checked_once(monkeypatch):
+    """|T| checks in smatrix2, over the regular module; |T| per admissible H
+    in the well-definedness row."""
+    base = category_from_form(
+        QuadraticForm(parse_group("Z2xZ2"), (ONE,) * 4), label="symmetric Z2xZ2, counted"
+    )
+    order = mueger_center(base).order
+    calls = []
+
+    def counted(cat, reps, g):
+        calls.append((reps, g))
+        return check_column(cat, reps, g)
+
+    monkeypatch.setattr(brmod, "check_column", counted)
+    monkeypatch.setattr(battery, "check_column", counted)
+    smatrix2.__wrapped__(base)
+    assert order == 4 and len(calls) == order
+    assert {reps for reps, _ in calls} == {tuple(base.group.elements())}
+    calls.clear()
+    assert battery.check_well_definedness(base) == (True, None)
+    subgroups = admissible_subgroups(base)
+    assert len(subgroups) == 5 and len(calls) == order * len(subgroups)
 
 
 # -- no Fraction rank on the level-2 path --------------------------------------------

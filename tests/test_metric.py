@@ -69,6 +69,25 @@ def test_smatrix1_on_z3_cocycle_representatives():
                 assert sm.roots[i][j] == q.pairing(g, h)
 
 
+def test_smatrix1_checks_the_sigma_exponents():
+    """A sigma table that is not symmetric, or has a nonzero unit row or
+    column, aborts with the pinned messages."""
+    def tampered(*cells):
+        z3 = root_of_unity(3, 1)
+        form = QuadraticForm(parse_group("Z3"), (ONE, z3, z3))
+        sigma = list(form.sigma_exp)
+        for i, j in cells:
+            sigma[i * 3 + j] = (sigma[i * 3 + j] + 1) % 3
+        object.__setattr__(form, "sigma_exp", tuple(sigma))
+        return make_category(form)
+
+    assert str(smatrix1(tampered()).roots[1][1]) == "z3^2"
+    with pytest.raises(InternalInconsistency, match=r"not symmetric at \(1,2\)"):
+        smatrix1(tampered((1, 2)))
+    with pytest.raises(InternalInconsistency, match="unit row/column is not all 1"):
+        smatrix1(tampered((2, 0), (0, 2)))
+
+
 def test_tmatrix_examples():
     assert [str(r) for r in tmatrix_diagonal(preset("semion"))] == ["1", "z4^1"]
     assert [str(r) for r in tmatrix_diagonal(preset("svect"))] == ["1", "-1"]
