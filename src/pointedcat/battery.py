@@ -28,11 +28,11 @@ from .groups import AbelianGroup, character_table, parse_group, format_group
 from .cocycles import QuadraticForm, classify_h3ab, find_mu, form_from_generators
 from .metric import (
     PointedBFC,
-    category_from_form,
     detect_center,
     drinfeld_double,
     is_nondegenerate,
     lagrangian_subgroups,
+    make_category,
     mueger_center,
     preset,
     smatrix1,
@@ -199,7 +199,7 @@ def check_symmetric_case():
     for literal in ("Z2", "Z2xZ2"):
         group = parse_group(literal)
         form = QuadraticForm(group, tuple([root_of_unity(1, 0)] * group.order))
-        base = category_from_form(form, label=f"symmetric {literal}")
+        base = make_category(form, label=f"symmetric {literal}")
         sm = smatrix2(base)
         if sm.matrix != character_table(group):
             return False, f"symmetric case on {literal}"
@@ -349,7 +349,7 @@ def run_all(cases=None, include_global: bool = True) -> BatterySummary:
                 BatteryRow(case.label, "quadratic-form-valid", False, str(exc))
             )
             continue
-        base = category_from_form(form, label=case.label)
+        base = make_category(form, label=case.label)
         for name, fn in CASE_CHECKS:
             try:
                 passed, witness = fn(base)

@@ -29,7 +29,6 @@ from .errors import (
     NoMuFound,
     NotAdmissible,
     ShapeMismatch,
-    ValidationError,
     WellDefinednessViolation,
 )
 from .groups import (
@@ -45,7 +44,7 @@ from .groups import (
     trivial_subgroup,
 )
 from .cocycles import TwoCochain, find_mu, two_cochain_from_table
-from .metric import PointedBFC, mueger_center
+from .metric import PointedBFC, cocycle_of, mueger_center
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ def build_module_cat(
 ) -> BraidedModuleCat:
     """Assemble a braided module category, searching for mu on an escalating
     value-order schedule exp(H), 2 exp(H), 4 exp(H) (capped at the mu-search
-    bound); on the trivial H, mu = 1 and no cocycle is read.  A subgroup outside
-    the transparent subgroup is rejected."""
+    bound) against ``cocycle_of(base)``; on the trivial H, mu = 1 and no
+    cocycle is read.  A subgroup outside the transparent subgroup is rejected."""
     group = base.group
     if sub.parent != group:
         raise ShapeMismatch("subgroup belongs to a different group")
@@ -86,17 +85,11 @@ def build_module_cat(
     if sub.order == 1:
         mu = two_cochain_from_table(group, sub.elements, {})
         return BraidedModuleCat(base, sub, mu, chi, tuple(group.elements()))
-    if base.cocycle is None:
-        raise ValidationError(
-            "module categories need an explicit cocycle on the base category"
-        )
     exponent = sub.exponent
-    schedule = [n for n in (exponent, 2 * exponent, 4 * exponent) if n <= 24]
-    if not schedule:
-        schedule = [exponent]
+    schedule = [n for n in (exponent, 2 * exponent, 4 * exponent) if n <= 24] or [exponent]
     mu = None
     for value_order in schedule:
-        mu = find_mu(base.cocycle, sub, value_order)
+        mu = find_mu(cocycle_of(base), sub, value_order)
         if mu is not None:
             break
     if mu is None:

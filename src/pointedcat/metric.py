@@ -38,7 +38,8 @@ from .cocycles import (
     AbelianCocycle, QuadraticForm, _kept, form_from_generators, standard_cocycle, trace_form,
 )
 
-# Dense cocycle tables are |G|^3; only attach them to doubles this small.
+# Dense cocycle tables are |G|^3; only doubles this small carry one.  No double's
+# is read; the bound stays because perfbench pins `cocycle is not None` per double.
 DOUBLE_COCYCLE_BOUND = 16
 
 
@@ -82,6 +83,13 @@ def category_from_form(form: QuadraticForm, label: str = "") -> PointedBFC:
     return make_category(form, standard_cocycle(form), label)
 
 
+@_kept
+def cocycle_of(category: PointedBFC) -> AbelianCocycle:
+    """The category's own cocycle, else its form's standard one, built on first
+    use: the form determines the cocycle up to coboundary (H^3_ab(G) = Quad(G))."""
+    return category.cocycle if category.cocycle is not None else standard_cocycle(category.form)
+
+
 # ----------------------------------------------------------------------
 # S- and T-matrices.
 # ----------------------------------------------------------------------
@@ -120,14 +128,12 @@ def smatrix1(category: PointedBFC) -> SMatrix1:
 
 def tmatrix(category: PointedBFC) -> CycloMatrix:
     """Diagonal matrix of the twists q(g) in element order."""
-    group = category.group
-    elems = group.elements()
-    q = category.form
-    conductor = math.lcm(*(q.q(g).order for g in elems))
+    diagonal = tmatrix_diagonal(category)
+    conductor = math.lcm(*(t.order for t in diagonal))
     zero = CycloNumber.zero(conductor)
     rows = [
-        [embed(q.q(g), conductor) if i == j else zero for j, _ in enumerate(elems)]
-        for i, g in enumerate(elems)
+        [embed(t, conductor) if i == j else zero for j in range(len(diagonal))]
+        for i, t in enumerate(diagonal)
     ]
     return CycloMatrix.from_rows(rows)
 

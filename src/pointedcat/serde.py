@@ -24,7 +24,6 @@ from .cocycles import (
     cocycle_failure,
     cocycle_from_tables,
     form_from_generators,
-    standard_cocycle,
     trace_form,
 )
 from .metric import PointedBFC, make_category, preset, preset_names
@@ -40,10 +39,7 @@ def format_element_key(g: Element) -> str:
 
 def _parse_args(text: str, group: AbelianGroup, count: int) -> tuple[Element, ...]:
     s = text.strip()
-    if "(" in s:
-        parts = _PAREN.findall(s)
-    else:
-        parts = [p for p in s.split(",")]
+    parts = _PAREN.findall(s) if "(" in s else s.split(",")
     if len(parts) != count:
         raise ParseError(f"key {text!r} should list {count} element(s)")
     out = []
@@ -66,12 +62,20 @@ def _object(raw, what: str) -> dict:
     return raw
 
 
+def _claim(keys: dict, slot, key: str, name: str):
+    """``slot``, recorded as named by ``key`` of table ``name``; two keys may not."""
+    if slot in keys:
+        raise ParseError(f"{name} keys {keys[slot]!r} and {key!r} name the same entry")
+    keys[slot] = key
+    return slot
+
+
 def _root_table(raw: dict, group: AbelianGroup, arity: int) -> dict:
-    table = {}
+    table, keys = {}, {}
     name = ('"q"', '"omega"', '"psi"')[arity - 1]
     for key, literal in _object(raw, name).items():
         args = _parse_args(key, group, arity)
-        table[args if arity > 1 else args[0]] = parse_root(str(literal))
+        table[_claim(keys, args if arity > 1 else args[0], key, name)] = parse_root(str(literal))
     return table
 
 
@@ -92,7 +96,7 @@ def qf_from_json(data: dict, group: AbelianGroup) -> QuadraticForm:
             raise ParseError(
                 f"q_gen lists {len(gens)} values for {group.rank} cyclic factors"
             )
-        pairings = {}
+        pairings, keys = {}, {}
         for key, literal in _object(data.get("pairings", {}), '"pairings"').items():
             try:
                 i, j = (int(p) for p in key.split(","))
@@ -100,7 +104,7 @@ def qf_from_json(data: dict, group: AbelianGroup) -> QuadraticForm:
                 raise ParseError(f"bad pairing key {key!r}") from exc
             if not 0 <= i < j < group.rank:
                 raise ParseError(f"pairing key {key!r} out of range")
-            pairings[(i, j)] = parse_root(str(literal))
+            pairings[_claim(keys, (i, j), key, '"pairings"')] = parse_root(str(literal))
         return form_from_generators(group, gens, pairings)
     raise ParseError('quadratic form JSON needs a "q" or "q_gen" entry')
 
@@ -181,13 +185,10 @@ def category_from_json(data: dict) -> PointedBFC:
     payload = _category_payload(data)
     group = parse_group(str(payload["group"]))
     label = str(payload.get("label", ""))
-    cocycle = None
-    if "psi" in payload or "omega" in payload:
-        cocycle = cocycle_from_json(payload, group)
+    has_tables = "psi" in payload or "omega" in payload
+    cocycle = cocycle_from_json(payload, group) if has_tables else None
     if "q" in payload or "q_gen" in payload:
         form = qf_from_json(payload, group)
-        if cocycle is None:
-            cocycle = standard_cocycle(form)
     elif cocycle is not None:
         form = trace_form(cocycle)
     else:

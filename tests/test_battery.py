@@ -112,3 +112,28 @@ def test_mu_is_searched_once_per_admissible_subgroup(monkeypatch):
     assert len(subs) == 5
     assert len(searched) == len(subs) - 1
     assert len(built) == len(subs)
+
+
+def test_form_only_bases_give_the_rows_of_bases_with_the_standard_cocycle(monkeypatch):
+    """Differential over the roster: every per-case row on make_category(form)
+    equals the row on category_from_form(form), and the form-only base builds
+    the standard cocycle once exactly when its transparent subgroup is
+    nontrivial (only a nontrivial admissible H reads a cocycle)."""
+    import pointedcat.metric as metric
+    from pointedcat.battery import CASE_CHECKS
+    from pointedcat.cocycles import QuadraticForm
+    from pointedcat.metric import category_from_form, make_category, mueger_center
+
+    def rows(base):
+        return [(name, check(base)) for name, check in CASE_CHECKS]
+
+    standard, built = metric.standard_cocycle, []
+    for case in default_cases():
+        form = QuadraticForm(parse_group(case.group_literal), case.q_values)
+        expected = rows(category_from_form(form, label=case.label))
+        monkeypatch.setattr(metric, "standard_cocycle", lambda q: built.append(q) or standard(q))
+        base = make_category(form, label=case.label)
+        assert rows(base) == expected, case.label
+        monkeypatch.setattr(metric, "standard_cocycle", standard)
+        assert built == ([form] if mueger_center(base).order > 1 else []), case.label
+        built.clear()

@@ -1,7 +1,7 @@
 import pytest
 
 from pointedcat.cyclotomic import ONE, root_of_unity
-from pointedcat.errors import NotAdmissible, ValidationError
+from pointedcat.errors import NotAdmissible
 from pointedcat.groups import (
     character_table,
     characters,
@@ -11,7 +11,9 @@ from pointedcat.groups import (
     trivial_subgroup,
 )
 from pointedcat.cocycles import QuadraticForm
-from pointedcat.metric import category_from_form, make_category, mueger_center, preset
+from pointedcat.metric import (
+    category_from_form, cocycle_of, make_category, mueger_center, preset,
+)
 from pointedcat.brmod import (
     admissible_subgroups,
     build_module_cat,
@@ -76,18 +78,22 @@ def test_build_semion_regular_module():
     assert mod.coset_reps == ((0,), (1,))
 
 
-def test_only_the_regular_module_is_built_without_a_cocycle():
-    """make_category(form) attaches no cocycle: mu on the trivial H is 1, a
-    nontrivial H <= T is still refused."""
+def test_a_form_only_base_builds_modules_on_the_standard_cocycle():
+    """make_category(form) attaches no cocycle: mu on the trivial H is 1, and a
+    nontrivial H <= T reads the standard cocycle, so the module over the full
+    Z2 is the one category_from_form(form) gives."""
     group = parse_group("Z2")
-    base = make_category(QuadraticForm(group, (ONE, ONE)))
+    form = QuadraticForm(group, (ONE, ONE))
+    base = make_category(form)
     assert base.cocycle is None
     chi = characters(group)[0]
     regular = build_module_cat(base, trivial_subgroup(group), chi)
     assert regular.mu.table == (ONE,) and regular.coset_reps == ((0,), (1,))
     assert full_subgroup(group) in admissible_subgroups(base)
-    with pytest.raises(ValidationError, match="explicit cocycle"):
-        build_module_cat(base, full_subgroup(group), chi)
+    whole = build_module_cat(base, full_subgroup(group), chi)
+    given = build_module_cat(category_from_form(form), full_subgroup(group), chi)
+    assert whole.mu == given.mu and whole.coset_reps == given.coset_reps == ((0,),)
+    assert cocycle_of(base) == given.base.cocycle and base.cocycle is None
 
 
 def test_build_semion_rejects_whole_group():

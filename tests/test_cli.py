@@ -9,6 +9,7 @@ import pytest
 
 import pointedcat
 from pointedcat.cli import main
+from pointedcat.groups import parse_group
 from pointedcat.metric import preset
 from pointedcat.serde import category_from_json, category_to_json
 
@@ -159,7 +160,8 @@ def test_exit_code_map_covers_inconsistency():
 # -- round trips and reports ---------------------------------------------------------
 
 def test_emitted_categories_reparse_to_equal_values(capsys):
-    for name in ("trivial", "svect", "semion", "semion-bar", "toric", "double:Z3"):
+    for name in ("trivial", "svect", "semion", "semion-bar", "toric", "double:Z3",
+                 "double:Z5", "double:Z6"):
         cat = preset(name)
         again = category_from_json(category_to_json(cat))
         assert again == cat
@@ -340,6 +342,66 @@ def test_deeply_nested_json_exits_2(tmp_path, source):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("payload, first, second", [
+    ({"group": "Z2", "q": {"1": "z4^1", "1 ": "z4^3"}}, "1", "1 "),
+    ({"group": "Z4", "q": {"1": "z8^1", "5": "z8^1"}}, "1", "5"),
+    ({"group": "Z2", "omega": {"1,1": "z4^1", "(1),(3)": "z4^1"}}, "1,1", "(1),(3)"),
+    ({"group": "Z2", "psi": {"1,1,1": "-1", "1,1,3": "-1"}, "omega": {"1,1": "z4^1"}},
+     "1,1,1", "1,1,3"),
+    ({"group": "Z2xZ2", "q_gen": ["1", "1"], "pairings": {"0,1": "-1", "0, 1": "1"}},
+     "0,1", "0, 1"),
+])
+def test_two_keys_for_one_entry_exit_2_naming_both(capsys, monkeypatch, payload,
+                                                   first, second):
+    """Keys that reduce to the same element (or pairing) were merged, the
+    later one silently winning; each table kind now refuses them."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    status, out, err = run_cli(capsys, "center", "-", "--json")
+    assert (status, out) == (2, "")
+    assert f"keys {first!r} and {second!r} name the same entry" in err
+
+
+# -- inputs at the default bound -----------------------------------------------
+
+_FORM_FILES = {
+    "o128": {"group": "Z16xZ8", "q_gen": ["z32^1", "z16^3"], "pairings": {"0,1": "z8^1"}},
+    "o256": {"group": "Z16xZ16", "q": {}},
+}
+
+
+def _refuse_cocycles(monkeypatch) -> list:
+    """Count each AbelianCocycle built and each cocycle scan begun, and stop
+    it by raising; the counts are returned."""
+    import pointedcat.cocycles as cocycles
+
+    calls = []
+
+    def refuse(name):
+        def refused(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return refused
+
+    monkeypatch.setattr(cocycles.AbelianCocycle, "__post_init__", refuse("AbelianCocycle"))
+    monkeypatch.setattr(cocycles, "_scan_range", refuse("_scan_range"))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_FORM_FILES))
+@pytest.mark.parametrize("argv", [["smatrix", "--level", "1"], ["smatrix", "--level", "2"],
+                                  ["tmatrix"], ["center"], ["lagrangian"], ["modcats"]])
+def test_form_files_at_the_bound_build_no_cocycle(tmp_path, capsys, monkeypatch, name, argv):
+    """A q/q_gen-only file is answered from its form: no cocycle is built
+    and no cocycle table scanned, and the echo carries no psi/omega.  Either
+    would be counted, then stopped with exit 3 instead of taking a minute."""
+    calls = _refuse_cocycles(monkeypatch)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_FORM_FILES[name]))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--json")
+    assert (code, err, calls) == (0, "", [])
+    assert "psi" not in json.loads(out)["inputs"]["category"]
+
+
 # -- the catch-all and a fuzz test of the front door ---------------------------
 
 def test_unexpected_exceptions_exit_3_without_a_traceback(capsys, monkeypatch):
@@ -429,5 +491,61 @@ def test_center_on_random_stdin_never_crashes():
             code = main(["center", "-", "--json"])
         assert code in (0, 2, 4), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+_GROUPS_OF_ORDER_256 = ["Z16xZ16", "Z256", "Z8xZ8xZ4"]
+_SMALL_ROOTS = ["1", "-1", "z4^1", "z8^3", "z16^5", "z32^1"]
+
+
+def _form_payloads():
+    """q or q_gen files, nothing else, on groups of order 256.  Generator
+    twists are mostly of an order allowed on their factor (2n, n or 1), so
+    many payloads are forms; a z64 twist or a pairing of too large an order
+    is not, and neither is most of a q table."""
+    from hypothesis import strategies as st
+
+    def on(literal):
+        factors = parse_group(literal).factors
+        twists = st.tuples(*(st.sampled_from(["1", "-1", f"z{2 * n}^1", f"z{n}^3",
+                                              f"z{2 * n}^5", "z64^1"]) for n in factors))
+        pairs = [f"{i},{j}" for i in range(len(factors)) for j in range(i + 1, len(factors))]
+        key = st.lists(st.integers(0, 17), min_size=len(factors), max_size=len(factors)).map(
+            lambda c: str(c[0]) if len(c) == 1 else "(" + ",".join(map(str, c)) + ")")
+        q_gen = st.fixed_dictionaries(
+            {"group": st.just(literal), "q_gen": twists.map(list)},
+            optional={"pairings": st.dictionaries(st.sampled_from(pairs or ["0,1"]),
+                                                  st.sampled_from(_SMALL_ROOTS), max_size=2)},
+        )
+        q = st.fixed_dictionaries({"group": st.just(literal),
+                                   "q": st.dictionaries(key, st.sampled_from(_SMALL_ROOTS),
+                                                        max_size=1)})
+        return q_gen | q
+
+    return st.sampled_from(_GROUPS_OF_ORDER_256).flatmap(on)
+
+
+def test_center_on_form_files_at_the_bound_builds_no_cocycle(monkeypatch):
+    """q/q_gen-only payloads of order 256 on stdin: each run exits 0, 2 or 4
+    with no traceback, and none builds a cocycle."""
+    import contextlib
+    from unittest import mock
+
+    from hypothesis import HealthCheck, given, settings
+
+    built = _refuse_cocycles(monkeypatch)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_form_payloads())
+    def check(payload):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["center", "-", "--json"])
+        assert code in (0, 2, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert built == [], payload
 
     check()
