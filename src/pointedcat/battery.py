@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._value import Value, setfield
 from .cyclotomic import (
     CycloMatrix,
     CycloNumber,
@@ -82,10 +82,12 @@ def enumerate_quadratic_forms(
 # Cases and rows.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BatteryCase:
-    group_literal: str
-    q_values: tuple[RootOfUnity, ...]
+class BatteryCase(Value):
+    __slots__ = _fields = ("group_literal", "q_values")
+
+    def __init__(self, group_literal: str, q_values: tuple[RootOfUnity, ...]):
+        setfield(self, "group_literal", group_literal)
+        setfield(self, "q_values", q_values)
 
     @property
     def label(self) -> str:
@@ -93,19 +95,23 @@ class BatteryCase:
         return f"{self.group_literal} q=[{table}]"
 
 
-@dataclass(frozen=True)
-class BatteryRow:
-    case: str
-    check: str
-    passed: bool
-    witness: str | None
+class BatteryRow(Value):
+    __slots__ = _fields = ("case", "check", "passed", "witness")
+
+    def __init__(self, case: str, check: str, passed: bool, witness: str | None):
+        setfield(self, "case", case)
+        setfield(self, "check", check)
+        setfield(self, "passed", passed)
+        setfield(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class BatterySummary:
-    rows: tuple[BatteryRow, ...]
-    all_pass: bool
-    warning: str | None
+class BatterySummary(Value):
+    __slots__ = _fields = ("rows", "all_pass", "warning")
+
+    def __init__(self, rows: tuple[BatteryRow, ...], all_pass: bool, warning: str | None):
+        setfield(self, "rows", rows)
+        setfield(self, "all_pass", all_pass)
+        setfield(self, "warning", warning)
 
 
 def default_cases() -> list[BatteryCase]:

@@ -19,9 +19,9 @@ and the rank is certified by character orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
+from ._value import Value, replace, setfield
 from .cyclotomic import CycloMatrix, RootOfUnity, root_sum, roots_of_unity
 from .errors import (
     InternalInconsistency,
@@ -47,15 +47,18 @@ from .cocycles import TwoCochain, find_mu, two_cochain_from_table
 from .metric import PointedBFC, cocycle_of, mueger_center
 
 
-@dataclass(frozen=True)
-class BraidedModuleCat:
+class BraidedModuleCat(Value):
     """(H, mu, chi) data; simples are indexed by the stored coset representatives."""
 
-    base: PointedBFC
-    subgroup: Subgroup
-    mu: TwoCochain
-    chi: Character
-    coset_reps: tuple[Element, ...]
+    __slots__ = _fields = ("base", "subgroup", "mu", "chi", "coset_reps")
+
+    def __init__(self, base: PointedBFC, subgroup: Subgroup, mu: TwoCochain,
+                 chi: Character, coset_reps: tuple[Element, ...]):
+        setfield(self, "base", base)
+        setfield(self, "subgroup", subgroup)
+        setfield(self, "mu", mu)
+        setfield(self, "chi", chi)
+        setfield(self, "coset_reps", coset_reps)
 
 
 def admissible_subgroups(
@@ -127,12 +130,14 @@ def check_column(base: PointedBFC, reps: tuple[Element, ...], g: Element) -> Non
 # Schur classes.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchurClass:
+class SchurClass(Value):
     """Equivalence class of braided module categories: the restricted character."""
 
-    base: PointedBFC
-    restricted: Character
+    __slots__ = _fields = ("base", "restricted")
+
+    def __init__(self, base: PointedBFC, restricted: Character):
+        setfield(self, "base", base)
+        setfield(self, "restricted", restricted)
 
 
 def schur_class(mod: BraidedModuleCat) -> SchurClass:
@@ -140,10 +145,12 @@ def schur_class(mod: BraidedModuleCat) -> SchurClass:
     return SchurClass(mod.base, restrict(mod.chi, center))
 
 
-@dataclass(frozen=True)
-class ClassRep:
-    schur: SchurClass
-    representative: BraidedModuleCat
+class ClassRep(Value):
+    __slots__ = _fields = ("schur", "representative")
+
+    def __init__(self, schur: SchurClass, representative: BraidedModuleCat):
+        setfield(self, "schur", schur)
+        setfield(self, "representative", representative)
 
 
 @lru_cache(maxsize=None)
@@ -175,17 +182,22 @@ def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
 # The level-2 S-matrix.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SMatrix2:
+class SMatrix2(Value):
     """chi_i(g_j) = z_e^exponents[i][j], e = exp G: rows over Schur classes,
     columns over transparent elements; ``rank`` is certified by orthogonality.
-    ``roots`` and ``matrix`` are views built on first access."""
+    ``roots`` and ``matrix`` are views built on first access.  Equal only to
+    itself."""
 
-    base: PointedBFC
-    rows: tuple[SchurClass, ...]
-    cols: tuple[Element, ...]
-    exponents: tuple[tuple[int, ...], ...]
-    rank: int
+    _fields = ("base", "rows", "cols", "exponents", "rank")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, base: PointedBFC, rows: tuple[SchurClass, ...], cols: tuple[Element, ...],
+                 exponents: tuple[tuple[int, ...], ...], rank: int):
+        setfield(self, "base", base)
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "exponents", exponents)
+        setfield(self, "rank", rank)
 
     @cached_property
     def roots(self) -> tuple[tuple[RootOfUnity, ...], ...]:
@@ -197,15 +209,43 @@ class SMatrix2:
         return CycloMatrix.from_roots(self.roots)
 
 
+def _is_group(rows, conductor: int) -> bool:
+    """Whether the rows are distinct and form a group under addition mod N.
+    It is grown from the zero row as ``groups._span`` grows a subgroup: by
+    each row g outside the span H so far, through the cosets H + k g up to
+    the first k g back in the span, and every sum met must be a row.  Then
+    the span is exactly the set of rows."""
+    members = set(rows)
+    span = {(0,) * len(rows[0])}
+    if len(members) != len(rows) or not span <= members:
+        return False
+    for row in rows:
+        below, step = tuple(span), row
+        while step not in span:
+            coset = {tuple((x + y) % conductor for x, y in zip(step, h)) for h in below}
+            if not coset <= members:
+                return False
+            span |= coset
+            step = tuple((x + y) % conductor for x, y in zip(step, row))
+    return True
+
+
 def _orthogonality_rank(rows, conductor: int) -> int:
     """The rank of a square table of roots, certified by orthogonality.
 
     Entry (i, j) of S S^H is sum_g z_N^(a_ig - a_jg) for the rows a of
-    exponents mod N; it is taken exactly, from the histogram of the
-    differences mod N reduced modulo Phi_N, and must be |T| delta_ij.  Then
-    S S^H = |T| Id and the rank is |T|.  (j, i) is the conjugate of (i, j),
-    so j >= i suffices; any other value aborts.
+    exponents mod N, and must be |T| delta_ij; then S S^H = |T| Id and the
+    rank is |T|.  When the rows are distinct and form a group (``_is_group``),
+    a_i - a_j is the row a_k, so entry (i, j) is the row sum of a_k: |T| row
+    sums, each taken exactly from the histogram of the exponents reduced
+    modulo Phi_N, must be |T| at the zero row and 0 elsewhere.  Otherwise the
+    pairs are taken one by one, j >= i as (j, i) is the conjugate of (i, j),
+    to name the first that fails, and the run aborts either way.
     """
+    if _is_group(rows, conductor) and all(
+        root_sum(a, conductor) == ([len(a)] if not any(a) else []) for a in rows
+    ):
+        return len(rows)
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
             total = root_sum([(x - y) % conductor for x, y in zip(a, rows[j])], conductor)
@@ -214,7 +254,9 @@ def _orthogonality_rank(rows, conductor: int) -> int:
                 raise InternalInconsistency(
                     f"level-2 S-matrix rows {i} and {j} pair to {total}, not {want}"
                 )
-    return len(rows)
+    raise InternalInconsistency(
+        "level-2 S-matrix rows are orthogonal but not a group of characters"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -260,11 +302,13 @@ def verify_character_table(base: PointedBFC) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Pi0Report:
-    pi0: int
-    pi0_omega: int
-    equal: bool
+class Pi0Report(Value):
+    __slots__ = _fields = ("pi0", "pi0_omega", "equal")
+
+    def __init__(self, pi0: int, pi0_omega: int, equal: bool):
+        setfield(self, "pi0", pi0)
+        setfield(self, "pi0_omega", pi0_omega)
+        setfield(self, "equal", equal)
 
 
 def pi0_report(base: PointedBFC) -> Pi0Report:

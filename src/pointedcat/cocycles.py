@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import wraps
 
+from ._value import Value, setfield
 from .cyclotomic import ONE, RootOfUnity, root_of_unity, roots_of_unity
 from .errors import (
     BoundsExceeded,
@@ -66,8 +66,7 @@ def _exponents(roots) -> tuple[int, list[int]]:
     return conductor, [r.exponent * (conductor // r.order) for r in roots]
 
 
-@dataclass(frozen=True)
-class AbelianCocycle:
+class AbelianCocycle(Value):
     """(psi, omega) as exponents mod ``conductor`` N, indexed by element indices.
 
     psi(a, b, c) = z_N^psi_exp[(a*n + b)*n + c] and omega(a, b) =
@@ -79,24 +78,22 @@ class AbelianCocycle:
     kept in ``_results`` (see ``_kept``) and the hash is computed once.
     """
 
-    group: AbelianGroup
-    conductor: int
-    psi_exp: tuple[int, ...]
-    omega_exp: tuple[int, ...]
+    _fields = ("group", "conductor", "psi_exp", "omega_exp")
 
-    def __post_init__(self):
-        n = self.group.order
-        assert len(self.psi_exp) == n**3 and len(self.omega_exp) == n**2
-        common = math.gcd(self.conductor, *self.psi_exp, *self.omega_exp)
-        conductor = self.conductor // common
-        psi_exp = tuple(k // common % conductor for k in self.psi_exp)
-        omega_exp = tuple(k // common % conductor for k in self.omega_exp)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "psi_exp", psi_exp)
-        object.__setattr__(self, "omega_exp", omega_exp)
-        object.__setattr__(self, "_add", addition_table(self.group))
-        object.__setattr__(self, "_hash", hash((self.group, psi_exp, omega_exp)))
-        object.__setattr__(self, "_results", {})
+    def __init__(self, group: AbelianGroup, conductor: int, psi_exp, omega_exp):
+        n = group.order
+        assert len(psi_exp) == n**3 and len(omega_exp) == n**2
+        common = math.gcd(conductor, *psi_exp, *omega_exp)
+        conductor //= common
+        psi_exp = tuple(k // common % conductor for k in psi_exp)
+        omega_exp = tuple(k // common % conductor for k in omega_exp)
+        setfield(self, "group", group)
+        setfield(self, "conductor", conductor)
+        setfield(self, "psi_exp", psi_exp)
+        setfield(self, "omega_exp", omega_exp)
+        setfield(self, "_add", addition_table(group))
+        setfield(self, "_hash", hash((group, psi_exp, omega_exp)))
+        setfield(self, "_results", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,23 +148,23 @@ def cocycle_from_tables(group: AbelianGroup, psi_table: dict, omega_table: dict)
     return AbelianCocycle(group, conductor, exps[:len(psi)], exps[len(psi):])
 
 
-@dataclass(frozen=True)
-class TwoCochain:
+class TwoCochain(Value):
     """Normalized map domain x domain -> roots of unity on a subgroup's elements."""
 
-    parent: AbelianGroup
-    domain: tuple[Element, ...]
-    table: tuple[RootOfUnity, ...]
+    _fields = ("parent", "domain", "table")
+    __slots__ = _fields + ("_index",)
 
-    def __post_init__(self):
-        assert len(self.table) == len(self.domain) ** 2
-        object.__setattr__(
-            self, "_index", {g: i for i, g in enumerate(self.domain)}
-        )
-        zero = self.parent.zero
+    def __init__(self, parent: AbelianGroup, domain: tuple[Element, ...],
+                 table: tuple[RootOfUnity, ...]):
+        setfield(self, "parent", parent)
+        setfield(self, "domain", domain)
+        setfield(self, "table", table)
+        assert len(table) == len(domain) ** 2
+        setfield(self, "_index", {g: i for i, g in enumerate(domain)})
+        zero = parent.zero
         if zero not in self._index:
             raise ParseError("two-cochain domain must contain the identity")
-        for g in self.domain:
+        for g in domain:
             if not (self.at(g, zero).is_one and self.at(zero, g).is_one):
                 raise ParseError(f"two-cochain not normalized at {g}")
 
@@ -305,19 +302,25 @@ def _basis(g: AbelianGroup) -> list[Element]:
     return [g.reduce(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Value):
     """q: G -> roots of unity with q(0)=1, q(-g)=q(g), bimultiplicative polarization.
 
     The checks run on the exponents of the values mod their conductor N.  The
     polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is kept as exponents:
     sigma(g, h) = z_N^sigma_exp[i*n + j] for element indices i, j of a group
     of order n.  It equals the double braiding of any cocycle tracing to q;
-    ``pairing`` is a lookup view.  The hash is computed once.
+    ``pairing`` is a lookup view.  The hash is computed once.  The checks are
+    ``__post_init__``, called through the class, where the benchmark's tracer
+    wraps them.
     """
 
-    group: AbelianGroup
-    values: tuple[RootOfUnity, ...]
+    _fields = ("group", "values")
+    __slots__ = _fields + ("conductor", "sigma_exp", "_hash")
+
+    def __init__(self, group: AbelianGroup, values: tuple[RootOfUnity, ...]):
+        setfield(self, "group", group)
+        setfield(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.group
@@ -348,9 +351,9 @@ class QuadraticForm:
                         raise InvalidQuadraticForm(
                             f"polarization not bimultiplicative at ({x}+{e}, {y})"
                         )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "sigma_exp", tuple(s for row in sigma for s in row))
-        object.__setattr__(self, "_hash", hash((g, self.values)))
+        setfield(self, "conductor", conductor)
+        setfield(self, "sigma_exp", tuple(s for row in sigma for s in row))
+        setfield(self, "_hash", hash((g, self.values)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -602,13 +605,15 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
 # Classification on tiny groups by linear algebra over Z/N.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CocycleClass:
+class CocycleClass(Value):
     """A coboundary orbit, keyed by its trace quadratic form."""
 
-    representative: AbelianCocycle
-    form: QuadraticForm
-    orbit_size: int
+    __slots__ = _fields = ("representative", "form", "orbit_size")
+
+    def __init__(self, representative: AbelianCocycle, form: QuadraticForm, orbit_size: int):
+        setfield(self, "representative", representative)
+        setfield(self, "form", form)
+        setfield(self, "orbit_size", orbit_size)
 
 
 def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:

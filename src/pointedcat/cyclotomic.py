@@ -24,10 +24,10 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value, setfield
 from .errors import (
     ConductorCapExceeded,
     ConductorMismatch,
@@ -177,18 +177,26 @@ def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
 # Roots of unity.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(Value):
     """e^(2*pi*i*exponent/order) in lowest terms; (1, 0) is the value 1."""
 
-    order: int
-    exponent: int
+    __slots__ = _fields = ("order", "exponent")
 
-    def __post_init__(self):
-        if self.order < 1 or not 0 <= self.exponent < self.order:
+    def __init__(self, order: int, exponent: int):
+        setfield(self, "order", order)
+        setfield(self, "exponent", exponent)
+        if order < 1 or not 0 <= exponent < order:
             raise ParseError(f"root of unity out of range: {self}")
-        if math.gcd(self.exponent, self.order) != 1 and self.order != 1:
+        if math.gcd(exponent, order) != 1 and order != 1:
             raise ParseError(f"root of unity not in canonical form: {self}")
+
+    def __eq__(self, other):
+        if other.__class__ is not RootOfUnity:
+            return NotImplemented
+        return self.order == other.order and self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.exponent))
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         n = math.lcm(self.order, other.order)
@@ -261,17 +269,17 @@ def format_root(r: RootOfUnity) -> str:
 # Cyclotomic numbers.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CycloNumber:
+class CycloNumber(Value):
     """Element of Q(zeta_conductor) in the Phi-reduced power basis."""
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("conductor", "coeffs")
 
     __hash__ = None  # equality promotes conductors, so hashing is unsafe
 
-    def __post_init__(self):
-        assert len(self.coeffs) == euler_phi(self.conductor)
+    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+        setfield(self, "conductor", conductor)
+        setfield(self, "coeffs", coeffs)
+        assert len(coeffs) == euler_phi(conductor)
 
     # -- constructors ---------------------------------------------------
 
@@ -438,20 +446,20 @@ def embed(r: RootOfUnity, target_conductor: int) -> CycloNumber:
 # Matrices.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CycloMatrix:
+class CycloMatrix(Value):
     """Row-major matrix of CycloNumbers sharing one conductor."""
 
-    rows: int
-    cols: int
-    entries: tuple[CycloNumber, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
     __hash__ = None
 
-    def __post_init__(self):
-        assert self.rows >= 1 and self.cols >= 1
-        assert len(self.entries) == self.rows * self.cols
-        assert len({e.conductor for e in self.entries}) == 1
+    def __init__(self, rows: int, cols: int, entries: tuple[CycloNumber, ...]):
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)
+        assert rows >= 1 and cols >= 1
+        assert len(entries) == rows * cols
+        assert len({e.conductor for e in entries}) == 1
 
     @staticmethod
     def from_rows(rows: list[list[CycloNumber]]) -> "CycloMatrix":

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value, setfield
 from .cyclotomic import CycloMatrix, RootOfUnity, root_of_unity
 from .errors import (
     GroupTooLarge,
@@ -33,15 +33,23 @@ Element = tuple[int, ...]
 DEFAULT_MAX_GROUP_ORDER = 256
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Direct product of cyclic groups Z/n_1 x ... x Z/n_r; trivial is (1,)."""
 
-    factors: tuple[int, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors or any(n < 1 for n in self.factors):
-            raise ParseError(f"invalid cyclic factors {self.factors}")
+    def __init__(self, factors: tuple[int, ...]):
+        setfield(self, "factors", factors)
+        if not factors or any(n < 1 for n in factors):
+            raise ParseError(f"invalid cyclic factors {factors}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AbelianGroup:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @property
     def order(self) -> int:
@@ -144,34 +152,45 @@ def addition_table(group: AbelianGroup) -> tuple[int, ...]:
 # Subgroups.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """Subgroup given extensionally; elements sorted, closure validated."""
 
-    parent: AbelianGroup
-    elements: tuple[Element, ...]
-    generators: tuple[Element, ...]
+    _fields = ("parent", "elements", "generators")
+    __slots__ = _fields + ("_elemset",)
 
-    def __post_init__(self):
-        parent, elems = self.parent, self.elements
-        if list(elems) != sorted(set(elems)):
+    def __init__(self, parent: AbelianGroup, elements: tuple[Element, ...],
+                 generators: tuple[Element, ...]):
+        setfield(self, "parent", parent)
+        setfield(self, "elements", elements)
+        setfield(self, "generators", generators)
+        if list(elements) != sorted(set(elements)):
             raise NotSubgroup("subgroup element list must be sorted and deduplicated")
-        elemset = frozenset(elems)
+        elemset = frozenset(elements)
         if parent.zero not in elemset:
             raise NotSubgroup("subgroup must contain the identity")
         every, table, n = parent.elements(), addition_table(parent), parent.order
-        index = [parent.element_index(parent.reduce(g)) for g in elems]
+        index = [parent.element_index(parent.reduce(g)) for g in elements]
         # sums are reduced, so an unreduced tuple is never a member
-        members = {i for g, i in zip(elems, index) if every[i] == g}
-        for g, i in zip(elems, index):
+        members = {i for g, i in zip(elements, index) if every[i] == g}
+        for g, i in zip(elements, index):
             if parent.neg(g) not in elemset:
                 raise NotSubgroup(f"subgroup not closed under negation at {g}")
-            for h, j in zip(elems, index):
+            for h, j in zip(elements, index):
                 if table[i * n + j] not in members:
                     raise NotSubgroup(f"subgroup not closed under addition at {g}+{h}")
-        if parent.order % len(elems) != 0:
+        if parent.order % len(elements) != 0:
             raise NotSubgroup("subgroup order does not divide the group order")
-        object.__setattr__(self, "_elemset", elemset)
+        setfield(self, "_elemset", elemset)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subgroup:
+            return NotImplemented
+        return (self.parent, self.elements, self.generators) == (
+            other.parent, other.elements, other.generators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.elements, self.generators))
 
     @property
     def order(self) -> int:
@@ -418,13 +437,15 @@ def _decompose(group: AbelianGroup, members, below: frozenset) -> list[tuple[int
     return out
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Value):
     """G/H in cyclic-factor form plus the coset-representative map."""
 
-    group: AbelianGroup
-    reps: tuple[Element, ...]
-    _rep_of: dict
+    __slots__ = _fields = ("group", "reps", "_rep_of")
+
+    def __init__(self, group: AbelianGroup, reps: tuple[Element, ...], _rep_of: dict):
+        setfield(self, "group", group)
+        setfield(self, "reps", reps)
+        setfield(self, "_rep_of", _rep_of)
 
     def rep_of(self, g: Element) -> Element:
         return self._rep_of[g]
@@ -449,14 +470,17 @@ def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
     )
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Explicit isomorphism between a subgroup and a cyclic-factor group."""
 
-    group: AbelianGroup
-    gens: tuple[Element, ...]
-    _to_parent: dict
-    _from_parent: dict
+    __slots__ = _fields = ("group", "gens", "_to_parent", "_from_parent")
+
+    def __init__(self, group: AbelianGroup, gens: tuple[Element, ...],
+                 _to_parent: dict, _from_parent: dict):
+        setfield(self, "group", group)
+        setfield(self, "gens", gens)
+        setfield(self, "_to_parent", _to_parent)
+        setfield(self, "_from_parent", _from_parent)
 
     def to_parent(self, coords: Element) -> Element:
         return self._to_parent[coords]
@@ -500,15 +524,15 @@ def cyclic_presentation(sub: Subgroup) -> Presentation:
 # Characters and the character table.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """chi(g) = prod_i zeta_{n_i}^(coords[i] * g[i]) on the parent group."""
 
-    parent: AbelianGroup
-    coords: Element
+    __slots__ = _fields = ("parent", "coords")
 
-    def __post_init__(self):
-        self.parent._check(self.coords)
+    def __init__(self, parent: AbelianGroup, coords: Element):
+        setfield(self, "parent", parent)
+        setfield(self, "coords", coords)
+        parent._check(coords)
 
     def eval(self, g: Element) -> RootOfUnity:
         self.parent._check(g)

@@ -11,9 +11,9 @@ a disagreement aborts because it can only mean an arithmetic bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._value import Value, setfield
 from .cyclotomic import (
     CycloMatrix, CycloNumber, RootOfUnity, embed, root_of_unity, root_sum, roots_of_unity,
 )
@@ -43,21 +43,22 @@ from .cocycles import (
 DOUBLE_COCYCLE_BOUND = 16
 
 
-@dataclass(frozen=True)
-class PointedBFC:
+class PointedBFC(Value):
     """A metric group (G, q), optionally carrying an explicit cocycle.  What
     is decided about it once is kept in ``_results`` (see ``cocycles._kept``)
     and the hash is computed once."""
 
-    group: AbelianGroup
-    form: QuadraticForm
-    cocycle: AbelianCocycle | None
-    label: str
+    _fields = ("group", "form", "cocycle", "label")
 
-    def __post_init__(self):
-        assert self.form.group == self.group
-        object.__setattr__(self, "_results", {})
-        object.__setattr__(self, "_hash", hash((self.group, self.form, self.cocycle, self.label)))
+    def __init__(self, group: AbelianGroup, form: QuadraticForm,
+                 cocycle: AbelianCocycle | None, label: str):
+        setfield(self, "group", group)
+        setfield(self, "form", form)
+        setfield(self, "cocycle", cocycle)
+        setfield(self, "label", label)
+        assert form.group == group
+        setfield(self, "_results", {})
+        setfield(self, "_hash", hash((group, form, cocycle, label)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -94,15 +95,17 @@ def cocycle_of(category: PointedBFC) -> AbelianCocycle:
 # S- and T-matrices.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SMatrix1:
-    """The roots sigma(g, h); the CycloMatrix is built on first access."""
+class SMatrix1(Value):
+    """The roots sigma(g, h); the CycloMatrix is built on first access.
+    Equal only to itself."""
 
-    category: PointedBFC
-    roots: tuple[tuple[RootOfUnity, ...], ...]
+    _fields = ("category", "roots")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        n, sigma = self.category.group.order, self.category.form.sigma_exp
+    def __init__(self, category: PointedBFC, roots: tuple[tuple[RootOfUnity, ...], ...]):
+        setfield(self, "category", category)
+        setfield(self, "roots", roots)
+        n, sigma = category.group.order, category.form.sigma_exp
         for i in range(n):
             if sigma[i] or sigma[i * n]:
                 raise InternalInconsistency("S-matrix unit row/column is not all 1")
@@ -270,13 +273,18 @@ def lagrangian_subgroups(
     ]
 
 
-@dataclass(frozen=True)
-class CenterReport:
-    nondegenerate: bool
-    lagrangian_count: int
-    is_center: bool
-    witnesses: tuple[Subgroup, ...]
-    degenerate_ambient: bool
+class CenterReport(Value):
+    __slots__ = _fields = (
+        "nondegenerate", "lagrangian_count", "is_center", "witnesses", "degenerate_ambient",
+    )
+
+    def __init__(self, nondegenerate: bool, lagrangian_count: int, is_center: bool,
+                 witnesses: tuple[Subgroup, ...], degenerate_ambient: bool):
+        setfield(self, "nondegenerate", nondegenerate)
+        setfield(self, "lagrangian_count", lagrangian_count)
+        setfield(self, "is_center", is_center)
+        setfield(self, "witnesses", witnesses)
+        setfield(self, "degenerate_ambient", degenerate_ambient)
 
 
 def detect_center(

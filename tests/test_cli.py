@@ -382,7 +382,7 @@ def _refuse_cocycles(monkeypatch) -> list:
             raise AssertionError(f"{name} called")
         return refused
 
-    monkeypatch.setattr(cocycles.AbelianCocycle, "__post_init__", refuse("AbelianCocycle"))
+    monkeypatch.setattr(cocycles.AbelianCocycle, "__init__", refuse("AbelianCocycle"))
     monkeypatch.setattr(cocycles, "_scan_range", refuse("_scan_range"))
     return calls
 

@@ -9,13 +9,15 @@ products of RootOfUnity braiding scalars per (H, class, g), the character
 table as a CycloMatrix, and ``CycloMatrix.rank``.
 """
 
-from dataclasses import replace
+import json
 
 import pytest
 
 from pointedcat import battery, brmod
+from pointedcat._value import replace
 from pointedcat.battery import default_cases, enumerate_quadratic_forms, run_all
 from pointedcat.brmod import (
+    _is_group,
     _orthogonality_rank,
     admissible_subgroups,
     build_module_cat,
@@ -26,7 +28,8 @@ from pointedcat.brmod import (
     verify_group_hom,
 )
 from pointedcat.cocycles import QuadraticForm
-from pointedcat.cyclotomic import ONE, CycloMatrix, root_matrix_rank, root_of_unity
+from pointedcat.cli import main
+from pointedcat.cyclotomic import ONE, CycloMatrix, root_matrix_rank, root_of_unity, root_sum
 from pointedcat.errors import InternalInconsistency, WellDefinednessViolation
 from pointedcat.groups import (
     character_table,
@@ -38,6 +41,7 @@ from pointedcat.groups import (
 )
 from pointedcat.metric import (
     category_from_form,
+    make_category,
     mueger_center,
     preset,
     smatrix1,
@@ -330,6 +334,68 @@ def test_each_column_is_checked_once(monkeypatch):
     assert battery.check_well_definedness(base) == (True, None)
     subgroups = admissible_subgroups(base)
     assert len(subgroups) == 5 and len(calls) == order * len(subgroups)
+
+
+# -- the closure certificate ----------------------------------------------------------
+
+def test_certificate_rejects_orthogonal_rows_that_are_not_a_group():
+    """The character table of Z2xZ2 mod 2 is a group; with row 1 negated the
+    rows stay orthogonal, but (1,0,1,0) + (0,0,1,1) is no row."""
+    rows = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0))
+    assert _is_group(rows, 2) and _orthogonality_rank(rows, 2) == 4
+    negated = (rows[0], (1, 0, 1, 0), rows[2], rows[3])
+    assert not _is_group(negated, 2)
+    with pytest.raises(InternalInconsistency, match="not a group of characters"):
+        _orthogonality_rank(negated, 2)
+    repeated = (rows[0], rows[0], rows[1], rows[1])  # a group of order 2, listed twice
+    assert not _is_group(repeated, 2)
+    with pytest.raises(InternalInconsistency, match="rows 0 and 1 pair to"):
+        _orthogonality_rank(repeated, 2)
+    assert not _is_group(rows[1:] + (rows[1],), 2)  # no zero row
+    # 3 + 1 is no row; a span grown by cosets of itself would miss that
+    assert not _is_group(((0,), (1,), (2,), (3,), (8,), (9,), (10,), (11,)), 16)
+    assert _is_group(((0,), (3,), (6,), (1,), (4,), (7,), (2,), (5,)), 8)
+
+
+class _Row:
+    """A stand-in character whose exponents at the columns are a fixed row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def exponents(self, cols):
+        return list(self.row)
+
+
+def test_a_row_that_breaks_closure_aborts_the_run(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "symmetric.json"
+    path.write_text(json.dumps({"label": "closure broken", "group": "Z2xZ2", "q": {}}))
+    classes = brmod.schur_classes
+
+    def spoiled(base):
+        out = list(classes(base))
+        out[1] = replace(out[1], representative=replace(
+            out[1].representative, chi=_Row((1, 0, 1, 0))))
+        return tuple(out)
+
+    monkeypatch.setattr(brmod, "schur_classes", spoiled)
+    code = main(["smatrix", str(path), "--level", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "error: level-2 S-matrix rows are orthogonal but not a group of characters\n"
+    )
+
+
+def test_certificate_takes_one_row_sum_per_row(monkeypatch):
+    """|T| = 256 row sums certify symmetric Z16xZ16, where pairing every two
+    rows took |T|(|T| + 1)/2 = 32896.  A work count, not a timing."""
+    group = parse_group("Z16xZ16")
+    base = make_category(QuadraticForm(group, (ONE,) * 256), label="symmetric Z16xZ16")
+    calls = []
+    monkeypatch.setattr(brmod, "root_sum", lambda exps, n: calls.append(n) or root_sum(exps, n))
+    sm = smatrix2.__wrapped__(base)
+    assert sm.rank == 256 and calls == [16] * 256
 
 
 # -- no Fraction rank on the level-2 path --------------------------------------------

@@ -203,13 +203,13 @@ def test_isotropic_growth_builds_only_the_isotropic_subgroups(monkeypatch):
     built.  A work count, not a timing."""
     double = drinfeld_double(parse_group("Z2xZ2xZ2"))
     built, enumerations = [], []
-    post_init = Subgroup.__post_init__
+    init = Subgroup.__init__
 
-    def counted(self):
-        built.append(self.elements)
-        post_init(self)
+    def counted(self, parent, elements, generators):
+        built.append(elements)
+        init(self, parent, elements, generators)
 
-    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    monkeypatch.setattr(Subgroup, "__init__", counted)
     _patch_everywhere(monkeypatch, "all_subgroups",
                       lambda *args: enumerations.append(args) or all_subgroups(*args))
     report = detect_center(double)
