@@ -41,6 +41,7 @@ from .brmod import (
     admissible_subgroups,
     build_module_cat,
     check_column,
+    row_starts,
     schur_classes,
     smatrix2,
     pi0_report,
@@ -180,8 +181,9 @@ def check_well_definedness(base: PointedBFC):
     regular = schur_classes(base)[0].representative
     for sub in admissible_subgroups(base):
         mod = build_module_cat(base, sub, regular.chi) if sub.order > 1 else regular
+        starts = row_starts(base.group, mod.coset_reps)
         for g in cols:
-            check_column(base, mod.coset_reps, g)
+            check_column(base, mod.coset_reps, g, starts)
     return True, None
 
 

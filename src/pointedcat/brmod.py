@@ -33,6 +33,7 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
+    AbelianGroup,
     Character,
     Element,
     Subgroup,
@@ -104,16 +105,25 @@ def build_module_cat(
     return BraidedModuleCat(base, sub, mu, chi, reps)
 
 
-def check_column(base: PointedBFC, reps: tuple[Element, ...], g: Element) -> None:
+def row_starts(group: AbelianGroup, reps: tuple[Element, ...]) -> list[int]:
+    """Where each representative's row starts in a sigma_exp table."""
+    return [group.element_index(k) * group.order for k in reps]
+
+
+def check_column(base: PointedBFC, reps: tuple[Element, ...], g: Element,
+                 starts: list[int] | None = None) -> None:
     """The braiding scalar sigma(k, g) chi(g) of every simple k at the
     transparent g reduces to chi(g), whatever chi is: sigma(k, g) is read as
     an exponent at each coset representative k and must be one value, and
-    that value 0.  The roots are built only for the error message."""
+    that value 0.  The roots are built only for the error message.  A caller
+    that checks many columns over one ``reps`` passes its ``row_starts``."""
     if not mueger_center(base).contains(g):
         raise NotAdmissible(f"{g} is not transparent in {base.label or 'the base'}")
     group, form = base.group, base.form
-    n, j = group.order, group.element_index(g)
-    column = [form.sigma_exp[group.element_index(k) * n + j] for k in reps]
+    if starts is None:
+        starts = row_starts(group, reps)
+    j = group.element_index(g)
+    column = [form.sigma_exp[start + j] for start in starts]
     for k, s in zip(reps, column):
         if s != column[0]:
             raise WellDefinednessViolation(
@@ -268,8 +278,10 @@ def smatrix2(base: PointedBFC) -> SMatrix2:
     kept on the result."""
     cols = mueger_center(base).elements
     reps = schur_classes(base)
+    simples = reps[0].representative.coset_reps
+    starts = row_starts(base.group, simples)
     for g in cols:
-        check_column(base, reps[0].representative.coset_reps, g)
+        check_column(base, simples, g, starts)
     rows = tuple(tuple(item.representative.chi.exponents(cols)) for item in reps)
     if len(rows) != len(cols):
         raise InternalInconsistency(

@@ -636,66 +636,80 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
 
     g = group
     n = value_order
-    zero = g.zero
-    add = g.add
-    nonzero = [x for x in g.elements() if x != zero]
+    size, table = g.order, addition_table(g)
+    nonzero = range(1, size)  # element indices; 0 is the identity
     triples = list(itertools.product(nonzero, repeat=3))
     pairs = list(itertools.product(nonzero, repeat=2))
     column = {key: i for i, key in enumerate(triples + pairs)}
     width = len(column)
 
-    def vector(*terms) -> tuple[int, ...]:
-        """Exponent vector of sum(coeff * x[key]); normalization drops keys with a zero."""
-        vec = [0] * width
+    def add(x: int, y: int) -> int:
+        return table[x * size + y]
+
+    def sparse(*terms) -> tuple[tuple[int, int], ...]:
+        """(column, coeff) pairs of sum(coeff * x[key]); normalization drops keys with a zero."""
+        vec: dict[int, int] = {}
         for coeff, key in terms:
-            if zero not in key:
-                vec[column[key]] += coeff
-        return tuple(x % n for x in vec)
+            if key in column:
+                vec[column[key]] = vec.get(column[key], 0) + coeff
+        return tuple(sorted((i, k % n) for i, k in vec.items() if k % n))
 
     # identities with a zero argument hold for every normalized pair
     equations = set()
     for a, b, c, d in itertools.product(nonzero, repeat=4):
-        equations.add(vector(
+        equations.add(sparse(
             (1, (b, c, d)), (1, (a, add(b, c), d)), (1, (a, b, c)),
             (-1, (add(a, b), c, d)), (-1, (a, b, add(c, d))),
         ))
-    for a, b, c in itertools.product(nonzero, repeat=3):
-        equations.add(vector(  # H1
+    for a, b, c in triples:
+        equations.add(sparse(  # H1
             (1, (a, add(b, c))), (-1, (a, b)), (-1, (a, c)),
             (1, (a, b, c)), (-1, (b, a, c)), (1, (b, c, a)),
         ))
-        equations.add(vector(  # H2
+        equations.add(sparse(  # H2
             (1, (add(a, b), c)), (-1, (a, c)), (-1, (b, c)),
             (-1, (a, b, c)), (1, (a, c, b)), (-1, (c, a, b)),
         ))
-    equations.discard((0,) * width)
+    equations.discard(())
     equations = sorted(equations)
-    cocycles = howell_kernel(equations, width, n)
+    dense = []
+    for eq in equations:
+        vec = [0] * width
+        for i, k in eq:
+            vec[i] = k
+        dense.append(vec)
+    cocycles = howell_kernel(dense, width, n)
 
-    def coboundary(pair) -> tuple[int, ...]:
-        """delta of the elementary cochain phi = [(x, y) == pair]."""
-        def phi(x, y) -> int:
-            return int((x, y) == pair)
+    # delta of the elementary cochain phi = [(x, y) == pair], for every pair at once
+    deltas = {pair: [0] * width for pair in pairs}
 
-        return vector(
-            *((phi(b, c) + phi(a, add(b, c)) - phi(add(a, b), c) - phi(a, b), (a, b, c))
-              for a, b, c in triples),
-            *((phi(b, a) - phi(a, b), (a, b)) for a, b in pairs),
-        )
+    def bump(pair, i: int, coeff: int) -> None:
+        if pair in deltas:
+            deltas[pair][i] += coeff
 
-    generators = [coboundary(pair) for pair in pairs]
+    for i, (a, b, c) in enumerate(triples):
+        bump((b, c), i, 1)
+        bump((a, add(b, c)), i, 1)
+        bump((add(a, b), c), i, -1)
+        bump((a, b), i, -1)
+    for a, b in pairs:
+        bump((b, a), column[a, b], 1)
+        bump((a, b), column[a, b], -1)
+    generators = [[x % n for x in deltas[pair]] for pair in pairs]
     for gen in generators:
-        if any(sum(e * x for e, x in zip(eq, gen)) % n for eq in equations):
+        if any(sum(k * gen[i] for i, k in eq) % n for eq in equations):
             raise ConventionError("a coboundary violates the pentagon or hexagons")
-        if any(gen[column[(x, x)]] for x in nonzero):
+        if any(gen[column[x, x]] for x in nonzero):
             raise ConventionError("a coboundary moves the trace form")
     coboundaries = howell_form(generators, n)
 
     def reduce(vec) -> tuple[int, ...]:
         return tuple(howell_reduce(vec, coboundaries, n))
 
-    reps = {(0,) * width}
-    for z in cocycles:
+    # Z/B is closed under each cocycle row's residue mod B; zero and repeats add nothing
+    zero = (0,) * width
+    reps = {zero}
+    for z in sorted({reduce(z) for z in cocycles} - reps):
         for rep in list(reps):
             nxt = reduce([x + y for x, y in zip(rep, z)])
             while nxt not in reps:
@@ -709,9 +723,8 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
             f"{howell_size(cocycles, n)} cocycles"
         )
 
-    size, idx = g.order, g.element_index
-    psi_slots = [(idx(a) * size + idx(b)) * size + idx(c) for a, b, c in triples]
-    omega_slots = [idx(a) * size + idx(b) for a, b in pairs]
+    psi_slots = [(a * size + b) * size + c for a, b, c in triples]
+    omega_slots = [a * size + b for a, b in pairs]
     classes = []
     for vec in reps:
         psi, omega = [0] * size**3, [0] * size**2

@@ -303,8 +303,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _pivot(row) -> int:
-    return next(i for i, x in enumerate(row) if x)
+def _lead(row) -> int:
+    """Index of the first nonzero entry of row, len(row) if there is none."""
+    x = next(filter(None, row), 0)
+    return row.index(x) if x else len(row)
 
 
 def howell_form(rows, modulus: int) -> list[list[int]]:
@@ -317,20 +319,25 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
     has prod(modulus / pivot) members.
     """
     n = modulus
+    # rows are held as (col, their entries from col on), the first one nonzero;
+    # basis maps each pivot column to its row held that way
     basis: dict[int, list[int]] = {}
-    work = [[x % n for x in row] for row in rows]
+    work = []
+    for row in rows:
+        row = [x % n for x in row]
+        col = _lead(row)
+        if col < len(row):
+            work.append((col, row[col:]))
     while work:
-        row = work.pop()
-        col = 0
-        while col < len(row):
-            a = row[col]
-            if a == 0:
-                col += 1
-                continue
-            top = basis.get(col) or [0] * len(row)
-            d = top[col] or n
+        col, row = work.pop()
+        while row:
+            a = row[0]
+            top = basis.get(col)
+            d = top[0] if top else n
             if a % d == 0:
                 row = [(x - (a // d) * y) % n for x, y in zip(row, top)]
+                skip = _lead(row)
+                col, row = col + skip, row[skip:]
                 continue
             # unimodular 2x2 step: top' = s top + t row carries gcd(d, a), and
             # the cofactor row, which vanishes at col, goes back on the work
@@ -338,12 +345,24 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
             # (modulus / d) top, so every pivot row's annihilated multiple
             # lies in the span of later rows: the Howell property.
             g, s, t = _xgcd(d, a)
+            top = top or [0] * len(row)
             basis[col] = [(s * y + t * x) % n for x, y in zip(row, top)]
-            work.append([((d // g) * x - (a // g) * y) % n for x, y in zip(row, top)])
+            row = [((d // g) * x - (a // g) * y) % n for x, y in zip(row, top)]
+            skip = _lead(row)
+            if skip < len(row):
+                work.append((col + skip, row[skip:]))
             break
-    form = [basis[c] for c in sorted(basis)]
-    for i, row in enumerate(form):
-        form[:i] = [howell_reduce(upper, [row], n) for upper in form[:i]]
+    # reduce each row above the pivots of the rows below it, in pivot order
+    pivots = sorted(basis)
+    form = []
+    for i, col in enumerate(pivots):
+        row = [0] * col + basis[col]
+        for p in pivots[i + 1:]:
+            below = basis[p]
+            k = row[p] // below[0]
+            if k:
+                row[p:] = [(x - k * y) % n for x, y in zip(row[p:], below)]
+        form.append(row)
     return form
 
 
@@ -351,7 +370,7 @@ def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
     """Lexicographically least member of vec + span(form), for a Howell form."""
     vec = [x % modulus for x in vec]
     for row in form:
-        col = _pivot(row)
+        col = _lead(row)
         k = vec[col] // row[col]
         if k:
             vec = [(x - k * y) % modulus for x, y in zip(vec, row)]
@@ -360,15 +379,18 @@ def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
 
 def howell_size(form: list[list[int]], modulus: int) -> int:
     """Number of members of the span of a Howell form."""
-    return math.prod(modulus // row[_pivot(row)] for row in form)
+    return math.prod(modulus // row[_lead(row)] for row in form)
 
 
 def howell_kernel(rows: list, ncols: int, modulus: int) -> list[list[int]]:
     """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row}.
 
-    The Howell form of [rows^T | I] spans the pairs (x rows^T, x); by the
-    Howell property, its rows with pivot past the rows^T block span the kernel.
+    The kernel depends only on the span of the rows, so they are first brought
+    to their Howell form, at most ncols of them.  The Howell form of
+    [rows^T | I] spans the pairs (x rows^T, x); by the Howell property, its
+    rows with pivot past the rows^T block span the kernel.
     """
+    rows = howell_form(rows, modulus)
     split = len(rows)
     augmented = [
         [row[j] for row in rows] + [int(i == j) for i in range(ncols)]

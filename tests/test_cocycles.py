@@ -29,6 +29,7 @@ from pointedcat.battery import enumerate_quadratic_forms
 
 from cocycle_scan_oracle import omega_at, psi_at
 from h3ab_search import classify_h3ab_by_search
+import howell_oracle
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -231,6 +232,17 @@ def test_classify_matches_search_oracle(literal, value_order):
     fast = classify_h3ab(group, value_order)
     slow = classify_h3ab_by_search(group, value_order)
     assert [_class_key(c) for c in fast] == [_class_key(c) for c in slow]
+
+
+@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"])
+@pytest.mark.parametrize("value_order", range(1, 9))
+def test_classify_matches_dense_oracle(literal, value_order):
+    # every case classify accepts, against the dense classification on the
+    # reference Howell engine
+    group = parse_group(literal)
+    fast = classify_h3ab(group, value_order)
+    dense = howell_oracle.classify_h3ab(group, value_order)
+    assert [_class_key(c) for c in fast] == [_class_key(c) for c in dense]
 
 
 @pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"])

@@ -32,6 +32,7 @@ from pointedcat.cli import main
 from pointedcat.cyclotomic import ONE, CycloMatrix, root_matrix_rank, root_of_unity, root_sum
 from pointedcat.errors import InternalInconsistency, WellDefinednessViolation
 from pointedcat.groups import (
+    AbelianGroup,
     character_table,
     characters,
     cyclic_presentation,
@@ -321,9 +322,9 @@ def test_each_column_is_checked_once(monkeypatch):
     order = mueger_center(base).order
     calls = []
 
-    def counted(cat, reps, g):
+    def counted(cat, reps, g, *starts):
         calls.append((reps, g))
-        return check_column(cat, reps, g)
+        return check_column(cat, reps, g, *starts)
 
     monkeypatch.setattr(brmod, "check_column", counted)
     monkeypatch.setattr(battery, "check_column", counted)
@@ -334,6 +335,36 @@ def test_each_column_is_checked_once(monkeypatch):
     assert battery.check_well_definedness(base) == (True, None)
     subgroups = admissible_subgroups(base)
     assert len(subgroups) == 5 and len(calls) == order * len(subgroups)
+
+
+def test_representatives_are_indexed_once_per_caller(monkeypatch):
+    """smatrix2 and the well-definedness row index their coset
+    representatives once, so each check_column looks up only its g."""
+    base = category_from_form(
+        QuadraticForm(parse_group("Z2xZ2"), (ONE,) * 4), label="symmetric Z2xZ2, indexed"
+    )
+    columns, lookups, inside = [], [], []
+    real_index = AbelianGroup.element_index
+
+    def index(group, g):
+        lookups.extend(inside)
+        return real_index(group, g)
+
+    def counted(cat, reps, g, *starts):
+        columns.append(g)
+        inside.append(g)
+        try:
+            return check_column(cat, reps, g, *starts)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(AbelianGroup, "element_index", index)
+    monkeypatch.setattr(brmod, "check_column", counted)
+    monkeypatch.setattr(battery, "check_column", counted)
+    smatrix2.__wrapped__(base)
+    assert battery.check_well_definedness(base) == (True, None)
+    assert len(columns) == 4 + 4 * 5  # |T| in smatrix2, |T| per admissible H
+    assert lookups == columns
 
 
 # -- the closure certificate ----------------------------------------------------------
