@@ -4,11 +4,13 @@ A pair of tables (psi, omega) on G encodes a braided monoidal structure on
 G-graded lines: psi is the associator scalar on triples, omega the braiding
 scalar on pairs, stored as integer exponents of z_N for one conductor N.
 The pentagon and two hexagon identities below pin the scalar conventions.
-Each cocycle is validated once and the result is kept on it; two theorem-backed
-assertions guard the convention: the trace g -> omega(g, g) of any valid
-pair must be a quadratic form, and building the standard pair back from a
-quadratic form must return it as its trace.  If either ever fails the build
-aborts; conventions are never silently patched.
+Each cocycle is validated once and the result is kept on it: tables given
+outright are scanned, and the standard pair of a quadratic form is valid by
+the proof in ``standard_cocycle``.  Two theorem-backed assertions guard the
+convention: the trace g -> omega(g, g) of any valid pair must be a quadratic
+form, and building the standard pair back from a quadratic form must return
+it as its trace.  If either ever fails the build aborts; conventions are
+never silently patched.
 
 All cochains are normalized (value 1 whenever an argument is the identity).
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import wraps
+from functools import cached_property, wraps
 
 from ._value import Value, setfield
 from .cyclotomic import ONE, RootOfUnity, root_of_unity, roots_of_unity
@@ -73,9 +75,14 @@ class AbelianCocycle(Value):
     z_N^omega_exp[a*n + b] for element indices a, b, c of a group of order n.
     The constructor brings (N, exponents) to lowest terms: it divides them by
     their gcd with N and takes each exponent mod the reduced N.  So N is the
-    lcm of the entry orders, and equal tables have equal fields and hashes.
-    ``psi`` and ``omega`` are read-only RootOfUnity views.  Scan results are
-    kept in ``_results`` (see ``_kept``) and the hash is computed once.
+    lcm of the entry orders, and equal tables have equal fields.
+    ``standard_cocycle`` builds its cocycle from generator data instead, and
+    ``psi_exp``/``omega_exp`` are then built on first read; ``psi_on``
+    reads psi on a subset without building the table.  The hash is taken
+    once from (group, N, omega diagonal), which equal cocycles share, so
+    hashing builds no table; equality compares the tables.  ``psi`` and
+    ``omega`` are read-only RootOfUnity views.  Scan results are kept in
+    ``_results`` (see ``_kept``).
     """
 
     _fields = ("group", "conductor", "psi_exp", "omega_exp")
@@ -87,16 +94,74 @@ class AbelianCocycle(Value):
         conductor //= common
         psi_exp = tuple(k // common % conductor for k in psi_exp)
         omega_exp = tuple(k // common % conductor for k in omega_exp)
-        setfield(self, "group", group)
-        setfield(self, "conductor", conductor)
         setfield(self, "psi_exp", psi_exp)
         setfield(self, "omega_exp", omega_exp)
+        self._keep(group, conductor, omega_exp[::n + 1], None)
+
+    @classmethod
+    def _from_generators(cls, group: AbelianGroup, conductor: int, t, cross, diagonal):
+        """The standard cocycle of generator data (N, [t_i], [(i, j, s_ij)]) in
+        lowest terms (N is the lcm of the generator values' orders, and omega
+        holds each t_i and s_ij), with its omega diagonal already summed."""
+        out = object.__new__(cls)
+        out._keep(group, conductor, diagonal, (t, cross))
+        return out
+
+    def _keep(self, group, conductor, diagonal, generators):
+        setfield(self, "group", group)
+        setfield(self, "conductor", conductor)
+        setfield(self, "_diagonal", diagonal)
+        setfield(self, "_generators", generators)
+        setfield(self, "_elems", group.elements())
         setfield(self, "_add", addition_table(group))
-        setfield(self, "_hash", hash((group, psi_exp, omega_exp)))
+        setfield(self, "_hash", hash((group, conductor, diagonal)))
         setfield(self, "_results", {})
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def omega_exp(self) -> tuple[int, ...]:
+        """Standard cocycles only (the constructor stores the table):
+        omega(a, b) = sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j."""
+        t, cross = self._generators
+        elems, conductor = self._elems, self.conductor
+        return tuple(
+            (sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
+             + sum(sij * a[i] * b[j] for i, j, sij in cross)) % conductor
+            for a in elems
+            for b in elems
+        )
+
+    @cached_property
+    def psi_exp(self) -> tuple[int, ...]:
+        """Standard cocycles only (the constructor stores the table)."""
+        return tuple(self._summed_psi(self._elems))
+
+    def psi_on(self, indices: list[int]) -> list[int]:
+        """The psi exponents at every triple of ``indices`` (element indices),
+        in lexicographic order.  A standard cocycle sums them from its
+        generator data while ``psi_exp`` is unbuilt: O(len(indices)^3 rank)."""
+        if self._generators is None or "psi_exp" in self.__dict__:
+            n, psi = self.group.order, self.psi_exp
+            return [psi[(a * n + b) * n + c] for a in indices for b in indices for c in indices]
+        return self._summed_psi([self._elems[i] for i in indices])
+
+    def _summed_psi(self, elems) -> list[int]:
+        """psi(a, b, c) = sum_i t_i n_i a_i carry_i(b, c) mod N at every triple
+        of elems, carry_i(b, c) = 1 when b_i + c_i >= n_i; the factors with
+        t_i n_i = 0 mod N add nothing (all of them on a Drinfeld double)."""
+        t, factors, conductor = self._generators[0], self.group.factors, self.conductor
+        active = [i for i, (ti, n) in enumerate(zip(t, factors)) if ti * n % conductor]
+        if not active:
+            return [0] * len(elems) ** 3
+        weights = [[t[i] * factors[i] * a[i] for i in active] for a in elems]
+        carries = [
+            [k for k, i in enumerate(active) if b[i] + c[i] >= factors[i]]
+            for b in elems
+            for c in elems
+        ]
+        return [sum(w[k] for k in carry) % conductor for w in weights for carry in carries]
 
     @property
     def psi(self) -> tuple[RootOfUnity, ...]:
@@ -388,14 +453,16 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
 def _trace(c: AbelianCocycle) -> tuple[RootOfUnity, ...]:
     """The omega diagonal g -> omega(g, g) in element order."""
     roots = roots_of_unity(c.conductor)
-    return tuple(roots[k] for k in c.omega_exp[::c.group.order + 1])
+    return tuple(roots[k] for k in c._diagonal)
 
 
+@_kept
 def trace_form(c: AbelianCocycle) -> QuadraticForm:
     """q(g) = omega(g, g) of a valid cocycle.
 
     That this is a quadratic form is a theorem about the hexagon convention:
     a failure here means the convention itself is broken, so it aborts.
+    The standard cocycle of q keeps q itself as its trace form.
     """
     require_cocycle(c)
     try:
@@ -451,12 +518,28 @@ def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
 # ----------------------------------------------------------------------
 
 def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
-    """The canonical (psi, omega) pair whose trace is q.
+    """The canonical (psi, omega) pair whose trace is q, proved valid.
 
     With tau_i = q(e_i) = z_N^(t_i) on the cyclic factor Z/n_i and
     sigma(e_i, e_j) = z_N^(s_ij):
         omega(a, b) = z_N^(sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j)
         psi(a, b, c) = z_N^(sum_i t_i n_i a_i floor((b_i + c_i) / n_i))
+    Only the omega diagonal is summed here; the tables are built when read.
+
+    The identities hold by the following proof, whose hypotheses are the two
+    realizability checks below, so no table is scanned.  Write
+    k_i(b, c) = floor((b_i + c_i) / n_i), the carry 2-cocycle of Z/n_i.
+    Normalization: every term of omega has factors a_i and b_j, and each
+    term of psi has a_i and a carry, which is 0 when b_i or c_i is.
+    Pentagon: psi is a sum over the factors, and on Z/n_i its defect is
+    t_i n_i^2 k_i(a, b) k_i(c, d), 0 mod N because ord tau_i divides n_i^2
+    (it divides 2 n_i, and n_i when n_i is odd).  H1 holds identically on
+    each factor.  H2 needs 2 t_i n_i = 0 mod N, which is ord tau_i | 2 n_i.
+    The cross terms s_ij a_i b_j leave defects that are multiples of s_ij n_i
+    or s_ij n_j, 0 because ord sigma_ij | gcd(n_i, n_j).  ``cocycle-check``
+    still scans the tables, and tests compare them and the scans with the
+    dense build on every form up to order 16.  The trace, the omega
+    diagonal, must give q back; it is checked on the generator data.
     """
     g = q.group
     basis = _basis(g)
@@ -479,28 +562,15 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
             cross[(i, j)] = s
 
     modulus, t, cross_exp = _generator_exponents(taus, cross)
-    elems = g.elements()
-    omega = [
-        sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
-        + sum(sij * a[i] * b[j] for i, j, sij in cross_exp)
-        for a in elems
-        for b in elems
-    ]
-    weights = [[ti * n * ai for ti, n, ai in zip(t, g.factors, a)] for a in elems]
-    carries = [
-        [i for i, n in enumerate(g.factors) if b[i] + c[i] >= n]
-        for b in elems
-        for c in elems
-    ]
-    psi = [sum(w[i] for i in carry) for w in weights for carry in carries]
-    out = AbelianCocycle(g, modulus, psi, omega)
-    failure = cocycle_failure(out)
-    if failure is not None:
-        raise ConventionError(
-            f"standard cocycle violates the {failure[0]} condition at {failure[1]}"
-        )
+    diagonal = tuple(
+        (sum(ti * ai * ai for ti, ai in zip(t, a))
+         + sum(sij * a[i] * a[j] for i, j, sij in cross_exp)) % modulus
+        for a in g.elements()
+    )
+    out = AbelianCocycle._from_generators(g, modulus, t, cross_exp, diagonal)
     if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
+    out._results.update(normalization_witness=None, cocycle_failure=None, trace_form=q)
     return out
 
 
@@ -554,7 +624,13 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
     """Lexicographically first normalized mu on H with (delta mu) = psi|_H, or None.
 
     delta mu (a,b,c) = mu(b,c) mu(a,b+c) mu(a+b,c)^-1 mu(a,b)^-1, searched over
-    values in the value_order-th roots of unity.
+    values in the value_order-th roots of unity.  For a standard cocycle,
+    existence is decided first: psi|_H is a coboundary, even with values in
+    all of C^x, iff q(h)^ord(h) = 1 for every h in H.  (On cyclic factors of
+    H its class in H^3(H, C^x) is the part t_i n_i, which vanishes iff each
+    tau_i^(n_i) = 1; the rule is the basis-free form of that.)  Only then
+    does the search run; it reads psi at the nonzero triples of H, never the
+    |G|^3 table.
     """
     if sub.parent != c.group:
         raise NotSubgroup("subgroup belongs to a different group")
@@ -566,32 +642,36 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
         raise NotACocycle("mu search requires a normalized cocycle")
 
     g = c.group
-    n, add, psi, conductor = g.order, c._add, c.psi_exp, c.conductor
+    n, add, conductor = g.order, c._add, c.conductor
     domain = [g.element_index(x) for x in sub.elements]
-    # index 0 is the identity, where mu is normalized to 1
-    free = [(a, b) for a in domain for b in domain if a and b]
+    if c._generators is not None and any(
+        c._diagonal[i] * g.element_order(x) % conductor for i, x in zip(domain, sub.elements)
+    ):
+        return None
+    # index 0 is the identity, where mu is normalized to 1; a triple with a
+    # zero argument gives psi = 1 and an equation whose terms cancel
+    nonzero = [a for a in domain if a]
+    free = [(a, b) for a in nonzero for b in nonzero]
     slot = {pair: i for i, pair in enumerate(free)}
 
     def term(a: int, b: int, coeff: int):
         return [(slot[(a, b)], coeff)] if a and b else []
 
     equations = []
-    for a in domain:
-        for b in domain:
-            for cc in domain:
-                # psi(a, b, c) = z_N^k must be a value_order-th root: z_V^(k V / N)
-                scaled = psi[(a * n + b) * n + cc] * value_order
-                if scaled % conductor:
-                    return None
-                terms = (
-                    term(b, cc, +1)
-                    + term(a, add[b * n + cc], +1)
-                    + term(add[a * n + b], cc, -1)
-                    + term(a, b, -1)
-                )
-                equations.append((terms, scaled // conductor))
+    for (a, b, cc), k in zip(itertools.product(nonzero, repeat=3), c.psi_on(nonzero)):
+        # psi(a, b, c) = z_N^k must be a value_order-th root: z_V^(k V / N)
+        scaled = k * value_order
+        if scaled % conductor:
+            return None
+        terms = (
+            term(b, cc, +1)
+            + term(a, add[b * n + cc], +1)
+            + term(add[a * n + b], cc, -1)
+            + term(a, b, -1)
+        )
+        equations.append((terms, scaled // conductor))
 
-    elems = g.elements()
+    elems = c._elems
     for solution in _solve_exponents(len(free), value_order, equations):
         table = {
             (elems[a], elems[b]): root_of_unity(value_order, k)

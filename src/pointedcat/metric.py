@@ -38,8 +38,10 @@ from .cocycles import (
     AbelianCocycle, QuadraticForm, _kept, form_from_generators, standard_cocycle, trace_form,
 )
 
-# Dense cocycle tables are |G|^3; only doubles this small carry one.  No double's
-# is read; the bound stays because perfbench pins `cocycle is not None` per double.
+# Doubles up to this order carry their standard cocycle.  It is proved valid
+# from generator data and its |G|^3 tables are built only when read (the
+# `double` JSON, `cocycle-check`), so carrying it costs O(|G| rank^2).  The
+# bound stays because perfbench pins `cocycle is not None` per double.
 DOUBLE_COCYCLE_BOUND = 16
 
 
@@ -69,7 +71,8 @@ def make_category(
     cocycle: AbelianCocycle | None = None,
     label: str = "",
 ) -> PointedBFC:
-    """Bundle a quadratic form with an optional cocycle; their traces must agree."""
+    """Bundle a quadratic form with an optional cocycle; their traces must agree.
+    A standard cocycle keeps its form as its trace, so it is not re-validated."""
     if cocycle is not None:
         traced = trace_form(cocycle)
         if traced.values != form.values:

@@ -8,19 +8,26 @@ results).  They serve to cross-check the kernels' verdicts and witnesses.
 versions of the coboundary twist and the JSON writer, kept as they were.
 ``cocycle_from_roots`` builds a cocycle from RootOfUnity tables, and
 ``psi_at`` and ``omega_at`` read one entry of a cocycle as a RootOfUnity.
+``standard_cocycle_dense`` is the dense build of the standard cocycle that
+the closed form in pointedcat.cocycles replaced, kept as it was.
 """
 
 import itertools
 
+import math
+
 from pointedcat.cocycles import (
     AbelianCocycle,
     TwoCochain,
+    _basis,
     _exponents,
+    _generator_exponents,
+    _trace,
     cocycle_failure,
     cocycle_from_tables,
 )
 from pointedcat.cyclotomic import format_root, roots_of_unity
-from pointedcat.errors import ConventionError, NotACocycle, NotSubgroup
+from pointedcat.errors import ConventionError, NotACocycle, NotRealizable, NotSubgroup
 from pointedcat.groups import format_group
 from pointedcat.serde import format_element_key
 
@@ -159,3 +166,67 @@ def cocycle_to_json(cocycle: AbelianCocycle) -> dict:
                     key = ",".join(format_element_key(x) for x in (a, b, c))
                     psi[key] = format_root(value)
     return {"group": format_group(group), "psi": psi, "omega": omega}
+
+
+def standard_tables_dense(q, psi_sign=1, cross_sign=1):
+    """(N, psi, omega): the standard cocycle of q as dense |G|^3 and |G|^2
+    exponent lists, before the constructor brings them to lowest terms.
+
+    With tau_i = q(e_i) = z_N^(t_i) on the cyclic factor Z/n_i and
+    sigma(e_i, e_j) = z_N^(s_ij):
+        omega(a, b) = z_N^(sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j)
+        psi(a, b, c) = z_N^(sum_i t_i n_i a_i floor((b_i + c_i) / n_i))
+    ``psi_sign`` and ``cross_sign`` = -1 flip the sign of psi or of omega's
+    cross term, for the tests that show either flip is caught.
+    """
+    g = q.group
+    basis = _basis(g)
+    taus = [q.q(e) for e in basis]
+    for n, tau in zip(g.factors, taus):
+        allowed = n if n % 2 == 1 else 2 * n
+        if allowed % tau.order != 0:
+            raise NotRealizable(
+                f"q(e) of order {tau.order} on a cyclic factor of order {n}"
+            )
+    cross = {}
+    for i in range(g.rank):
+        for j in range(i + 1, g.rank):
+            s = q.pairing(basis[i], basis[j])
+            if math.gcd(g.factors[i], g.factors[j]) % s.order != 0:
+                raise NotRealizable(
+                    f"pairing of order {s.order} across factors "
+                    f"{g.factors[i]} and {g.factors[j]}"
+                )
+            cross[(i, j)] = s
+
+    modulus, t, cross_exp = _generator_exponents(taus, cross)
+    elems = g.elements()
+    omega = [
+        sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
+        + cross_sign * sum(sij * a[i] * b[j] for i, j, sij in cross_exp)
+        for a in elems
+        for b in elems
+    ]
+    weights = [[ti * n * ai for ti, n, ai in zip(t, g.factors, a)] for a in elems]
+    carries = [
+        [i for i, n in enumerate(g.factors) if b[i] + c[i] >= n]
+        for b in elems
+        for c in elems
+    ]
+    psi = [psi_sign * sum(w[i] for i in carry) for w in weights for carry in carries]
+    return modulus, psi, omega
+
+
+def standard_cocycle_dense(q):
+    """The standard cocycle of q built from its dense tables, then scanned in
+    full and traced back to q: the build that the closed form in
+    pointedcat.cocycles replaced."""
+    out = AbelianCocycle(q.group, *standard_tables_dense(q))
+    failure = cocycle_failure(out)
+    if failure is not None:
+        raise ConventionError(
+            f"standard cocycle violates the {failure[0]} condition at {failure[1]}"
+        )
+    if _trace(out) != q.values:
+        raise ConventionError("standard cocycle does not trace back to its form")
+    return out

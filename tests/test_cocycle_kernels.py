@@ -125,22 +125,27 @@ def test_equal_cocycles_built_apart_hash_equal():
 
 
 def test_each_built_cocycle_is_scanned_once(monkeypatch, tmp_path, capsys):
-    # every pentagon (nontrivial psi) and hexagon scan asks for its range once
+    # every pentagon (nontrivial psi) and hexagon scan asks for its range once;
+    # the standard cocycle is proved valid and is not scanned at all
     scans = []
     scan_range = cocycles._scan_range
     monkeypatch.setattr(cocycles, "_scan_range", lambda c: scans.append(c) or scan_range(c))
     group = parse_group("Z4")
     form = QuadraticForm(group, tuple(root_of_unity(8, a * a % 8) for a in range(4)))
     category = category_from_form(form)  # standard_cocycle, then make_category
-    assert len(scans) == 2
+    assert len(scans) == 0
     text = json.dumps(category_to_json(category))
     load_category("-", text)  # validate, trace, bundle
-    assert len(scans) == 4
+    assert len(scans) == 2
     path = tmp_path / "cocycle.json"
     path.write_text(text)
     assert main(["cocycle-check", str(path), "--json"]) == 0  # both checks, then trace
     assert json.loads(capsys.readouterr().out)["results"]["is_abelian_cocycle"]
-    assert len(scans) == 6
+    assert len(scans) == 4
+    # a preset's tables are scanned too: psi = 1 on a double, so only the hexagons
+    assert main(["cocycle-check", "double:Z2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["is_abelian_cocycle"]
+    assert len(scans) == 5
 
 
 def test_corrupted_table_fails_the_category_gates():
