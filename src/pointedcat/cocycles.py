@@ -124,14 +124,8 @@ class AbelianCocycle(Value):
     def omega_exp(self) -> tuple[int, ...]:
         """Standard cocycles only (the constructor stores the table):
         omega(a, b) = sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j."""
-        t, cross = self._generators
-        elems, conductor = self._elems, self.conductor
-        return tuple(
-            (sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
-             + sum(sij * a[i] * b[j] for i, j, sij in cross)) % conductor
-            for a in elems
-            for b in elems
-        )
+        pairs = itertools.product(self._elems, repeat=2)
+        return tuple(k % self.conductor for k in _omega_sums(*self._generators, pairs))
 
     @cached_property
     def psi_exp(self) -> tuple[int, ...]:
@@ -362,6 +356,17 @@ def _generator_exponents(taus, pairings):
     return conductor, exps[:len(taus)], cross
 
 
+def _omega_sums(t, cross, pairs) -> list[int]:
+    """sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j for each (a, b) in pairs: the
+    exponent of the standard omega(a, b), and at a = b that of Wall's
+    generator form q(a)."""
+    return [
+        sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
+        + sum(sij * a[i] * b[j] for i, j, sij in cross)
+        for a, b in pairs
+    ]
+
+
 def _basis(g: AbelianGroup) -> list[Element]:
     """The generators e_i of the cyclic factors (zero on a factor Z/1)."""
     return [g.reduce(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
@@ -440,13 +445,8 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
     """
     conductor, t, cross = _generator_exponents(taus, pairings)
     roots = roots_of_unity(conductor)
-    values = tuple(
-        roots[
-            (sum(ti * ai * ai for ti, ai in zip(t, a))
-             + sum(sij * a[i] * a[j] for i, j, sij in cross)) % conductor
-        ]
-        for a in group.elements()
-    )
+    diagonal = ((a, a) for a in group.elements())
+    values = tuple(roots[k % conductor] for k in _omega_sums(t, cross, diagonal))
     return QuadraticForm(group, values)
 
 
@@ -562,11 +562,8 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
             cross[(i, j)] = s
 
     modulus, t, cross_exp = _generator_exponents(taus, cross)
-    diagonal = tuple(
-        (sum(ti * ai * ai for ti, ai in zip(t, a))
-         + sum(sij * a[i] * a[j] for i, j, sij in cross_exp)) % modulus
-        for a in g.elements()
-    )
+    pairs = ((a, a) for a in g.elements())
+    diagonal = tuple(k % modulus for k in _omega_sums(t, cross_exp, pairs))
     out = AbelianCocycle._from_generators(g, modulus, t, cross_exp, diagonal)
     if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
