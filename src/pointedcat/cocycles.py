@@ -538,7 +538,7 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
     The cross terms s_ij a_i b_j leave defects that are multiples of s_ij n_i
     or s_ij n_j, 0 because ord sigma_ij | gcd(n_i, n_j).  ``cocycle-check``
     still scans the tables, and tests compare them and the scans with the
-    dense build on every form up to order 16.  The trace, the omega
+    dense build on the forms up to order 16.  The trace, the omega
     diagonal, must give q back; it is checked on the generator data.
     """
     g = q.group
