@@ -348,22 +348,21 @@ def run_all(cases=None, include_global: bool = True) -> BatterySummary:
         cases = default_cases()
     rows = []
     for case in cases:
+        label = case.label
         try:
             group = parse_group(case.group_literal)
             form = QuadraticForm(group, case.q_values)
-            rows.append(BatteryRow(case.label, "quadratic-form-valid", True, None))
+            rows.append(BatteryRow(label, "quadratic-form-valid", True, None))
         except PointedCatError as exc:
-            rows.append(
-                BatteryRow(case.label, "quadratic-form-valid", False, str(exc))
-            )
+            rows.append(BatteryRow(label, "quadratic-form-valid", False, str(exc)))
             continue
-        base = make_category(form, label=case.label)
+        base = make_category(form, label=label)
         for name, fn in CASE_CHECKS:
             try:
                 passed, witness = fn(base)
             except PointedCatError as exc:
                 passed, witness = False, f"{type(exc).__name__}: {exc}"
-            rows.append(BatteryRow(case.label, name, passed, witness))
+            rows.append(BatteryRow(label, name, passed, witness))
     if include_global:
         for name, fn in GLOBAL_CHECKS:
             try:

@@ -620,14 +620,16 @@ def _solve_exponents(count: int, modulus: int, equations):
 def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | None:
     """Lexicographically first normalized mu on H with (delta mu) = psi|_H, or None.
 
-    delta mu (a,b,c) = mu(b,c) mu(a,b+c) mu(a+b,c)^-1 mu(a,b)^-1, searched over
-    values in the value_order-th roots of unity.  For a standard cocycle,
-    existence is decided first: psi|_H is a coboundary, even with values in
-    all of C^x, iff q(h)^ord(h) = 1 for every h in H.  (On cyclic factors of
-    H its class in H^3(H, C^x) is the part t_i n_i, which vanishes iff each
-    tau_i^(n_i) = 1; the rule is the basis-free form of that.)  Only then
-    does the search run; it reads psi at the nonzero triples of H, never the
-    |G|^3 table.
+    delta mu (a,b,c) = mu(b,c) mu(a,b+c) mu(a+b,c)^-1 mu(a,b)^-1, with values
+    in the value_order-th roots of unity.  Decided in this order: the bounds,
+    the subgroup and normalization (errors); then, for a cocycle known valid
+    (standard, or its ``cocycle_failure`` kept as None), the existence rule:
+    psi|_H is a coboundary, even in C^x, iff q(h)^ord(h) = 1 on H, q the
+    omega diagonal.  (Its class in H^3(H, C^x) depends on q|_H alone; for the
+    standard cocycle it is the part t_i n_i, which vanishes iff each
+    tau_i^(n_i) = 1.)  Then psi is read at the nonzero triples of H, not the
+    |G|^3 table: where it is all 1 the equations are homogeneous and mu = 1,
+    their least solution, is returned without a search; else the search runs.
     """
     if sub.parent != c.group:
         raise NotSubgroup("subgroup belongs to a different group")
@@ -641,13 +643,16 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
     g = c.group
     n, add, conductor = g.order, c._add, c.conductor
     domain = [g.element_index(x) for x in sub.elements]
-    if c._generators is not None and any(
+    if c._results.get("cocycle_failure", "unscanned") is None and any(
         c._diagonal[i] * g.element_order(x) % conductor for i, x in zip(domain, sub.elements)
     ):
         return None
     # index 0 is the identity, where mu is normalized to 1; a triple with a
     # zero argument gives psi = 1 and an equation whose terms cancel
     nonzero = [a for a in domain if a]
+    psi = c.psi_on(nonzero)
+    if not any(psi):
+        return two_cochain_from_table(g, sub.elements, {})
     free = [(a, b) for a in nonzero for b in nonzero]
     slot = {pair: i for i, pair in enumerate(free)}
 
@@ -655,7 +660,7 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
         return [(slot[(a, b)], coeff)] if a and b else []
 
     equations = []
-    for (a, b, cc), k in zip(itertools.product(nonzero, repeat=3), c.psi_on(nonzero)):
+    for (a, b, cc), k in zip(itertools.product(nonzero, repeat=3), psi):
         # psi(a, b, c) = z_N^k must be a value_order-th root: z_V^(k V / N)
         scaled = k * value_order
         if scaled % conductor:

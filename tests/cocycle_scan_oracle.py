@@ -10,6 +10,8 @@ versions of the coboundary twist and the JSON writer, kept as they were.
 ``psi_at`` and ``omega_at`` read one entry of a cocycle as a RootOfUnity.
 ``standard_cocycle_dense`` is the dense build of the standard cocycle that
 the closed form in pointedcat.cocycles replaced, kept as it was.
+``searched_mu`` is ``find_mu`` after its bound and normalization checks as
+it was before it decided anything: the equations and the search, always.
 """
 
 import itertools
@@ -22,11 +24,13 @@ from pointedcat.cocycles import (
     _basis,
     _exponents,
     _generator_exponents,
+    _solve_exponents,
     _trace,
     cocycle_failure,
     cocycle_from_tables,
+    two_cochain_from_table,
 )
-from pointedcat.cyclotomic import format_root, roots_of_unity
+from pointedcat.cyclotomic import format_root, root_of_unity, roots_of_unity
 from pointedcat.errors import ConventionError, NotACocycle, NotRealizable, NotSubgroup
 from pointedcat.groups import format_group
 from pointedcat.serde import format_element_key
@@ -230,3 +234,38 @@ def standard_cocycle_dense(q):
     if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
     return out
+
+
+def searched_mu(c, sub, value_order):
+    """The first answer of the search for a normalized mu on H with
+    (delta mu) = psi|_H, values in the value_order-th roots, or None."""
+    g = c.group
+    n, add, conductor = g.order, c._add, c.conductor
+    nonzero = [a for a in (g.element_index(x) for x in sub.elements) if a]
+    free = [(a, b) for a in nonzero for b in nonzero]
+    slot = {pair: i for i, pair in enumerate(free)}
+
+    def term(a, b, coeff):
+        return [(slot[(a, b)], coeff)] if a and b else []
+
+    equations = []
+    for (a, b, cc), k in zip(itertools.product(nonzero, repeat=3), c.psi_on(nonzero)):
+        scaled = k * value_order
+        if scaled % conductor:
+            return None
+        terms = (
+            term(b, cc, +1)
+            + term(a, add[b * n + cc], +1)
+            + term(add[a * n + b], cc, -1)
+            + term(a, b, -1)
+        )
+        equations.append((terms, scaled // conductor))
+
+    elems = c._elems
+    for solution in _solve_exponents(len(free), value_order, equations):
+        table = {
+            (elems[a], elems[b]): root_of_unity(value_order, k)
+            for (a, b), k in zip(free, solution)
+        }
+        return two_cochain_from_table(g, sub.elements, table)
+    return None

@@ -321,11 +321,12 @@ def rule_holds(form, sub) -> bool:
     "literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z4xZ2", "Z2xZ2xZ2"]
 )
 def test_existence_rule_agrees_with_the_search(literal):
-    """On every form and every H with |H| <= 4: the search on the dense
-    tables (which skips the rule) finds mu on brmod's value schedule exactly
-    when the rule holds, and find_mu on the standard cocycle gives the same
-    answers.  A search is a function of (psi, H, value order), so each is run
-    once; on H inside the transparent subgroup the rule always holds."""
+    """On every form and every H with |H| <= 4: the search itself
+    (``searched_mu``, which decides nothing first) on the dense tables
+    finds mu on brmod's value schedule exactly when the rule holds, and
+    find_mu on the standard cocycle gives the same answers.  A search is a
+    function of (psi, H, value order), so each is run once; on H inside the
+    transparent subgroup the rule always holds."""
     group = parse_group(literal)
     n = group.order
     subs = [sub for sub in all_subgroups(group) if sub.order <= 4]
@@ -345,7 +346,7 @@ def test_existence_rule_agrees_with_the_search(literal):
                 key = (psi, sub, value_order)
                 fresh = key not in searches
                 if fresh:
-                    searches[key] = find_mu(dense, sub, value_order)
+                    searches[key] = oracle.searched_mu(dense, sub, value_order)
                 if fresh or not rule:
                     assert find_mu(standard, sub, value_order) == searches[key]
                 found |= searches[key] is not None
