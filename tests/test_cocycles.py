@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from pointedcat import cocycles
 from pointedcat.cyclotomic import ONE, root_of_unity
 from pointedcat.errors import (
     BoundsExceeded,
+    ConventionError,
     GroupTooLarge,
     InvalidQuadraticForm,
     NotACocycle,
@@ -257,6 +259,34 @@ def test_classify_counts_match_eilenberg_mac_lane(literal):
         )
         classes = classify_h3ab(group, value_order)
         assert sorted(_roots(cls.form.values) for cls in classes) == expected
+
+
+# Each ConventionError check of classify_h3ab, fired by one corruption.
+
+def test_classify_rejects_a_coboundary_that_violates_an_equation(monkeypatch):
+    # 1 + 1 = 3 on Z4 breaks associativity, and the pentagon of a coboundary
+    # holds only because addition is associative
+    table = list(cocycles.addition_table(Z4))
+    table[1 * 4 + 1] = 3
+    monkeypatch.setattr(cocycles, "addition_table", lambda group: tuple(table))
+    with pytest.raises(ConventionError, match="violates the pentagon or hexagons"):
+        classify_h3ab(Z4, 2)
+
+
+def test_classify_rejects_a_dropped_kernel_row(monkeypatch):
+    # on Z4 with N = 3 every cocycle is a coboundary (one class), so a kernel
+    # without its first row spans fewer cocycles than one orbit holds
+    real = cocycles.howell_kernel
+    monkeypatch.setattr(cocycles, "howell_kernel", lambda *args: real(*args)[1:])
+    with pytest.raises(ConventionError, match="1 classes of size 729 do not tile 243"):
+        classify_h3ab(Z4, 3)
+
+
+def test_classify_rejects_two_orbits_with_one_form(monkeypatch):
+    trivial = trace_form(z2_cocycle())
+    monkeypatch.setattr(cocycles, "trace_form", lambda rep: trivial)
+    with pytest.raises(ConventionError, match="share one trace form"):
+        classify_h3ab(Z2, 2)
 
 
 # -- standard cocycle -------------------------------------------------------
