@@ -39,10 +39,11 @@ from .groups import (
     Element,
     Subgroup,
     addition_table,
-    howell_form,
-    howell_kernel,
+    dense_rows,
     howell_reduce,
     howell_size,
+    sparse_howell_form,
+    sparse_howell_kernel,
 )
 
 
@@ -698,6 +699,24 @@ class CocycleClass(Value):
         setfield(self, "orbit_size", orbit_size)
 
 
+def _check_coboundaries(generators, equations, diagonal, n: int) -> None:
+    """Every coboundary generator, a sparse row, must satisfy every equation
+    mod n and vanish on the diagonal columns, where omega(x, x) sits."""
+    uses: dict[int, list[tuple[int, int]]] = {}  # column -> (equation, coeff)
+    for e, eq in enumerate(equations):
+        for i, k in eq:
+            uses.setdefault(i, []).append((e, k))
+    for gen in generators:
+        sums: dict[int, int] = {}
+        for i, x in gen.items():
+            for e, k in uses.get(i, ()):
+                sums[e] = sums.get(e, 0) + k * x
+        if any(s % n for s in sums.values()):
+            raise ConventionError("a coboundary violates the pentagon or hexagons")
+        if any(i in gen for i in diagonal):
+            raise ConventionError("a coboundary moves the trace form")
+
+
 def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     """All normalized (psi, omega) pairs with values in the N-th roots, partitioned
     into coboundary orbits; orbits must coincide with trace-form fibers.
@@ -754,20 +773,15 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
         ))
     equations.discard(())
     equations = sorted(equations)
-    dense = []
-    for eq in equations:
-        vec = [0] * width
-        for i, k in eq:
-            vec[i] = k
-        dense.append(vec)
-    cocycles = howell_kernel(dense, width, n)
+    cocycles = dense_rows(sparse_howell_kernel(equations, width, n), width)
 
     # delta of the elementary cochain phi = [(x, y) == pair], for every pair at once
-    deltas = {pair: [0] * width for pair in pairs}
+    deltas: dict[tuple[int, int], dict[int, int]] = {pair: {} for pair in pairs}
 
     def bump(pair, i: int, coeff: int) -> None:
         if pair in deltas:
-            deltas[pair][i] += coeff
+            delta = deltas[pair]
+            delta[i] = delta.get(i, 0) + coeff
 
     for i, (a, b, c) in enumerate(triples):
         bump((b, c), i, 1)
@@ -777,13 +791,9 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     for a, b in pairs:
         bump((b, a), column[a, b], 1)
         bump((a, b), column[a, b], -1)
-    generators = [[x % n for x in deltas[pair]] for pair in pairs]
-    for gen in generators:
-        if any(sum(k * gen[i] for i, k in eq) % n for eq in equations):
-            raise ConventionError("a coboundary violates the pentagon or hexagons")
-        if any(gen[column[x, x]] for x in nonzero):
-            raise ConventionError("a coboundary moves the trace form")
-    coboundaries = howell_form(generators, n)
+    generators = [{i: k % n for i, k in deltas[pair].items() if k % n} for pair in pairs]
+    _check_coboundaries(generators, equations, [column[x, x] for x in nonzero], n)
+    coboundaries = dense_rows(sparse_howell_form((gen.items() for gen in generators), n), width)
 
     def reduce(vec) -> tuple[int, ...]:
         return tuple(howell_reduce(vec, coboundaries, n))

@@ -26,6 +26,7 @@ from .errors import (
     NotSubgroup,
     ParseError,
     ShapeMismatch,
+    ValidationError,
 )
 
 Element = tuple[int, ...]
@@ -290,7 +291,10 @@ def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> lis
 
 
 # ----------------------------------------------------------------------
-# Howell form over Z/N (Storjohann and Mulders, ESA 1998).
+# Howell form over Z/N (Storjohann and Mulders, ESA 1998).  The engine holds
+# each row as a dict from column to nonzero residue, so a row operation costs
+# the nonzeros of the rows it combines, not the width.  The dense entry points
+# check shapes and modulus before any elimination and convert at the edges.
 # ----------------------------------------------------------------------
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -309,35 +313,48 @@ def _lead(row) -> int:
     return row.index(x) if x else len(row)
 
 
-def howell_form(rows, modulus: int) -> list[list[int]]:
-    """Howell form of the row span of ``rows`` in (Z/modulus)^n.
+def _combine(p: int, x: dict[int, int], q: int, y: dict[int, int], n: int) -> dict[int, int]:
+    """p x + q y mod n, as a sparse row."""
+    out = {c: p * v for c, v in x.items()}
+    for c, v in y.items():
+        out[c] = out.get(c, 0) + q * v
+    return {c: v % n for c, v in out.items() if v % n}
 
-    Rows come in echelon order, each pivot divides the modulus and every
-    entry above a pivot is reduced below it, so equal spans give equal
-    forms.  Howell property: for every column k, the rows with pivot >= k
-    span every member of the row span that vanishes before k.  The span
-    has prod(modulus / pivot) members.
+
+def _subtract(row: dict[int, int], k: int, y: dict[int, int], n: int) -> None:
+    """row -= k y mod n, in place."""
+    for c, v in y.items():
+        x = (row.get(c, 0) - k * v) % n
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)  # k v may vanish mod n where row has no entry
+
+
+def sparse_howell_form(rows, modulus: int) -> list[dict[int, int]]:
+    """Howell form of the row span of ``rows`` over Z/modulus, on sparse rows.
+
+    Each row is given as (column, value) pairs with distinct columns, and the
+    modulus is at least 1 (the dense entry points check both); each row of
+    the form is a dict from column to nonzero residue.  Rows come in
+    echelon order, each pivot divides the modulus and every entry above a
+    pivot is reduced below it, so equal spans give equal forms.  Howell
+    property: for every column k, the rows with pivot >= k span every member
+    of the row span that vanishes before k.  The span has prod(modulus /
+    pivot) members.
     """
     n = modulus
-    # rows are held as (col, their entries from col on), the first one nonzero;
-    # basis maps each pivot column to its row held that way
-    basis: dict[int, list[int]] = {}
-    work = []
-    for row in rows:
-        row = [x % n for x in row]
-        col = _lead(row)
-        if col < len(row):
-            work.append((col, row[col:]))
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
+    work = [row for row in ({c: v % n for c, v in row if v % n} for row in rows) if row]
     while work:
-        col, row = work.pop()
+        row = work.pop()
         while row:
-            a = row[0]
-            top = basis.get(col)
-            d = top[0] if top else n
+            col = min(row)
+            a = row[col]
+            top = basis.get(col, {})
+            d = top.get(col, n)
             if a % d == 0:
-                row = [(x - (a // d) * y) % n for x, y in zip(row, top)]
-                skip = _lead(row)
-                col, row = col + skip, row[skip:]
+                _subtract(row, a // d, top, n)
                 continue
             # unimodular 2x2 step: top' = s top + t row carries gcd(d, a), and
             # the cofactor row, which vanishes at col, goes back on the work
@@ -345,30 +362,84 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
             # (modulus / d) top, so every pivot row's annihilated multiple
             # lies in the span of later rows: the Howell property.
             g, s, t = _xgcd(d, a)
-            top = top or [0] * len(row)
-            basis[col] = [(s * y + t * x) % n for x, y in zip(row, top)]
-            row = [((d // g) * x - (a // g) * y) % n for x, y in zip(row, top)]
-            skip = _lead(row)
-            if skip < len(row):
-                work.append((col + skip, row[skip:]))
+            basis[col] = _combine(s, top, t, row, n)
+            row = _combine(d // g, row, -(a // g), top, n)
+            if row:
+                work.append(row)
             break
     # reduce each row above the pivots of the rows below it, in pivot order
     pivots = sorted(basis)
     form = []
     for i, col in enumerate(pivots):
-        row = [0] * col + basis[col]
+        row = basis[col]
         for p in pivots[i + 1:]:
             below = basis[p]
-            k = row[p] // below[0]
+            k = row.get(p, 0) // below[p]
             if k:
-                row[p:] = [(x - k * y) % n for x, y in zip(row[p:], below)]
+                _subtract(row, k, below, n)
         form.append(row)
     return form
 
 
+def sparse_howell_kernel(rows, ncols: int, modulus: int) -> list[dict[int, int]]:
+    """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row},
+    rows given and returned as in ``sparse_howell_form``, columns below ncols.
+
+    The kernel depends only on the span of the rows, so they are first brought
+    to their Howell form, at most ncols of them.  The Howell form of
+    [rows^T | I] spans the pairs (x rows^T, x); by the Howell property, its
+    rows with pivot past the rows^T block span the kernel.
+    """
+    rows = sparse_howell_form(rows, modulus)
+    split = len(rows)
+    # modulo 1 the identity block is 0 too, and the engine drops it
+    augmented = [{split + j: 1} for j in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            augmented[j][i] = v
+    return [
+        {c - split: v for c, v in row.items()}
+        for row in sparse_howell_form((row.items() for row in augmented), modulus)
+        if min(row) >= split
+    ]
+
+
+def _width(rows, modulus: int) -> int | None:
+    """The common length of rows (None if there are none), after checking the
+    modulus and that no row is ragged."""
+    if modulus < 1:
+        raise ValidationError(f"modulus must be at least 1, got {modulus}")
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise ShapeMismatch(f"rows of different widths {widths}")
+    return widths[0] if widths else None
+
+
+def dense_rows(rows, width: int) -> list[list[int]]:
+    """Sparse rows as lists of length width."""
+    out = []
+    for row in rows:
+        vec = [0] * width
+        for c, v in row.items():
+            vec[c] = v
+        out.append(vec)
+    return out
+
+
+def howell_form(rows, modulus: int) -> list[list[int]]:
+    """Howell form of the row span of the dense ``rows`` in (Z/modulus)^n, as
+    dense rows; see ``sparse_howell_form``."""
+    rows = list(rows)
+    width = _width(rows, modulus)
+    return dense_rows(sparse_howell_form(map(enumerate, rows), modulus), width)
+
+
 def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
     """Lexicographically least member of vec + span(form), for a Howell form."""
+    width = _width(form, modulus)
     vec = [x % modulus for x in vec]
+    if width not in (None, len(vec)):
+        raise ShapeMismatch(f"vector of width {len(vec)} for a form of width {width}")
     for row in form:
         col = _lead(row)
         k = vec[col] // row[col]
@@ -379,24 +450,18 @@ def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
 
 def howell_size(form: list[list[int]], modulus: int) -> int:
     """Number of members of the span of a Howell form."""
+    _width(form, modulus)
     return math.prod(modulus // row[_lead(row)] for row in form)
 
 
 def howell_kernel(rows: list, ncols: int, modulus: int) -> list[list[int]]:
-    """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row}.
-
-    The kernel depends only on the span of the rows, so they are first brought
-    to their Howell form, at most ncols of them.  The Howell form of
-    [rows^T | I] spans the pairs (x rows^T, x); by the Howell property, its
-    rows with pivot past the rows^T block span the kernel.
-    """
-    rows = howell_form(rows, modulus)
-    split = len(rows)
-    augmented = [
-        [row[j] for row in rows] + [int(i == j) for i in range(ncols)]
-        for j in range(ncols)
-    ]
-    return [row[split:] for row in howell_form(augmented, modulus) if not any(row[:split])]
+    """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row}, on
+    dense rows of width ncols; see ``sparse_howell_kernel``."""
+    rows = list(rows)
+    width = _width(rows, modulus)
+    if width not in (None, ncols):
+        raise ShapeMismatch(f"rows of width {width} for {ncols} columns")
+    return dense_rows(sparse_howell_kernel(map(enumerate, rows), ncols, modulus), ncols)
 
 
 # ----------------------------------------------------------------------

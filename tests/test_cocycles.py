@@ -273,11 +273,21 @@ def test_classify_rejects_a_coboundary_that_violates_an_equation(monkeypatch):
         classify_h3ab(Z4, 2)
 
 
+def test_classify_rejects_a_coboundary_that_moves_the_trace(monkeypatch):
+    # on Z2 with N = 2 the one generator is 0; add omega(1, 1) = -1, the
+    # cocycle of svect, which satisfies every equation and moves q(1)
+    real = cocycles._check_coboundaries
+    monkeypatch.setattr(cocycles, "_check_coboundaries",
+                        lambda gens, eqs, diagonal, n: real([{**gens[0], 1: 1}], eqs, diagonal, n))
+    with pytest.raises(ConventionError, match="moves the trace form"):
+        classify_h3ab(Z2, 2)
+
+
 def test_classify_rejects_a_dropped_kernel_row(monkeypatch):
     # on Z4 with N = 3 every cocycle is a coboundary (one class), so a kernel
     # without its first row spans fewer cocycles than one orbit holds
-    real = cocycles.howell_kernel
-    monkeypatch.setattr(cocycles, "howell_kernel", lambda *args: real(*args)[1:])
+    real = cocycles.sparse_howell_kernel
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel", lambda *args: real(*args)[1:])
     with pytest.raises(ConventionError, match="1 classes of size 729 do not tile 243"):
         classify_h3ab(Z4, 3)
 

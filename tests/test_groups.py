@@ -6,7 +6,9 @@ import pytest
 from pointedcat.cyclotomic import CycloMatrix, CycloNumber, root_of_unity
 from pointedcat.errors import (
     GroupTooLarge, InternalInconsistency, NotSubgroup, ParseError, ShapeMismatch,
+    ValidationError,
 )
+from pointedcat import groups
 from subgroup_oracle import smith_diagonal
 from pointedcat.groups import (
     AbelianGroup,
@@ -240,6 +242,38 @@ def test_howell_kernel_matches_brute_force():
         basis = howell_kernel(rows, ncols, modulus)
         assert basis == howell_form(basis, modulus)
         assert _span(basis, ncols, modulus) == kernel
+
+
+def _no_elimination(rows, modulus):
+    raise AssertionError("eliminated before the input was checked")
+
+
+@pytest.mark.parametrize("function, args", [
+    (howell_form, ([[2, 1, 1], [2, 1]], 4)),  # ragged, either order
+    (howell_form, ([[2, 1], [2, 1, 1]], 4)),
+    (howell_kernel, ([[1, 1, 1]], 2, 4)),  # width != ncols
+    (howell_kernel, ([[1, 1], [1]], 2, 4)),
+    (howell_reduce, ([1, 1, 1], [[1, 0]], 4)),  # vec wider than the form
+    (howell_reduce, ([1], [[1, 0]], 4)),
+    (howell_size, ([[1, 0], [1]], 4)),
+])
+def test_howell_rejects_mis_shaped_input(monkeypatch, function, args):
+    monkeypatch.setattr(groups, "sparse_howell_form", _no_elimination)
+    with pytest.raises(ShapeMismatch):
+        function(*args)
+
+
+@pytest.mark.parametrize("modulus", [0, -4])
+@pytest.mark.parametrize("function, args", [
+    (howell_form, ([[1, 2]],)),
+    (howell_kernel, ([[1, 2]], 2)),
+    (howell_reduce, ([1, 2], [[1, 0]])),
+    (howell_size, ([[1, 0]],)),
+])
+def test_howell_rejects_a_modulus_below_one(monkeypatch, function, args, modulus):
+    monkeypatch.setattr(groups, "sparse_howell_form", _no_elimination)
+    with pytest.raises(ValidationError, match="modulus must be at least 1"):
+        function(*args, modulus)
 
 
 # -- characters ----------------------------------------------------------

@@ -6,7 +6,13 @@ import pytest
 
 import howell_oracle as oracle
 from pointedcat import cocycles, groups
-from pointedcat.groups import howell_form, howell_kernel, parse_group
+from pointedcat.groups import (
+    howell_form,
+    howell_kernel,
+    parse_group,
+    sparse_howell_form,
+    sparse_howell_kernel,
+)
 
 MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
 
@@ -24,6 +30,26 @@ def _sparse_system(rng, modulus, nrows, ncols, density=0.15):
     return rows
 
 
+def _redundant_system(rng, modulus, nrows=400, ncols=80):
+    """Rows shaped like the classify equations' redundancy: combinations of
+    ncols // 2 sparse rows, so most reduce to zero, and rows that are 0 mod
+    modulus before any elimination."""
+    base = [[(c, rng.choice((1, -1, 1, -1, rng.randrange(modulus))))
+             for c in rng.sample(range(ncols), rng.randint(2, 6))]
+            for _ in range(ncols // 2)]
+    rows = []
+    for _ in range(nrows):
+        vec = [0] * ncols
+        for row in rng.sample(base, rng.randint(1, 3)):
+            k = rng.choice((1, -1, modulus - 1, modulus + 1))
+            for c, v in row:
+                vec[c] += k * v
+        rows.append(vec)
+    for i in rng.sample(range(nrows), 8):
+        rows[i] = [modulus * x for x in rows[i]]
+    return rows
+
+
 def _systems():
     rng = random.Random(15)
     for modulus in MODULI:
@@ -34,34 +60,55 @@ def _systems():
             yield modulus, ncols, [[rng.randrange(-2 * modulus, 2 * modulus + 1)
                                     for _ in range(ncols)]
                                    for _ in range(rng.randint(1, 8))]
+    rng = random.Random(18)
+    for modulus in MODULI:
+        yield modulus, 80, _redundant_system(rng, modulus)
+        yield modulus, 0, [[]] * rng.randint(0, 3)
+
+
+def _nonzeros(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 @pytest.mark.parametrize("modulus, ncols, rows", list(_systems()))
 def test_howell_engine_matches_oracle(modulus, ncols, rows):
-    assert howell_form(rows, modulus) == oracle.howell_form(rows, modulus)
-    assert howell_kernel(rows, ncols, modulus) == oracle.howell_kernel(rows, ncols, modulus)
+    form = oracle.howell_form(rows, modulus)
+    kernel = oracle.howell_kernel(rows, ncols, modulus)
+    assert howell_form(rows, modulus) == form
+    assert howell_kernel(rows, ncols, modulus) == kernel
+    # the sparse entry points, handed the nonzeros (entries outside
+    # [0, modulus) and multiples of it included) as (column, value) pairs
+    pairs = [row.items() for row in _nonzeros(rows)]
+    assert sparse_howell_form(pairs, modulus) == _nonzeros(form)
+    assert sparse_howell_kernel(pairs, ncols, modulus) == _nonzeros(kernel)
 
 
 def test_kernel_pre_reduction_bounds_the_augmented_width(monkeypatch):
-    # Count work, not time: on the Z4, N = 3 classification every matrix that
-    # howell_kernel hands to howell_form is at most rank + ncols wide.
-    systems, widths = [], []
-    real_form = groups.howell_form
+    # Count work, not time: on the Z4, N = 3 classification the kernel is
+    # handed the equations' 503 nonzeros, not a 122 x 36 matrix, and makes two
+    # eliminations, each at most rank + ncols columns wide.
+    systems, eliminations = [], []
+    real_form, real_kernel = groups.sparse_howell_form, groups.sparse_howell_kernel
 
     def counting_form(rows, modulus):
-        widths.extend(len(row) for row in rows[:1])
+        rows = [list(row) for row in rows]
+        eliminations.append(rows)
         return real_form(rows, modulus)
 
     def recording_kernel(rows, ncols, modulus):
         systems.append((rows, ncols, modulus))
-        return groups.howell_kernel(rows, ncols, modulus)
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "sparse_howell_form", counting_form)
+            return real_kernel(rows, ncols, modulus)
 
-    # cocycles holds its own binding of howell_form, so only groups' calls count
-    monkeypatch.setattr(groups, "howell_form", counting_form)
-    monkeypatch.setattr(cocycles, "howell_kernel", recording_kernel)
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel", recording_kernel)
     cocycles.classify_h3ab(parse_group("Z4"), 3)
 
     ((rows, ncols, modulus),) = systems
+    assert (len(rows), ncols, sum(map(len, rows))) == (122, 36, 503)
     rank = len(real_form(rows, modulus))
     assert len(rows) > rank  # without the pre-reduction the bound would fail
-    assert len(widths) == 2 and max(widths) <= rank + ncols
+    assert len(eliminations) == 2
+    assert eliminations[0] == [list(row) for row in rows]
+    widths = [1 + max(col for col, _ in row) for matrix in eliminations for row in matrix]
+    assert max(widths) <= rank + ncols
