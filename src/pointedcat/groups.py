@@ -335,7 +335,7 @@ def sparse_howell_form(rows, modulus: int) -> list[dict[int, int]]:
     """Howell form of the row span of ``rows`` over Z/modulus, on sparse rows.
 
     Each row is given as (column, value) pairs with distinct columns, and the
-    modulus is at least 1 (the dense entry points check both); each row of
+    modulus is at least 1 (the dense entry points ensure both); each row of
     the form is a dict from column to nonzero residue.  Rows come in
     echelon order, each pivot divides the modulus and every entry above a
     pivot is reduced below it, so equal spans give equal forms.  Howell

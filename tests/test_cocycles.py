@@ -13,7 +13,12 @@ from pointedcat.errors import (
     NotRealizable,
     OrderTooLarge,
 )
-from pointedcat.groups import full_subgroup, parse_group, subgroup_generated
+from pointedcat.groups import (
+    full_subgroup,
+    parse_group,
+    sparse_howell_kernel,
+    subgroup_generated,
+)
 from pointedcat.cocycles import (
     QuadraticForm,
     apply_coboundary,
@@ -271,6 +276,32 @@ def test_classify_rejects_a_coboundary_that_violates_an_equation(monkeypatch):
     monkeypatch.setattr(cocycles, "addition_table", lambda group: tuple(table))
     with pytest.raises(ConventionError, match="violates the pentagon or hexagons"):
         classify_h3ab(Z4, 2)
+
+
+@pytest.mark.parametrize("literal, value_order", [("Z4", 3), ("Z2xZ2", 4)])
+def test_coboundary_check_reads_every_equation(monkeypatch, literal, value_order):
+    # the column -> equations index against A g mod n summed over every
+    # equation, in either order: a one-entry vector violates just the
+    # equations that hold its column, a cocycle violates none, and a cocycle
+    # plus one entry puts its violations after the cocycle's equations
+    seen = []
+    real = cocycles._check_coboundaries
+    monkeypatch.setattr(cocycles, "_check_coboundaries", lambda *args: seen.append(args))
+    classify_h3ab(parse_group(literal), value_order)
+    ((_, equations, _, n),) = seen
+    width = 1 + max(i for eq in equations for i, _ in eq)
+    vectors = [{i: x} for i in range(width) for x in range(1, n)]
+    kernel = sparse_howell_kernel(equations, width, n)
+    vectors += kernel
+    vectors += [{**z, i: (z.get(i, 0) + 1) % n} for z in kernel[:3] for i in range(width)]
+    for vec in vectors:
+        violated = any(sum(k * vec.get(i, 0) for i, k in eq) % n for eq in equations)
+        for order in (equations, equations[::-1]):
+            if violated:
+                with pytest.raises(ConventionError, match="violates the pentagon"):
+                    real([vec], order, [], n)
+            else:
+                real([vec], order, [], n)
 
 
 def test_classify_rejects_a_coboundary_that_moves_the_trace(monkeypatch):
