@@ -40,6 +40,7 @@ from .groups import (
     Subgroup,
     addition_table,
     dense_rows,
+    element_tables,
     howell_reduce,
     howell_size,
     sparse_howell_form,
@@ -401,11 +402,10 @@ class QuadraticForm(Value):
         if not self.values[0].is_one:
             raise InvalidQuadraticForm("q(0) must be 1")
         conductor, q = _exponents(self.values)
-        elems = g.elements()
-        idx = g.element_index
-        for i, x in enumerate(elems):
-            if q[i] != q[idx(g.neg(x))]:
-                raise InvalidQuadraticForm(f"q(-g) != q(g) at g = {x}")
+        elems, _, negation = element_tables(g.factors)
+        for i, j in enumerate(negation):
+            if q[i] != q[j]:
+                raise InvalidQuadraticForm(f"q(-g) != q(g) at g = {elems[i]}")
         add = addition_table(g)
         sigma = [
             [(q[xy] - q[i] - qy) % conductor for xy, qy in zip(add[i * n:(i + 1) * n], q)]
@@ -414,7 +414,7 @@ class QuadraticForm(Value):
         # bimultiplicativity in one slot (the other follows by symmetry of sigma);
         # stepping by basis vectors is equivalent to the full check by induction
         for e in _basis(g):
-            ie = idx(e)
+            ie = g.element_index(e)
             for i, x in enumerate(elems):
                 rows = zip(elems, sigma[add[i * n + ie]], sigma[i], sigma[ie])
                 for y, xe_y, x_y, e_y in rows:
@@ -643,7 +643,7 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
 
     g = c.group
     n, add, conductor = g.order, c._add, c.conductor
-    domain = [g.element_index(x) for x in sub.elements]
+    domain = sub.indices
     if c._results.get("cocycle_failure", "unscanned") is None and any(
         c._diagonal[i] * g.element_order(x) % conductor for i, x in zip(domain, sub.elements)
     ):

@@ -69,7 +69,7 @@ class AbelianGroup(Value):
         return (0,) * len(self.factors)
 
     def elements(self) -> list[Element]:
-        return list(itertools.product(*(range(n) for n in self.factors)))
+        return list(element_tables(self.factors)[0])
 
     def _check(self, g: Element) -> None:
         if len(g) != len(self.factors):
@@ -87,20 +87,20 @@ class AbelianGroup(Value):
         return tuple((a + b) % n for a, b, n in zip(g, h, self.factors))
 
     def neg(self, g: Element) -> Element:
-        self._check(g)
-        return tuple((-a) % n for a, n in zip(g, self.factors))
+        elems, _, negation = element_tables(self.factors)
+        return elems[negation[self.element_index(self.reduce(g))]]
 
     def scalar_mul(self, k: int, g: Element) -> Element:
         self._check(g)
         return tuple((k * a) % n for a, n in zip(g, self.factors))
 
     def element_index(self, g: Element) -> int:
-        """Position of g in elements() order (mixed-radix value of the coords)."""
-        self._check(g)
-        idx = 0
-        for c, n in zip(g, self.factors):
-            idx = idx * n + c
-        return idx
+        """Position of g in elements() order; g must be reduced."""
+        i = element_tables(self.factors)[1].get(g)
+        if i is None:
+            self._check(g)
+            raise ShapeMismatch(f"{g} is not a reduced element of {self}")
+        return i
 
     def element_order(self, g: Element) -> int:
         self._check(g)
@@ -149,39 +149,55 @@ def addition_table(group: AbelianGroup) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def element_tables(factors: tuple[int, ...]) -> tuple[tuple[Element, ...], dict, tuple[int, ...]]:
+    """The elements of the group on ``factors`` in elements() order, the map
+    from each to its index, and the index of each element's negative, built
+    digit by digit like ``addition_table``."""
+    elems = tuple(itertools.product(*(range(n) for n in factors)))
+    negation = [0]
+    for m in factors:
+        negation = [t * m + (-d) % m for t in negation for d in range(m)]
+    return elems, {g: i for i, g in enumerate(elems)}, tuple(negation)
+
+
 # ----------------------------------------------------------------------
 # Subgroups.
 # ----------------------------------------------------------------------
 
 class Subgroup(Value):
-    """Subgroup given extensionally; elements sorted, closure validated."""
+    """Subgroup given extensionally; elements sorted, closure validated.  The
+    element indices and the hash are kept from construction."""
 
     _fields = ("parent", "elements", "generators")
-    __slots__ = _fields + ("_elemset",)
+    __slots__ = _fields + ("indices", "_members", "_hash")
 
     def __init__(self, parent: AbelianGroup, elements: tuple[Element, ...],
                  generators: tuple[Element, ...]):
         setfield(self, "parent", parent)
         setfield(self, "elements", elements)
         setfield(self, "generators", generators)
-        if list(elements) != sorted(set(elements)):
+        if not all(g < h for g, h in zip(elements, elements[1:])):
             raise NotSubgroup("subgroup element list must be sorted and deduplicated")
-        elemset = frozenset(elements)
-        if parent.zero not in elemset:
+        if parent.zero not in elements:
             raise NotSubgroup("subgroup must contain the identity")
-        every, table, n = parent.elements(), addition_table(parent), parent.order
-        index = [parent.element_index(parent.reduce(g)) for g in elements]
-        # sums are reduced, so an unreduced tuple is never a member
-        members = {i for g, i in zip(elements, index) if every[i] == g}
+        _, index_of, negation = element_tables(parent.factors)
+        table, n = addition_table(parent), parent.order
+        # an unreduced tuple is checked at its reduction, but sums are reduced,
+        # so it is never a member
+        index = [index_of[g] if g in index_of else index_of[parent.reduce(g)] for g in elements]
+        members = frozenset(index_of[g] for g in elements if g in index_of)
         for g, i in zip(elements, index):
-            if parent.neg(g) not in elemset:
+            if negation[i] not in members:
                 raise NotSubgroup(f"subgroup not closed under negation at {g}")
             for h, j in zip(elements, index):
                 if table[i * n + j] not in members:
                     raise NotSubgroup(f"subgroup not closed under addition at {g}+{h}")
         if parent.order % len(elements) != 0:
             raise NotSubgroup("subgroup order does not divide the group order")
-        setfield(self, "_elemset", elemset)
+        setfield(self, "indices", tuple(index))
+        setfield(self, "_members", members)
+        setfield(self, "_hash", hash((parent, elements, generators)))
 
     def __eq__(self, other):
         if other.__class__ is not Subgroup:
@@ -191,7 +207,7 @@ class Subgroup(Value):
         )
 
     def __hash__(self) -> int:
-        return hash((self.parent, self.elements, self.generators))
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -202,7 +218,7 @@ class Subgroup(Value):
         return math.lcm(*(self.parent.element_order(g) for g in self.elements))
 
     def contains(self, g: Element) -> bool:
-        return g in self._elemset
+        return element_tables(self.parent.factors)[1].get(g) in self._members
 
 
 def _span(group: AbelianGroup, members: frozenset, g: int) -> frozenset:
@@ -287,7 +303,7 @@ def all_subgroups(group: AbelianGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER)
 def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> list[Subgroup]:
     if sub.parent.order > max_order:
         raise GroupTooLarge(f"|G| = {sub.parent.order} exceeds the bound {max_order}")
-    return _subgroups_over(sub.parent, list(map(sub.parent.element_index, sub.elements)))
+    return _subgroups_over(sub.parent, sub.indices)
 
 
 # ----------------------------------------------------------------------
@@ -434,14 +450,25 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
     return dense_rows(sparse_howell_form(map(enumerate, rows), modulus), width)
 
 
+def _pivots(form, modulus: int) -> list[int]:
+    """The pivot column of each row of ``form``, after checking that each row
+    has one and that it is a positive divisor of the modulus."""
+    cols = [_lead(row) for row in form]
+    for row, col in zip(form, cols):
+        if col == len(row) or row[col] < 0 or modulus % row[col]:
+            raise ValidationError(
+                f"form row {row} has no pivot dividing {modulus}: not a Howell form"
+            )
+    return cols
+
+
 def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
     """Lexicographically least member of vec + span(form), for a Howell form."""
     width = _width(form, modulus)
     vec = [x % modulus for x in vec]
     if width not in (None, len(vec)):
         raise ShapeMismatch(f"vector of width {len(vec)} for a form of width {width}")
-    for row in form:
-        col = _lead(row)
+    for row, col in zip(form, _pivots(form, modulus)):
         k = vec[col] // row[col]
         if k:
             vec = [(x - k * y) % modulus for x, y in zip(vec, row)]
@@ -451,7 +478,7 @@ def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
 def howell_size(form: list[list[int]], modulus: int) -> int:
     """Number of members of the span of a Howell form."""
     _width(form, modulus)
-    return math.prod(modulus // row[_lead(row)] for row in form)
+    return math.prod(modulus // row[col] for row, col in zip(form, _pivots(form, modulus)))
 
 
 def howell_kernel(rows: list, ncols: int, modulus: int) -> list[list[int]]:
@@ -543,7 +570,7 @@ def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
     if sub.parent != group:
         raise NotSubgroup("subgroup belongs to a different group")
     elems, every = group.elements(), range(group.order)
-    below = frozenset(group.element_index(group.reduce(h)) for h in sub.elements)
+    below = frozenset(sub.indices)
     rep_of = _cosets(group, every, below)
     reps = sorted(set(rep_of.values()))
     factors = tuple(m for _, m in _decompose(group, every, below)) or (1,)
@@ -593,7 +620,7 @@ def cyclic_presentation(sub: Subgroup) -> Presentation:
         return Presentation(parent, basis, ident, ident)
 
     elems, table, n = parent.elements(), addition_table(parent), parent.order
-    members = frozenset(map(parent.element_index, sub.elements))
+    members = frozenset(sub.indices)
     pairs = _decompose(parent, members, frozenset({0})) or [(0, 1)]
     group = AbelianGroup(tuple(m for _, m in pairs))
     # element index of sum_i c_i gens_i, for coords c in group.elements() order
@@ -619,7 +646,7 @@ class Character(Value):
     def __init__(self, parent: AbelianGroup, coords: Element):
         setfield(self, "parent", parent)
         setfield(self, "coords", coords)
-        parent._check(coords)
+        parent.element_index(coords)  # ShapeMismatch unless coords is an element
 
     def eval(self, g: Element) -> RootOfUnity:
         self.parent._check(g)

@@ -187,7 +187,7 @@ def smatrix_rank(category: PointedBFC) -> int:
     """
     q, n = category.form, category.group.order
     center = mueger_center(category)
-    transparent = {category.group.element_index(g) for g in center.elements}
+    transparent = set(center.indices)
     for d in range(n):
         row_sum = root_sum(q.sigma_exp[d * n:(d + 1) * n], q.conductor)
         if row_sum != ([n] if d in transparent else []):
@@ -255,9 +255,8 @@ def isotropic_subgroups(
         lambda members, g: all(q[table[g * n + h]].is_one for h in members),
     )
     for sub in subs:
-        index = [group.element_index(g) for g in sub.elements]
-        for g, i in zip(sub.elements, index):
-            for h, j in zip(sub.elements, index):
+        for g, i in zip(sub.elements, sub.indices):
+            for h, j in zip(sub.elements, sub.indices):
                 if sigma[i * n + j]:
                     raise InternalInconsistency(
                         f"isotropic subgroup with nontrivial pairing at ({g},{h})"

@@ -10,8 +10,14 @@ from pointedcat.errors import (
 )
 from pointedcat import groups
 from subgroup_oracle import smith_diagonal
+from pointedcat.battery import _abelian_groups_of_order
+from pointedcat.cocycles import QuadraticForm
+from pointedcat.cyclotomic import ONE
 from pointedcat.groups import (
     AbelianGroup,
+    Character,
+    Subgroup,
+    addition_table,
     all_subgroups,
     character_table,
     characters,
@@ -56,6 +62,59 @@ def test_arithmetic():
         g.add((1, 0), (1,))
 
 
+def test_element_index_rejects_unreduced_coordinates():
+    """(0, 2) is not (1, 0) in Z2xZ2, and (7,) lies past the end of Z4."""
+    g22, z4 = parse_group("Z2xZ2"), parse_group("Z4")
+    with pytest.raises(ShapeMismatch, match=r"^\(0, 2\) is not a reduced element of Z2xZ2$"):
+        g22.element_index((0, 2))
+    with pytest.raises(ShapeMismatch, match=r"^\(7,\) is not a reduced element of Z4$"):
+        z4.element_index((7,))
+    with pytest.raises(ShapeMismatch, match="has 1 coordinates, group has 2"):
+        g22.element_index((0,))
+    minus = root_of_unity(2, 1)
+    form = QuadraticForm(g22, (ONE, ONE, minus, minus))  # q(1, 0) = -1
+    assert form.q((1, 0)) == minus and form.q((0, 0)) == ONE
+    with pytest.raises(ShapeMismatch):
+        form.q((0, 2))
+    with pytest.raises(ShapeMismatch):
+        Character(z4, (5,))
+
+
+TABLE_GROUPS = [g for n in range(1, 33) for g in _abelian_groups_of_order(n)]
+
+
+@pytest.mark.parametrize("group", TABLE_GROUPS + [AbelianGroup((16, 16))], ids=str)
+def test_element_tables_match_tuple_arithmetic(group):
+    elems, index_of, negation = groups.element_tables(group.factors)
+    factors, n, table = group.factors, group.order, addition_table(group)
+    assert list(elems) == list(itertools.product(*(range(m) for m in factors)))
+    assert group.elements() == list(elems) and len(index_of) == n
+    for i, g in enumerate(elems):
+        assert group.element_index(g) == i == index_of[g]
+        assert elems[negation[i]] == tuple((-c) % m for c, m in zip(g, factors))
+        assert group.neg(g) == elems[negation[i]]
+        assert table[i * n + negation[i]] == 0
+    rng = random.Random(f"tables {group}")
+    pairs = itertools.product(range(n), repeat=2) if n <= 32 else (
+        (rng.randrange(n), rng.randrange(n)) for _ in range(2000)
+    )
+    for i, j in pairs:
+        assert group.element_index(group.add(elems[i], elems[j])) == table[i * n + j]
+
+
+def test_elements_returns_a_fresh_list():
+    group = parse_group("Z2xZ3")
+    product = list(itertools.product(range(2), range(3)))
+    first = group.elements()
+    first[0] = (9, 9)
+    first.reverse()
+    first.append((1, 1))
+    assert group.elements() == product
+    assert [group.element_index(g) for g in product] == list(range(6))
+    with pytest.raises(ShapeMismatch):
+        group.element_index((9, 9))
+
+
 def test_subgroup_generated():
     g = parse_group("Z4")
     assert subgroup_generated(g, [(2,)]).elements == ((0,), (2,))
@@ -71,6 +130,51 @@ def test_subgroup_validation():
         from pointedcat.groups import Subgroup
         Subgroup(g, ((0,), (1,)), ((1,),))
 
+
+
+# The outcome of each corruption on Z2xZ4, as the tuple validation gave it.
+SUBGROUP_CORRUPTIONS = {
+    "addition": (((0, 0), (0, 1), (0, 3)),
+                 NotSubgroup, "subgroup not closed under addition at (0, 1)+(0, 1)"),
+    "negation": (((0, 0), (0, 1)), NotSubgroup, "subgroup not closed under negation at (0, 1)"),
+    "identity": (((0, 2), (1, 0), (1, 2)), NotSubgroup, "subgroup must contain the identity"),
+    "unsorted": (((0, 0), (1, 0), (0, 2), (1, 2)),
+                 NotSubgroup, "subgroup element list must be sorted and deduplicated"),
+    "duplicated": (((0, 0), (0, 2), (0, 2), (1, 0), (1, 2)),
+                   NotSubgroup, "subgroup element list must be sorted and deduplicated"),
+    "unreduced": (((0, 0), (0, 6), (1, 0), (1, 2)),
+                  NotSubgroup, "subgroup not closed under addition at (0, 0)+(0, 6)"),
+    "unreduced-order": (((0, 0), (0, 2), (0, 4)),
+                        NotSubgroup, "subgroup order does not divide the group order"),
+    "wrong-length": (((0, 0), (0, 2), (0, 2, 0), (1, 0), (1, 2)),
+                     ShapeMismatch, "element (0, 2, 0) has 3 coordinates, group has 2"),
+    "wrong-length-no-identity": (((0, 0, 0), (0, 2)),
+                                 NotSubgroup, "subgroup must contain the identity"),
+}
+
+
+@pytest.mark.parametrize("name", SUBGROUP_CORRUPTIONS)
+def test_subgroup_validation_classes_and_messages(name):
+    elems, cls, message = SUBGROUP_CORRUPTIONS[name]
+    with pytest.raises(cls) as info:
+        Subgroup(parse_group("Z2xZ4"), elems, ())
+    assert info.type is cls and str(info.value) == message
+
+
+def test_subgroup_keeps_indices_and_hash():
+    group = parse_group("Z2xZ4")
+    for sub in all_subgroups(group):
+        assert sub.indices == tuple(map(group.element_index, sub.elements))
+        assert hash(sub) == hash((sub.parent, sub.elements, sub.generators))
+        copy = Subgroup(group, sub.elements, sub.generators)
+        assert copy == sub and hash(copy) == hash(sub)
+        assert all(sub.contains(g) for g in sub.elements)
+        assert sum(map(sub.contains, group.elements())) == sub.order
+        assert not sub.contains((0, 4))
+        pres = cyclic_presentation(sub)
+        hits = cyclic_presentation.cache_info().hits
+        assert cyclic_presentation(copy) is pres
+        assert cyclic_presentation.cache_info().hits == hits + 1
 
 # -- all_subgroups against a brute-force oracle -------------------------
 
@@ -275,6 +379,19 @@ def test_howell_rejects_a_modulus_below_one(monkeypatch, function, args, modulus
     with pytest.raises(ValidationError, match="modulus must be at least 1"):
         function(*args, modulus)
 
+
+
+@pytest.mark.parametrize("function, args", [
+    (howell_reduce, ([1, 0], [[0, 0]], 4)),  # a zero row
+    (howell_size, ([[0, 0]], 4)),
+    (howell_reduce, ([1, 0], [[1, 0], [0, 0]], 4)),
+    (howell_size, ([[3, 0]], 4)),  # a pivot that does not divide 4
+    (howell_reduce, ([1, 0], [[3, 0]], 4)),
+    (howell_size, ([[2, 1], [0, -2]], 4)),  # a negative pivot
+])
+def test_howell_rejects_a_form_that_is_not_howell(function, args):
+    with pytest.raises(ValidationError, match="not a Howell form"):
+        function(*args)
 
 # -- characters ----------------------------------------------------------
 
