@@ -741,58 +741,64 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     nonzero = range(1, size)  # element indices; 0 is the identity
     triples = list(itertools.product(nonzero, repeat=3))
     pairs = list(itertools.product(nonzero, repeat=2))
-    column = {key: i for i, key in enumerate(triples + pairs)}
-    width = len(column)
-
-    def add(x: int, y: int) -> int:
-        return table[x * size + y]
+    width = len(triples) + len(pairs)
+    add = [table[x * size:(x + 1) * size] for x in range(size)]
+    # the column of psi(a, b, c) is psi_at[a][b][c] and that of omega(a, b) is
+    # omega_at[a][b]; None where an argument is 0 and normalization fixes the value
+    psi_at = [[[None] * size for _ in range(size)] for _ in range(size)]
+    omega_at = [[None] * size for _ in range(size)]
+    for i, (a, b, c) in enumerate(triples):
+        psi_at[a][b][c] = i
+    for i, (a, b) in enumerate(pairs, len(triples)):
+        omega_at[a][b] = i
 
     def sparse(*terms) -> tuple[tuple[int, int], ...]:
-        """(column, coeff) pairs of sum(coeff * x[key]); normalization drops keys with a zero."""
+        """(column, coeff) pairs of sum(coeff * x[column]), columns of None dropped."""
         vec: dict[int, int] = {}
-        for coeff, key in terms:
-            if key in column:
-                vec[column[key]] = vec.get(column[key], 0) + coeff
+        for coeff, i in terms:
+            if i is not None:
+                vec[i] = vec.get(i, 0) + coeff
         return tuple(sorted((i, k % n) for i, k in vec.items() if k % n))
 
     # identities with a zero argument hold for every normalized pair
     equations = set()
     for a, b, c, d in itertools.product(nonzero, repeat=4):
         equations.add(sparse(
-            (1, (b, c, d)), (1, (a, add(b, c), d)), (1, (a, b, c)),
-            (-1, (add(a, b), c, d)), (-1, (a, b, add(c, d))),
+            (1, psi_at[b][c][d]), (1, psi_at[a][add[b][c]][d]), (1, psi_at[a][b][c]),
+            (-1, psi_at[add[a][b]][c][d]), (-1, psi_at[a][b][add[c][d]]),
         ))
     for a, b, c in triples:
         equations.add(sparse(  # H1
-            (1, (a, add(b, c))), (-1, (a, b)), (-1, (a, c)),
-            (1, (a, b, c)), (-1, (b, a, c)), (1, (b, c, a)),
+            (1, omega_at[a][add[b][c]]), (-1, omega_at[a][b]), (-1, omega_at[a][c]),
+            (1, psi_at[a][b][c]), (-1, psi_at[b][a][c]), (1, psi_at[b][c][a]),
         ))
         equations.add(sparse(  # H2
-            (1, (add(a, b), c)), (-1, (a, c)), (-1, (b, c)),
-            (-1, (a, b, c)), (1, (a, c, b)), (-1, (c, a, b)),
+            (1, omega_at[add[a][b]][c]), (-1, omega_at[a][c]), (-1, omega_at[b][c]),
+            (-1, psi_at[a][b][c]), (1, psi_at[a][c][b]), (-1, psi_at[c][a][b]),
         ))
     equations.discard(())
     equations = sorted(equations)
     cocycles = dense_rows(sparse_howell_kernel(equations, width, n), width)
 
-    # delta of the elementary cochain phi = [(x, y) == pair], for every pair at once
-    deltas: dict[tuple[int, int], dict[int, int]] = {pair: {} for pair in pairs}
+    # delta of the elementary cochain phi = [(x, y) == pair], for every pair at
+    # once, keyed by the pair's omega column
+    deltas: dict[int, dict[int, int]] = {omega_at[a][b]: {} for a, b in pairs}
 
     def bump(pair, i: int, coeff: int) -> None:
-        if pair in deltas:
+        if pair is not None:
             delta = deltas[pair]
             delta[i] = delta.get(i, 0) + coeff
 
     for i, (a, b, c) in enumerate(triples):
-        bump((b, c), i, 1)
-        bump((a, add(b, c)), i, 1)
-        bump((add(a, b), c), i, -1)
-        bump((a, b), i, -1)
-    for a, b in pairs:
-        bump((b, a), column[a, b], 1)
-        bump((a, b), column[a, b], -1)
-    generators = [{i: k % n for i, k in deltas[pair].items() if k % n} for pair in pairs]
-    _check_coboundaries(generators, equations, [column[x, x] for x in nonzero], n)
+        bump(omega_at[b][c], i, 1)
+        bump(omega_at[a][add[b][c]], i, 1)
+        bump(omega_at[add[a][b]][c], i, -1)
+        bump(omega_at[a][b], i, -1)
+    for i, (a, b) in enumerate(pairs, len(triples)):
+        bump(omega_at[b][a], i, 1)
+        bump(omega_at[a][b], i, -1)
+    generators = [{i: k % n for i, k in delta.items() if k % n} for delta in deltas.values()]
+    _check_coboundaries(generators, equations, [omega_at[x][x] for x in nonzero], n)
     coboundaries = dense_rows(sparse_howell_form((gen.items() for gen in generators), n), width)
 
     def reduce(vec) -> tuple[int, ...]:

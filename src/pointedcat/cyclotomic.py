@@ -588,6 +588,7 @@ class CycloMatrix(Value):
 # Reduction modulo primes p = 1 (mod N), for certified ranks.
 # ----------------------------------------------------------------------
 
+_RANK_PRIMES = 3  # primes tried before the exact elimination decides
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -615,23 +616,24 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _rank_primes(n: int) -> tuple[tuple[int, int], ...]:
-    """The three least primes p > 2^31 with p = 1 (mod n), each paired with
-    an element w of exact multiplicative order n mod p."""
-    prime_factors = [q for q in divisors(n) if q > 1 and _is_prime(q)]
-    out = []
-    p = (2**31 // n + 1) * n + 1
-    while len(out) < 3:
-        if _is_prime(p):
-            g = 2
-            while True:
-                w = pow(g, (p - 1) // n, p)
-                if all(pow(w, n // q, p) != 1 for q in prime_factors):
-                    break
-                g += 1
-            out.append((p, w))
+def _rank_prime(n: int, i: int) -> tuple[int, int]:
+    """The i-th least prime p > 2^31 with p = 1 (mod n), counting from 0,
+    paired with an element w of exact multiplicative order n mod p."""
+    p = (_rank_prime(n, i - 1)[0] if i else 2**31 // n * n + 1) + n
+    while not _is_prime(p):
         p += n
-    return tuple(out)
+    prime_factors = [q for q in divisors(n) if q > 1 and _is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in prime_factors):
+            return p, w
+        g += 1
+
+
+def _rank_primes(n: int) -> tuple[tuple[int, int], ...]:
+    """The primes ``_prime_rank`` may try for conductor n, in order."""
+    return tuple(_rank_prime(n, i) for i in range(_RANK_PRIMES))
 
 
 def _prime_rank(cells, width: int, zero, n: int, residues) -> int | None:
@@ -656,7 +658,9 @@ def _prime_rank(cells, width: int, zero, n: int, residues) -> int | None:
     upper = min(len(distinct_rows), len(distinct_cols))
     if upper == 0:
         return 0
-    for p, w in _rank_primes(n):
+    for i in range(_RANK_PRIMES):
+        # a prime is found only when the ones before it fail to certify
+        p, w = _rank_prime(n, i)
         images = residues(p, w)
         if images is None:
             continue

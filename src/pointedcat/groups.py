@@ -35,14 +35,17 @@ DEFAULT_MAX_GROUP_ORDER = 256
 
 
 class AbelianGroup(Value):
-    """Direct product of cyclic groups Z/n_1 x ... x Z/n_r; trivial is (1,)."""
+    """Direct product of cyclic groups Z/n_1 x ... x Z/n_r; trivial is (1,).
+    The order is kept from construction."""
 
-    __slots__ = _fields = ("factors",)
+    _fields = ("factors",)
+    __slots__ = _fields + ("order",)
 
     def __init__(self, factors: tuple[int, ...]):
         setfield(self, "factors", factors)
         if not factors or any(n < 1 for n in factors):
             raise ParseError(f"invalid cyclic factors {factors}")
+        setfield(self, "order", math.prod(factors))
 
     def __eq__(self, other):
         if other.__class__ is not AbelianGroup:
@@ -51,10 +54,6 @@ class AbelianGroup(Value):
 
     def __hash__(self) -> int:
         return hash((self.factors,))
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.factors)
 
     @property
     def exponent(self) -> int:
@@ -182,11 +181,15 @@ class Subgroup(Value):
         if parent.zero not in elements:
             raise NotSubgroup("subgroup must contain the identity")
         _, index_of, negation = element_tables(parent.factors)
+        for g in elements:
+            if g not in index_of:
+                parent._check(g)
+                raise NotSubgroup(
+                    f"subgroup element {g} is not a reduced element of {parent}"
+                )
         table, n = addition_table(parent), parent.order
-        # an unreduced tuple is checked at its reduction, but sums are reduced,
-        # so it is never a member
-        index = [index_of[g] if g in index_of else index_of[parent.reduce(g)] for g in elements]
-        members = frozenset(index_of[g] for g in elements if g in index_of)
+        index = [index_of[g] for g in elements]
+        members = frozenset(index)
         for g, i in zip(elements, index):
             if negation[i] not in members:
                 raise NotSubgroup(f"subgroup not closed under negation at {g}")
@@ -309,8 +312,10 @@ def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> lis
 # ----------------------------------------------------------------------
 # Howell form over Z/N (Storjohann and Mulders, ESA 1998).  The engine holds
 # each row as a dict from column to nonzero residue, so a row operation costs
-# the nonzeros of the rows it combines, not the width.  The dense entry points
-# check shapes and modulus before any elimination and convert at the edges.
+# the nonzeros of the rows it combines, not the width.  A kernel is one
+# elimination of [rows^T | I], its rows^T columns sparsest first.  The dense
+# entry points check shapes and modulus before any elimination and convert at
+# the edges.
 # ----------------------------------------------------------------------
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -401,12 +406,14 @@ def sparse_howell_kernel(rows, ncols: int, modulus: int) -> list[dict[int, int]]
     """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row},
     rows given and returned as in ``sparse_howell_form``, columns below ncols.
 
-    The kernel depends only on the span of the rows, so they are first brought
-    to their Howell form, at most ncols of them.  The Howell form of
-    [rows^T | I] spans the pairs (x rows^T, x); by the Howell property, its
-    rows with pivot past the rows^T block span the kernel.
+    One elimination: the Howell form of [rows^T | I] spans the pairs
+    (x rows^T, x), and by the Howell property its rows with pivot past the
+    rows^T block span the kernel.  That block's columns are the nonzero rows,
+    sparsest first; the kernel does not depend on their order and the form
+    is canonical, so the order changes only the work.
     """
-    rows = sparse_howell_form(rows, modulus)
+    n = modulus
+    rows = sorted(filter(None, ({c: v % n for c, v in row if v % n} for row in rows)), key=len)
     split = len(rows)
     # modulo 1 the identity block is 0 too, and the engine drops it
     augmented = [{split + j: 1} for j in range(ncols)]

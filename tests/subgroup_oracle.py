@@ -98,6 +98,9 @@ def subgroup_failure(parent: AbelianGroup, elems) -> str | None:
     if parent.zero not in elemset:
         return "subgroup must contain the identity"
     for g in elems:
+        if parent.reduce(g) != g:
+            return f"subgroup element {g} is not a reduced element of {parent}"
+    for g in elems:
         if parent.neg(g) not in elemset:
             return f"subgroup not closed under negation at {g}"
         for h in elems:

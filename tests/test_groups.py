@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -142,10 +143,11 @@ SUBGROUP_CORRUPTIONS = {
                  NotSubgroup, "subgroup element list must be sorted and deduplicated"),
     "duplicated": (((0, 0), (0, 2), (0, 2), (1, 0), (1, 2)),
                    NotSubgroup, "subgroup element list must be sorted and deduplicated"),
+    # unreduced tuples are refused before the closure and order checks
     "unreduced": (((0, 0), (0, 6), (1, 0), (1, 2)),
-                  NotSubgroup, "subgroup not closed under addition at (0, 0)+(0, 6)"),
+                  NotSubgroup, "subgroup element (0, 6) is not a reduced element of Z2xZ4"),
     "unreduced-order": (((0, 0), (0, 2), (0, 4)),
-                        NotSubgroup, "subgroup order does not divide the group order"),
+                        NotSubgroup, "subgroup element (0, 4) is not a reduced element of Z2xZ4"),
     "wrong-length": (((0, 0), (0, 2), (0, 2, 0), (1, 0), (1, 2)),
                      ShapeMismatch, "element (0, 2, 0) has 3 coordinates, group has 2"),
     "wrong-length-no-identity": (((0, 0, 0), (0, 2)),
@@ -159,6 +161,22 @@ def test_subgroup_validation_classes_and_messages(name):
     with pytest.raises(cls) as info:
         Subgroup(parse_group("Z2xZ4"), elems, ())
     assert info.type is cls and str(info.value) == message
+
+
+def test_order_is_kept_from_construction():
+    group = parse_group("Z4xZ2xZ3")
+    assert group.order == 24 and repr(group) == "AbelianGroup(factors=(4, 2, 3))"
+    assert pickle.loads(pickle.dumps(group)).order == 24
+    with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
+        group.order = 1
+
+
+def test_unreduced_elements_are_bad_input_not_an_abort():
+    # their reductions {0, 2} are closed, and 4 divides |Z4|: once accepted as
+    # an order-4 subgroup, it made quotient raise InternalInconsistency
+    group = parse_group("Z4")
+    with pytest.raises(NotSubgroup, match=r"^subgroup element \(4,\) is not a reduced element of Z4$"):
+        Subgroup(group, ((0,), (2,), (4,), (6,)), ())
 
 
 def test_subgroup_keeps_indices_and_hash():

@@ -83,32 +83,80 @@ def test_howell_engine_matches_oracle(modulus, ncols, rows):
     assert sparse_howell_kernel(pairs, ncols, modulus) == _nonzeros(kernel)
 
 
-def test_kernel_pre_reduction_bounds_the_augmented_width(monkeypatch):
+def _classify_system(literal, value_order):
+    """The (rows, ncols, modulus) that classify_h3ab hands the kernel."""
+    systems = []
+    real_kernel = groups.sparse_howell_kernel
+
+    def recording_kernel(rows, ncols, modulus):
+        rows = [tuple(row) for row in rows]
+        systems.append((rows, ncols, modulus))
+        return real_kernel(rows, ncols, modulus)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cocycles, "sparse_howell_kernel", recording_kernel)
+        cocycles.classify_h3ab(parse_group(literal), value_order)
+    (system,) = systems
+    return system
+
+
+def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
     # Count work, not time: on the Z4, N = 3 classification the kernel is
-    # handed the equations' 503 nonzeros, not a 122 x 36 matrix, and makes two
-    # eliminations, each at most rank + ncols columns wide.
-    systems, eliminations = [], []
-    real_form, real_kernel = groups.sparse_howell_form, groups.sparse_howell_kernel
+    # handed the equations' 503 nonzeros, not a 122 x 36 matrix, and makes one
+    # elimination of the 36 rows of [rows^T | I].
+    rows, ncols, modulus = _classify_system("Z4", 3)
+    assert (len(rows), ncols, sum(map(len, rows))) == (122, 36, 503)
+    eliminations, ops = [], []
+    real_form, real_subtract, real_combine = (
+        groups.sparse_howell_form, groups._subtract, groups._combine
+    )
 
     def counting_form(rows, modulus):
         rows = [list(row) for row in rows]
         eliminations.append(rows)
         return real_form(rows, modulus)
 
-    def recording_kernel(rows, ncols, modulus):
-        systems.append((rows, ncols, modulus))
-        with monkeypatch.context() as patch:
-            patch.setattr(groups, "sparse_howell_form", counting_form)
-            return real_kernel(rows, ncols, modulus)
+    def counting_subtract(*args):
+        ops.append("subtract")
+        return real_subtract(*args)
 
-    monkeypatch.setattr(cocycles, "sparse_howell_kernel", recording_kernel)
-    cocycles.classify_h3ab(parse_group("Z4"), 3)
+    def counting_combine(*args):
+        ops.append("combine")
+        return real_combine(*args)
 
-    ((rows, ncols, modulus),) = systems
-    assert (len(rows), ncols, sum(map(len, rows))) == (122, 36, 503)
-    rank = len(real_form(rows, modulus))
-    assert len(rows) > rank  # without the pre-reduction the bound would fail
-    assert len(eliminations) == 2
-    assert eliminations[0] == [list(row) for row in rows]
-    widths = [1 + max(col for col, _ in row) for matrix in eliminations for row in matrix]
-    assert max(widths) <= rank + ncols
+    monkeypatch.setattr(groups, "sparse_howell_form", counting_form)
+    monkeypatch.setattr(groups, "_subtract", counting_subtract)
+    monkeypatch.setattr(groups, "_combine", counting_combine)
+    sparse_howell_kernel(rows, ncols, modulus)
+
+    (augmented,) = eliminations
+    assert len(augmented) == ncols
+    # the rows^T block holds one column per equation, sparsest first
+    counts = [0] * len(rows)
+    for row in augmented:
+        for col, _ in row:
+            if col < len(rows):
+                counts[col] += 1
+    assert counts == sorted(len(row) for row in rows)
+    # the two eliminations it replaced made 1,091 subtractions and 132 combines
+    assert len(ops) < 1091 + 132
+
+
+@pytest.mark.parametrize("value_order", range(1, 9))
+@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"])
+def test_kernel_of_classify_systems_matches_oracle_on_any_presentation(literal, value_order):
+    rows, ncols, modulus = _classify_system(literal, value_order)
+    expected = _nonzeros(oracle.howell_kernel(
+        [[dict(row).get(c, 0) for c in range(ncols)] for row in rows], ncols, modulus
+    ))
+    assert sparse_howell_kernel(rows, ncols, modulus) == expected
+    rng = random.Random(f"{literal} {value_order}")
+    shuffled = rng.sample(rows, len(rows))
+    duplicated = rows + rng.sample(rows, len(rows) // 3)
+    padded = rows[:]
+    for zero in ((), tuple((c, c % 2 * modulus) for c in range(min(3, ncols)))) * 3:
+        padded.insert(rng.randint(0, len(padded)), zero)
+    unreduced = [tuple((c, v + rng.choice((-2, -1, 1, 3)) * modulus) for c, v in row)
+                 for row in rows]
+    for variant in (shuffled, duplicated, padded, unreduced):
+        assert sparse_howell_kernel(variant, ncols, modulus) == expected

@@ -5,6 +5,7 @@ the result against an exact upper bound; exact Bareiss elimination
 (``CycloMatrix._eliminate``) is the oracle it must agree with everywhere.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from pointedcat.cyclotomic import (
     root_of_unity,
     _is_prime,
     _rank_mod_p,
+    _rank_prime,
     _rank_primes,
     _residues,
+    root_matrix_rank,
 )
 from pointedcat.groups import character_table, format_group
 from pointedcat.metric import smatrix1
@@ -81,6 +84,24 @@ def test_rank_primes_for_conductors_up_to_64():
             assert all(p % q for q in small), (n, p)
             assert pow(w, n, p) == 1
             assert all(pow(w, d, p) != 1 for d in range(1, n)), (n, p, w)
+
+
+def test_rank_primes_are_the_least_in_order():
+    for n in (1, 2, 3, 8, 12, 64):
+        candidates = range(2**31 // n * n + 1 + n, 2**32, n)
+        least = list(itertools.islice(filter(_is_prime, candidates), 3))
+        assert [p for p, _ in _rank_primes(n)] == least
+
+
+def test_rank_primes_are_found_on_demand(eliminations):
+    _rank_prime.cache_clear()
+    assert root_matrix_rank([0, 0, 0, 1], 2, 2) == 2  # [[1, 1], [1, -1]]
+    assert _rank_prime.cache_info().currsize == 1  # the first prime certified
+    # det = p0: singular mod the first prime, so the second one is found
+    p0 = _rank_prime(1, 0)[0]
+    assert _ints([[2, 1], [1, (p0 + 1) // 2]]).rank() == 2
+    assert _rank_prime.cache_info().currsize == 3  # (2, 0), (1, 0) and (1, 1)
+    assert not eliminations
 
 
 # -- agreement with the Bareiss oracle -----------------------------------

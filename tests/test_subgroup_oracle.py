@@ -140,12 +140,19 @@ def test_validation_messages_match_tuple_oracle(literal):
     for _ in range(60):
         subset = sorted(rng.sample(elems, rng.randint(1, len(elems))))
         cases += [subset, subset[::-1], subset + subset[-1:]]
-    # unreduced coordinates are never members: (4,) is not 0 in Z4
-    cases += [[(0,), (2,), (4,)], [(0,), (2,), (4,), (6,)], [(0,), (1,), (2,), (7,)]]
-    for case in cases:
+    # unreduced coordinates are refused before any closure check: (4,) is not 0 in Z4
+    unreduced = [[(0,), (2,), (4,)], [(0,), (2,), (4,), (6,)], [(0,), (1,), (2,), (7,)]]
+    for case in cases + unreduced:
         if len(case[0]) != group.rank:
             continue
         assert _message(group, case) == oracle.subgroup_failure(group, case), case
+    if group.rank == 1:
+        for case in unreduced:
+            bad = [g for g in case if g[0] >= group.order]
+            if bad:
+                assert _message(group, case) == (
+                    f"subgroup element {bad[0]} is not a reduced element of {group}"
+                )
     assert _message(group, elems[1:2]) == "subgroup must contain the identity"
 
 
