@@ -107,26 +107,22 @@ def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
     rows, ncols, modulus = _classify_system("Z4", 3)
     assert (len(rows), ncols, sum(map(len, rows))) == (122, 36, 503)
     eliminations, ops = [], []
-    real_form, real_subtract, real_combine = (
-        groups.sparse_howell_form, groups._subtract, groups._combine
-    )
+    real_form = groups.sparse_howell_form
 
     def counting_form(rows, modulus):
         rows = [list(row) for row in rows]
         eliminations.append(rows)
         return real_form(rows, modulus)
 
-    def counting_subtract(*args):
-        ops.append("subtract")
-        return real_subtract(*args)
-
-    def counting_combine(*args):
-        ops.append("combine")
-        return real_combine(*args)
+    def counted(row_op):
+        def wrapper(*args):
+            ops.append(row_op.__name__)
+            return row_op(*args)
+        return wrapper
 
     monkeypatch.setattr(groups, "sparse_howell_form", counting_form)
-    monkeypatch.setattr(groups, "_subtract", counting_subtract)
-    monkeypatch.setattr(groups, "_combine", counting_combine)
+    monkeypatch.setattr(groups, "_subtract", counted(groups._subtract))
+    monkeypatch.setattr(groups, "_combine", counted(groups._combine))
     sparse_howell_kernel(rows, ncols, modulus)
 
     (augmented,) = eliminations
