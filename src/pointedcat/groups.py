@@ -352,7 +352,7 @@ def _subtract(row: dict[int, int], k: int, y: dict[int, int], n: int) -> None:
             row.pop(c, None)  # k v may vanish mod n where row has no entry
 
 
-def sparse_howell_form(rows, modulus: int) -> list[dict[int, int]]:
+def sparse_howell_form(rows, modulus: int, start: int = 0) -> list[dict[int, int]]:
     """Howell form of the row span of ``rows`` over Z/modulus, on sparse rows.
 
     Each row is given as (column, value) pairs with distinct columns, and the
@@ -362,7 +362,9 @@ def sparse_howell_form(rows, modulus: int) -> list[dict[int, int]]:
     pivot is reduced below it, so equal spans give equal forms.  Howell
     property: for every column k, the rows with pivot >= k span every member
     of the row span that vanishes before k.  The span has prod(modulus /
-    pivot) members.
+    pivot) members.  Only the rows with pivot >= ``start`` are back-reduced
+    and returned: by the Howell property they are the Howell form of the
+    members of the span that vanish before column ``start``.
     """
     n = modulus
     basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
@@ -388,8 +390,8 @@ def sparse_howell_form(rows, modulus: int) -> list[dict[int, int]]:
             if row:
                 work.append(row)
             break
-    # reduce each row above the pivots of the rows below it, in pivot order
-    pivots = sorted(basis)
+    # reduce each kept row above the pivots of the rows below it, in pivot order
+    pivots = sorted(c for c in basis if c >= start)
     form = []
     for i, col in enumerate(pivots):
         row = basis[col]
@@ -422,8 +424,7 @@ def sparse_howell_kernel(rows, ncols: int, modulus: int) -> list[dict[int, int]]
             augmented[j][i] = v
     return [
         {c - split: v for c, v in row.items()}
-        for row in sparse_howell_form((row.items() for row in augmented), modulus)
-        if min(row) >= split
+        for row in sparse_howell_form((row.items() for row in augmented), modulus, split)
     ]
 
 

@@ -81,6 +81,10 @@ def test_howell_engine_matches_oracle(modulus, ncols, rows):
     pairs = [row.items() for row in _nonzeros(rows)]
     assert sparse_howell_form(pairs, modulus) == _nonzeros(form)
     assert sparse_howell_kernel(pairs, ncols, modulus) == _nonzeros(kernel)
+    # from a start column on, the rows of the form with pivot at or past it
+    for start in (1, ncols // 2, ncols):
+        kept = [row for row in _nonzeros(form) if min(row) >= start]
+        assert sparse_howell_form(pairs, modulus, start) == kept
 
 
 def _classify_system(literal, value_order):
@@ -109,10 +113,10 @@ def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
     eliminations, ops = [], []
     real_form = groups.sparse_howell_form
 
-    def counting_form(rows, modulus):
+    def counting_form(rows, modulus, *start):
         rows = [list(row) for row in rows]
         eliminations.append(rows)
-        return real_form(rows, modulus)
+        return real_form(rows, modulus, *start)
 
     def counted(row_op):
         def wrapper(*args):
@@ -156,3 +160,29 @@ def test_kernel_of_classify_systems_matches_oracle_on_any_presentation(literal, 
                  for row in rows]
     for variant in (shuffled, duplicated, padded, unreduced):
         assert sparse_howell_kernel(variant, ncols, modulus) == expected
+
+
+@pytest.mark.parametrize("value_order", range(1, 9))
+@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"])
+def test_kernel_back_reduces_only_the_rows_it_keeps(literal, value_order, monkeypatch):
+    """The kernel keeps the rows of the Howell form of [rows^T | I] whose pivot
+    is past the rows^T block, and only those are back-reduced.  A
+    back-reduction step subtracts a row with a later pivot (an elimination
+    step subtracts the row with the same pivot), so every such step must
+    land on a kept row; the kernel still equals the oracle's."""
+    rows, ncols, modulus = _classify_system(literal, value_order)
+    split = sum(1 for row in rows if any(v % modulus for _, v in row))
+    reduced = []
+    real_subtract = groups._subtract
+
+    def subtract(row, k, y, n):
+        if min(row) < min(y):
+            reduced.append(min(row))
+        return real_subtract(row, k, y, n)
+
+    monkeypatch.setattr(groups, "_subtract", subtract)
+    kernel = sparse_howell_kernel(rows, ncols, modulus)
+    assert kernel == _nonzeros(oracle.howell_kernel(
+        [[dict(row).get(c, 0) for c in range(ncols)] for row in rows], ncols, modulus
+    ))
+    assert all(pivot >= split for pivot in reduced), (split, sorted(set(reduced)))
