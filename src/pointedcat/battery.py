@@ -181,7 +181,7 @@ def check_well_definedness(base: PointedBFC):
     regular = schur_classes(base)[0].representative
     for sub in admissible_subgroups(base):
         mod = build_module_cat(base, sub, regular.chi) if sub.order > 1 else regular
-        starts = row_starts(base.group, mod.coset_reps)
+        starts = row_starts(base.group, mod.rep_indices)
         for g in cols:
             check_column(base, mod.coset_reps, g, starts)
     return True, None

@@ -49,17 +49,19 @@ from .metric import PointedBFC, cocycle_of, mueger_center
 
 
 class BraidedModuleCat(Value):
-    """(H, mu, chi) data; simples are indexed by the stored coset representatives."""
+    """(H, mu, chi) data; simples are indexed by the stored coset representatives,
+    whose element indices are ``rep_indices``."""
 
-    __slots__ = _fields = ("base", "subgroup", "mu", "chi", "coset_reps")
+    __slots__ = _fields = ("base", "subgroup", "mu", "chi", "coset_reps", "rep_indices")
 
     def __init__(self, base: PointedBFC, subgroup: Subgroup, mu: TwoCochain,
-                 chi: Character, coset_reps: tuple[Element, ...]):
+                 chi: Character, coset_reps: tuple[Element, ...], rep_indices: tuple[int, ...]):
         setfield(self, "base", base)
         setfield(self, "subgroup", subgroup)
         setfield(self, "mu", mu)
         setfield(self, "chi", chi)
         setfield(self, "coset_reps", coset_reps)
+        setfield(self, "rep_indices", rep_indices)
 
 
 def admissible_subgroups(
@@ -88,7 +90,9 @@ def build_module_cat(
         )
     if sub.order == 1:
         mu = two_cochain_from_table(group, sub.elements, {})
-        return BraidedModuleCat(base, sub, mu, chi, tuple(group.elements()))
+        return BraidedModuleCat(
+            base, sub, mu, chi, tuple(group.elements()), tuple(range(group.order))
+        )
     exponent = sub.exponent
     schedule = [n for n in (exponent, 2 * exponent, 4 * exponent) if n <= 24] or [exponent]
     mu = None
@@ -101,13 +105,13 @@ def build_module_cat(
             f"no trivializing cochain on H of order {sub.order} "
             f"with values of order up to {schedule[-1]}"
         )
-    reps = quotient(group, sub).reps
-    return BraidedModuleCat(base, sub, mu, chi, reps)
+    q = quotient(group, sub)
+    return BraidedModuleCat(base, sub, mu, chi, q.reps, q.rep_indices)
 
 
-def row_starts(group: AbelianGroup, reps: tuple[Element, ...]) -> list[int]:
-    """Where each representative's row starts in a sigma_exp table."""
-    return [group.element_index(k) * group.order for k in reps]
+def row_starts(group: AbelianGroup, indices) -> list[int]:
+    """Where the row of each element index starts in a sigma_exp table."""
+    return [i * group.order for i in indices]
 
 
 def check_column(base: PointedBFC, reps: tuple[Element, ...], g: Element,
@@ -116,12 +120,13 @@ def check_column(base: PointedBFC, reps: tuple[Element, ...], g: Element,
     transparent g reduces to chi(g), whatever chi is: sigma(k, g) is read as
     an exponent at each coset representative k and must be one value, and
     that value 0.  The roots are built only for the error message.  A caller
-    that checks many columns over one ``reps`` passes its ``row_starts``."""
+    that checks many columns over one ``reps`` passes the ``row_starts`` of
+    their element indices."""
     if not mueger_center(base).contains(g):
         raise NotAdmissible(f"{g} is not transparent in {base.label or 'the base'}")
     group, form = base.group, base.form
     if starts is None:
-        starts = row_starts(group, reps)
+        starts = row_starts(group, map(group.element_index, reps))
     j = group.element_index(g)
     column = [form.sigma_exp[start + j] for start in starts]
     for k, s in zip(reps, column):
@@ -278,10 +283,10 @@ def smatrix2(base: PointedBFC) -> SMatrix2:
     kept on the result."""
     cols = mueger_center(base).elements
     reps = schur_classes(base)
-    simples = reps[0].representative.coset_reps
-    starts = row_starts(base.group, simples)
+    regular = reps[0].representative
+    starts = row_starts(base.group, regular.rep_indices)
     for g in cols:
-        check_column(base, simples, g, starts)
+        check_column(base, regular.coset_reps, g, starts)
     rows = tuple(tuple(item.representative.chi.exponents(cols)) for item in reps)
     if len(rows) != len(cols):
         raise InternalInconsistency(

@@ -560,13 +560,16 @@ def _decompose(group: AbelianGroup, members, below: frozenset) -> list[tuple[int
 
 
 class Quotient(Value):
-    """G/H in cyclic-factor form plus the coset-representative map."""
+    """G/H in cyclic-factor form plus the coset-representative map; the
+    representatives' element indices are ``rep_indices``."""
 
-    __slots__ = _fields = ("group", "reps", "_rep_of")
+    __slots__ = _fields = ("group", "reps", "rep_indices", "_rep_of")
 
-    def __init__(self, group: AbelianGroup, reps: tuple[Element, ...], _rep_of: dict):
+    def __init__(self, group: AbelianGroup, reps: tuple[Element, ...],
+                 rep_indices: tuple[int, ...], _rep_of: dict):
         setfield(self, "group", group)
         setfield(self, "reps", reps)
+        setfield(self, "rep_indices", rep_indices)
         setfield(self, "_rep_of", _rep_of)
 
     def rep_of(self, g: Element) -> Element:
@@ -588,7 +591,8 @@ def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
             f"quotient of order {group.order}/{sub.order} presented with {factors}"
         )
     return Quotient(
-        q, tuple(elems[i] for i in reps), {elems[i]: elems[r] for i, r in rep_of.items()}
+        q, tuple(elems[i] for i in reps), tuple(reps),
+        {elems[i]: elems[r] for i, r in rep_of.items()},
     )
 
 

@@ -367,6 +367,46 @@ def test_representatives_are_indexed_once_per_caller(monkeypatch):
     assert lookups == columns
 
 
+def test_module_representatives_carry_their_indices(every_form):
+    """Each module carries its coset representatives' element indices, as
+    the quotient built them, for every admissible H of every form."""
+    for base in every_form:
+        group = base.group
+        regular = schur_classes(base)[0].representative
+        for sub in admissible_subgroups(base):
+            mod = build_module_cat(base, sub, regular.chi) if sub.order > 1 else regular
+            assert mod.rep_indices == tuple(map(group.element_index, mod.coset_reps))
+
+
+def test_row_starts_are_read_from_carried_indices(monkeypatch):
+    """smatrix2 and the well-definedness row hand ``row_starts`` the carried
+    indices: no representative is looked up while the starts are made."""
+    base = category_from_form(
+        QuadraticForm(parse_group("Z2xZ2"), (ONE,) * 4), label="symmetric Z2xZ2, starts"
+    )
+    calls, inside, lookups = [], [], []
+    real_index, real_starts = AbelianGroup.element_index, brmod.row_starts
+
+    def index(group, g):
+        lookups.extend(inside)
+        return real_index(group, g)
+
+    def starts(group, indices):
+        calls.append(group)
+        inside.append(indices)
+        try:
+            return real_starts(group, indices)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(AbelianGroup, "element_index", index)
+    monkeypatch.setattr(brmod, "row_starts", starts)
+    monkeypatch.setattr(battery, "row_starts", starts)
+    smatrix2.__wrapped__(base)
+    assert battery.check_well_definedness(base) == (True, None)
+    assert len(calls) == 1 + 5 and not lookups  # smatrix2, then one per admissible H
+
+
 # -- the closure certificate ----------------------------------------------------------
 
 def test_certificate_rejects_orthogonal_rows_that_are_not_a_group():
