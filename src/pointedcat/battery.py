@@ -152,7 +152,8 @@ def check_group_hom(base: PointedBFC):
 def check_nondegeneracy_equivalence(base: PointedBFC):
     """rank S = |G| iff the transparent subgroup is trivial, with S ranked a
     second way, apart from ``smatrix_rank``: its sigma exponents mod primes,
-    and the Fraction matrix only when no prime certifies."""
+    and ``CycloMatrix.rank``, which ends in Bareiss, only when no prime
+    certifies."""
     form, n = base.form, base.group.order
     rank = root_matrix_rank(form.sigma_exp, n, form.conductor)
     if rank is None:

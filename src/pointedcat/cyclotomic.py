@@ -13,7 +13,9 @@ order field is the true multiplicative order.  The literal syntax "zN^k"
 
 Matrix ranks are certified: elimination modulo primes p = 1 (mod N) gives a
 lower bound that must meet an exact upper bound (distinct rows and columns),
-with exact Bareiss elimination as the fallback.  Determinants stay exact.
+with exact Bareiss elimination as the fallback.  A table of roots is kept and
+ranked as its exponents mod N (z_N^k -> w^k mod p); power-basis coefficients
+serve only matrices that are not root tables.  Determinants stay exact.
 
 >>> cyclotomic_polynomial(12)
 (1, 0, -1, 0, 1)
@@ -447,19 +449,33 @@ def embed(r: RootOfUnity, target_conductor: int) -> CycloNumber:
 # ----------------------------------------------------------------------
 
 class CycloMatrix(Value):
-    """Row-major matrix of CycloNumbers sharing one conductor."""
+    """Row-major matrix of CycloNumbers sharing one conductor.
 
-    __slots__ = _fields = ("rows", "cols", "entries")
+    A table of roots (``from_roots``) keeps only its exponents mod the
+    conductor N, row-major in ``exponents``; its ``entries`` are built on
+    first read.  Other matrices hold their entries and no exponents."""
+
+    __slots__ = ("rows", "cols", "conductor", "exponents", "_entries")
+    _fields = ("rows", "cols", "entries")
 
     __hash__ = None
 
     def __init__(self, rows: int, cols: int, entries: tuple[CycloNumber, ...]):
-        setfield(self, "rows", rows)
-        setfield(self, "cols", cols)
-        setfield(self, "entries", entries)
         assert rows >= 1 and cols >= 1
         assert len(entries) == rows * cols
         assert len({e.conductor for e in entries}) == 1
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "conductor", entries[0].conductor)
+        setfield(self, "exponents", None)
+        setfield(self, "_entries", entries)
+
+    @property
+    def entries(self) -> tuple[CycloNumber, ...]:
+        if self._entries is None:
+            n, powers = self.conductor, _root_powers(self.conductor)
+            setfield(self, "_entries", tuple(CycloNumber(n, powers[k]) for k in self.exponents))
+        return self._entries
 
     @staticmethod
     def from_rows(rows: list[list[CycloNumber]]) -> "CycloMatrix":
@@ -475,9 +491,25 @@ class CycloMatrix(Value):
 
     @staticmethod
     def from_roots(rows) -> "CycloMatrix":
-        """The matrix of a table of roots, at the lcm of their orders."""
+        """The matrix of a table of roots, at the lcm N of their orders, kept
+        as the exponents k of z_N^k; refused above MAX_CONDUCTOR, before any
+        table is built."""
         conductor = math.lcm(*(r.order for row in rows for r in row))
-        return CycloMatrix.from_rows([[embed(r, conductor) for r in row] for row in rows])
+        if conductor > MAX_CONDUCTOR:
+            raise ConductorCapExceeded(
+                f"conductor {conductor} exceeds the cap {MAX_CONDUCTOR}"
+            )
+        ncols = len(rows[0])
+        assert ncols >= 1 and all(len(row) == ncols for row in rows)
+        matrix = object.__new__(CycloMatrix)
+        setfield(matrix, "rows", len(rows))
+        setfield(matrix, "cols", ncols)
+        setfield(matrix, "conductor", conductor)
+        setfield(matrix, "exponents", tuple(
+            r.exponent * (conductor // r.order) for row in rows for r in row
+        ))
+        setfield(matrix, "_entries", None)
+        return matrix
 
     @staticmethod
     def identity(n: int, conductor: int = 1) -> "CycloMatrix":
@@ -534,7 +566,7 @@ class CycloMatrix(Value):
         """Fraction-free (Bareiss) elimination; (rank, sign, last pivot)."""
         m = self.row_list()
         sign = 1
-        prev = CycloNumber.one(self.entries[0].conductor)
+        prev = CycloNumber.one(self.conductor)
         pivot_row = 0
         last_pivot = prev
         for col in range(self.cols):
@@ -562,15 +594,19 @@ class CycloMatrix(Value):
 
     def rank(self) -> int:
         """Rank over Q(zeta_N), certified by elimination modulo primes (see
-        ``_prime_rank``); if no listed prime certifies it, exact Bareiss
+        ``_prime_rank``): a table of roots on its exponents
+        (``root_matrix_rank``), any other matrix on its power-basis
+        coefficients.  If no listed prime certifies it, exact Bareiss
         elimination decides."""
-        ids: dict[tuple[Fraction, ...], int] = {}
-        cells = [ids.setdefault(e.coeffs, len(ids)) for e in self.entries]
-        zero = ids.get((Fraction(0),) * euler_phi(self.entries[0].conductor))
-        rank = _prime_rank(
-            cells, self.cols, zero, self.entries[0].conductor,
-            lambda p, w: _residues(ids, p, w),
-        )
+        if self.exponents is not None:
+            rank = root_matrix_rank(self.exponents, self.cols, self.conductor)
+        else:
+            ids: dict[tuple[Fraction, ...], int] = {}
+            cells = [ids.setdefault(e.coeffs, len(ids)) for e in self.entries]
+            zero = ids.get((Fraction(0),) * euler_phi(self.conductor))
+            rank = _prime_rank(
+                cells, self.cols, zero, self.conductor, lambda p, w: _residues(ids, p, w)
+            )
         if rank is None:
             rank, _, _ = self._eliminate()
         return rank
@@ -580,7 +616,7 @@ class CycloMatrix(Value):
             raise NotSquare(f"determinant of a {self.rows}x{self.cols} matrix")
         rank, sign, last_pivot = self._eliminate()
         if rank < self.rows:
-            return CycloNumber.zero(self.entries[0].conductor)
+            return CycloNumber.zero(self.conductor)
         return -last_pivot if sign < 0 else last_pivot
 
 
@@ -672,7 +708,7 @@ def _prime_rank(cells, width: int, zero, n: int, residues) -> int | None:
 
 def root_matrix_rank(exponents, width: int, n: int) -> int | None:
     """Rank of the matrix of roots z_n^k from the sequence of their exponents k
-    (row-major, ``width`` per row), certified as ``CycloMatrix.rank`` is, with z_n^k ->
+    (row-major, ``width`` per row), certified by ``_prime_rank`` with z_n^k ->
     w^k in GF(p) and no Fractions.  A root is never 0, so every row counts
     toward the upper bound.  None when no listed prime certifies."""
     return _prime_rank(

@@ -42,3 +42,18 @@ def test_every_cold_cache_is_an_lru_cache():
     for module_name, attr in caches:
         fn = getattr(importlib.import_module(module_name), attr)
         assert hasattr(fn, "cache_info"), f"{module_name}.{attr}"
+
+
+def test_rank_counter_reads_an_integer_row_count():
+    """spans.py's counter for cyclotomic.rank.max_dim reads ``.rows`` of the
+    ranked CycloMatrix; a root table, kept as exponents, must still carry
+    it as an int without building its entries."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    (note,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_note_rank"]
+    assert "rows" in {n.attr for n in ast.walk(note) if isinstance(n, ast.Attribute)}
+    from pointedcat.cyclotomic import CycloMatrix, root_of_unity
+
+    matrix = CycloMatrix.from_roots([[root_of_unity(4, k) for k in range(4)]] * 3)
+    assert type(matrix.rows) is int and matrix.rows == 3
+    assert matrix.exponents is not None and matrix._entries is None

@@ -1,19 +1,24 @@
 """Differential tests for the certified modular rank.
 
 ``CycloMatrix.rank`` reduces entries modulo primes p = 1 (mod N) and certifies
-the result against an exact upper bound; exact Bareiss elimination
+the result against an exact upper bound: a table of roots on its exponents,
+any other matrix on its power-basis coefficients.  Exact Bareiss elimination
 (``CycloMatrix._eliminate``) is the oracle it must agree with everywhere.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from pointedcat import cyclotomic
 from pointedcat.battery import _abelian_groups_of_order
 from pointedcat.brmod import smatrix2
 from pointedcat.cyclotomic import (
+    MAX_CONDUCTOR,
+    ONE,
     CycloMatrix,
     CycloNumber,
     embed,
@@ -25,8 +30,9 @@ from pointedcat.cyclotomic import (
     _residues,
     root_matrix_rank,
 )
-from pointedcat.groups import character_table, format_group
-from pointedcat.metric import smatrix1
+from pointedcat.errors import ConductorCapExceeded
+from pointedcat.groups import character_table, characters, format_group
+from pointedcat.metric import drinfeld_double, smatrix1
 
 
 def _oracle_rank(matrix):
@@ -225,3 +231,113 @@ def test_zero_matrix_and_duplicates(eliminations):
     assert _ints([[3]]).rank() == 1
     assert _ints([[0, 0], [0, 0]], 12).rank() == 0
     assert not eliminations
+
+
+# -- root tables ranked on their exponents -------------------------------
+
+GROUPS_UP_TO_16 = [g for n in range(1, 17) for g in _abelian_groups_of_order(n)]
+SMALL_GROUPS = [g for n in range(1, 5) for g in _abelian_groups_of_order(n)]
+
+
+def _character_roots(group):
+    elems = group.elements()
+    return [[chi.eval(g) for g in elems] for chi in characters(group)]
+
+
+def _refuse(*args):
+    raise AssertionError("a power-basis table, a CycloNumber or Bareiss was reached")
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=format_group)
+def test_double_smatrices_up_to_16(group, eliminations):
+    """The S-matrix of D(G), |D(G)| <= 16, is a root table of full rank."""
+    double = drinfeld_double(group)
+    matrix = smatrix1(double).matrix
+    assert matrix.exponents is not None
+    assert matrix.rank() == double.group.order
+    assert not eliminations
+    assert _oracle_rank(matrix) == double.group.order
+
+
+def test_certified_root_tables_build_no_cyclotomic_numbers(monkeypatch):
+    """Building and ranking a root table that a prime certifies reads its
+    exponents only: no power-basis table, no CycloNumber, no Bareiss."""
+    doubles = [drinfeld_double(group) for group in SMALL_GROUPS]
+    monkeypatch.setattr(cyclotomic, "_root_powers", _refuse)
+    monkeypatch.setattr(cyclotomic, "embed", _refuse)
+    monkeypatch.setattr(CycloNumber, "__init__", _refuse)
+    monkeypatch.setattr(CycloMatrix, "_eliminate", _refuse)
+    for double in doubles:
+        assert smatrix1(double).matrix.rank() == double.group.order
+    for group in GROUPS_UP_TO_16:
+        assert character_table(group).rank() == group.order
+
+
+def test_lazy_entries_are_the_embedded_roots():
+    tables = [_character_roots(group) for group in GROUPS_UP_TO_16]
+    tables += [smatrix1(drinfeld_double(group)).roots for group in SMALL_GROUPS]
+    # orders 4 and 6 meet at N = 12; one row of the table of z_12^k
+    tables += [[[root_of_unity(4, 1), root_of_unity(6, 5), ONE, root_of_unity(2, 1)]],
+               [[root_of_unity(12, k)] for k in range(12)]]
+    for roots in tables:
+        matrix = CycloMatrix.from_roots(roots)
+        n = math.lcm(*(r.order for row in roots for r in row))
+        assert matrix.conductor == n
+        assert matrix.entries == CycloMatrix.from_rows(
+            [[embed(r, n) for r in row] for row in roots]
+        ).entries
+        assert matrix == CycloMatrix.from_rows([[embed(r, n) for r in row] for row in roots])
+
+
+def test_root_table_conductor_cap_is_checked_before_any_table(monkeypatch):
+    """lcm(101, 103) = 10403 is above the cap: refused before an exponent, a
+    power-basis table or a CycloNumber is made.  At the cap it is accepted
+    and ranked on its exponents."""
+    monkeypatch.setattr(cyclotomic, "_root_powers", _refuse)
+    monkeypatch.setattr(cyclotomic, "embed", _refuse)
+    monkeypatch.setattr(CycloNumber, "__init__", _refuse)
+
+    class Root:  # reads of .exponent would mean the table was being built
+        def __init__(self, order):
+            self.order = order
+
+        @property
+        def exponent(self):
+            raise AssertionError("exponent read before the cap was checked")
+
+    with pytest.raises(ConductorCapExceeded, match="10403 exceeds the cap 10080"):
+        CycloMatrix.from_roots([[Root(101), Root(103)]])
+    top = CycloMatrix.from_roots([[root_of_unity(MAX_CONDUCTOR, 1), ONE]])
+    assert top.conductor == MAX_CONDUCTOR and top.exponents == (1, 0)
+    assert top.rank() == 1
+
+
+def _corruptions(roots):
+    """(name, table, rank) for four damaged copies of a full-rank n x n table:
+    its last row or column replaced by a copy of the one before it."""
+    n = len(roots)
+    z = root_of_unity(3, 1)
+    return [
+        ("duplicated row", roots[:-1] + [roots[-2]], n - 1),
+        ("row scaled by a root", roots[:-1] + [[z * r for r in roots[-2]]], n - 1),
+        ("duplicated column", [row[:-1] + [row[-2]] for row in roots], n - 1),
+        ("all ones", [[ONE] * n for _ in range(n)], 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [_character_roots(group) for group in GROUPS_UP_TO_16 if group.order in (3, 4, 6, 8)]
+    + [[list(row) for row in smatrix1(drinfeld_double(group)).roots]
+       for group in SMALL_GROUPS if group.order > 1],
+    ids=lambda roots: f"{len(roots)}x{len(roots)}",
+)
+def test_corrupted_root_tables(roots, eliminations):
+    """A scaled row leaves as many distinct rows and columns as before, so no
+    prime certifies and Bareiss decides; the other three certify."""
+    for name, table, rank in _corruptions(roots):
+        matrix = CycloMatrix.from_roots(table)
+        eliminations.clear()
+        assert matrix.rank() == rank, name
+        assert len(eliminations) == (name == "row scaled by a root"), name
+        assert _oracle_rank(matrix) == rank, name
