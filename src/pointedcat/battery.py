@@ -13,13 +13,13 @@ import math
 
 from ._value import Value, setfield
 from .cyclotomic import (
-    CycloMatrix,
     CycloNumber,
     RootOfUnity,
     cyclotomic_polynomial,
     format_root,
     root_matrix_rank,
     root_of_unity,
+    root_sum,
     roots_of_unity,
     _poly_mul,
 )
@@ -312,15 +312,19 @@ def _abelian_groups_of_order(n: int) -> list[AbelianGroup]:
 
 
 def check_character_determinants(limit: int = 8):
-    """|det T|^2 = |G|^|G| for the character table, via T conj(T)^t = |G| Id."""
+    """|det T|^2 = |G|^|G| for the character table, via T conj(T)^t = |G| Id.
+    Entry (i, j) of T conj(T)^t is the root sum of a_i - a_j over the rows a
+    of T's exponents mod N, taken exactly by ``root_sum``; the determinant is
+    Bareiss."""
     for n in range(1, limit + 1):
         for group in _abelian_groups_of_order(n):
             table = character_table(group)
-            product = table.matmul(table.conj().transpose())
-            expected = CycloMatrix.identity(n).scale(
-                CycloNumber.from_rational(n)
-            )
-            if product != expected:
+            N, k = table.conductor, table.cols
+            rows = [table.exponents[i * k:(i + 1) * k] for i in range(table.rows)]
+            if any(
+                root_sum([(x - y) % N for x, y in zip(a, b)], N) != ([n] if i == j else [])
+                for i, a in enumerate(rows) for j, b in enumerate(rows)
+            ):
                 return False, f"orthogonality fails for {format_group(group)}"
             det = table.det()
             norm = det * det.conj()

@@ -12,7 +12,6 @@ or "-" to read a category JSON from stdin, so commands can be piped:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -60,8 +59,19 @@ from .serde import (
 
 
 def _digest(payload) -> str:
+    """The first 16 hex digits of the sha256 of the canonical JSON.  sha256
+    comes from the built-in module ``hashlib`` falls back to, as CPython's
+    ``random`` does for sha512: ``hashlib`` loads OpenSSL, a few ms of every
+    CLI process's start for one short digest."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _aligned(rows: list[list[str]]) -> list[str]:

@@ -4,7 +4,10 @@ A ``CycloNumber`` is a dense vector of rationals in the power basis
 1, zeta, ..., zeta^(phi(N)-1) of Q[x]/Phi_N(x), so equality at a fixed
 conductor is coefficient-wise and every invertibility question is decided
 without floating point.  Mixed-conductor arithmetic promotes both operands
-to the lcm conductor, capped at 10080.
+to the lcm conductor, capped at 10080.  Phi_N is monic with integer
+coefficients, so the coefficients stay Python ints through sums, products,
+promotion and conjugation; ``Fraction`` (and the ``fractions`` import) comes
+in only with a field division (``inv``) or a non-integer ``from_rational``.
 
 Roots of unity get their own canonical type: ``RootOfUnity(order, exponent)``
 means e^(2*pi*i*exponent/order), stored with gcd(exponent, order) = 1 so the
@@ -26,7 +29,6 @@ True
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Value, setfield
@@ -153,14 +155,10 @@ def root_sum(exponents, n: int) -> list[int]:
     return _poly_divmod_exact(histogram, list(cyclotomic_polynomial(n)))[1]
 
 
-@lru_cache(maxsize=None)
-def _phi_fractions(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in cyclotomic_polynomial(n))
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a rational polynomial in zeta_n modulo Phi_n; fixed length phi(n)."""
-    phi = _phi_fractions(n)
+def _reduce_mod_phi(coeffs: list, n: int) -> tuple:
+    """Reduce a rational polynomial in zeta_n modulo Phi_n; fixed length phi(n).
+    Phi_n is monic with integer coefficients, so integers stay integers."""
+    phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):
@@ -171,7 +169,7 @@ def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
                 work[shift + j] -= lead * phi[j]
         work.pop()
     while len(work) < deg:
-        work.append(Fraction(0))
+        work.append(0)
     return tuple(work)
 
 
@@ -272,13 +270,16 @@ def format_root(r: RootOfUnity) -> str:
 # ----------------------------------------------------------------------
 
 class CycloNumber(Value):
-    """Element of Q(zeta_conductor) in the Phi-reduced power basis."""
+    """Element of Q(zeta_conductor) in the Phi-reduced power basis.
+
+    Coefficients are ints, or Fractions once a division has made them; the
+    two compare, hash and print alike at equal values."""
 
     __slots__ = _fields = ("conductor", "coeffs")
 
     __hash__ = None  # equality promotes conductors, so hashing is unsafe
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, conductor: int, coeffs: tuple):
         setfield(self, "conductor", conductor)
         setfield(self, "coeffs", coeffs)
         assert len(coeffs) == euler_phi(conductor)
@@ -287,8 +288,11 @@ class CycloNumber(Value):
 
     @staticmethod
     def from_rational(value, conductor: int = 1) -> "CycloNumber":
-        coeffs = [Fraction(value)] + [Fraction(0)] * (euler_phi(conductor) - 1)
-        return CycloNumber(conductor, tuple(coeffs))
+        if type(value) is not int:
+            from fractions import Fraction  # only a non-integer needs it
+
+            value = Fraction(value)
+        return CycloNumber(conductor, (value,) + (0,) * (euler_phi(conductor) - 1))
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycloNumber":
@@ -313,7 +317,7 @@ class CycloNumber(Value):
                 f"cannot promote conductor {self.conductor} into {target}"
             )
         step = target // self.conductor
-        out = [Fraction(0)] * (len(self.coeffs) * step)
+        out = [0] * (len(self.coeffs) * step)
         for i, c in enumerate(self.coeffs):
             out[i * step] = c
         return CycloNumber(target, _reduce_mod_phi(out, target))
@@ -337,13 +341,13 @@ class CycloNumber(Value):
     def __mul__(self, other: "CycloNumber") -> "CycloNumber":
         a, b = self._with(other)
         prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        return CycloNumber(a.conductor, _reduce_mod_phi([Fraction(c) for c in prod], a.conductor))
+        return CycloNumber(a.conductor, _reduce_mod_phi(prod, a.conductor))
 
     def inv(self) -> "CycloNumber":
         """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero in a cyclotomic field")
-        u = _poly_inverse_mod(list(self.coeffs), list(_phi_fractions(self.conductor)))
+        u = _poly_inverse_mod(self.coeffs, cyclotomic_polynomial(self.conductor))
         return CycloNumber(self.conductor, _reduce_mod_phi(u, self.conductor))
 
     def __truediv__(self, other: "CycloNumber") -> "CycloNumber":
@@ -364,7 +368,7 @@ class CycloNumber(Value):
     def conj(self) -> "CycloNumber":
         """Complex conjugation, the Galois map zeta -> zeta^(-1)."""
         n = self.conductor
-        acc = [Fraction(0)] * euler_phi(n)
+        acc = [0] * euler_phi(n)
         for j, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -383,8 +387,10 @@ class CycloNumber(Value):
         return f"CycloNumber({self.conductor}, {[str(c) for c in self.coeffs]})"
 
 
-def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """u with u*a = 1 mod modulus, for gcd(a, modulus) = 1 in Q[x]."""
+def _poly_inverse_mod(a, modulus) -> list:
+    """u with u*a = 1 mod modulus, for gcd(a, modulus) = 1 in Q[x]; the
+    quotients leave Z, so this is where Fractions are made."""
+    from fractions import Fraction
 
     def degree(p):
         d = len(p) - 1
@@ -404,7 +410,7 @@ def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fracti
                 num[shift + i] -= factor * den[i]
         return q, num
 
-    r0, r1 = list(modulus), list(a)
+    r0, r1 = [Fraction(c) for c in modulus], [Fraction(c) for c in a]
     s0, s1 = [Fraction(0)], [Fraction(1)]
     while degree(r1) > 0:
         q, r = divmod_frac(r0, r1)
@@ -422,14 +428,14 @@ def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fracti
 
 
 @lru_cache(maxsize=None)
-def _root_powers(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced coordinates of zeta_n^k for k = 0..n-1."""
+def _root_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced coordinates of zeta_n^k for k = 0..n-1, all integers."""
     deg = euler_phi(n)
     powers = []
-    current = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    current = [1] + [0] * (deg - 1)
     for _ in range(n):
         powers.append(tuple(current))
-        shifted = [Fraction(0)] + list(current)
+        shifted = [0] + list(current)
         current = list(_reduce_mod_phi(shifted, n))
     return tuple(powers)
 
@@ -560,6 +566,9 @@ class CycloMatrix(Value):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
+        if (self.exponents is not None and other.exponents is not None
+                and self.conductor == other.conductor):
+            return self.exponents == other.exponents  # z_N^k is k mod N
         return all(a == b for a, b in zip(self.entries, other.entries))
 
     def _eliminate(self):
@@ -601,9 +610,9 @@ class CycloMatrix(Value):
         if self.exponents is not None:
             rank = root_matrix_rank(self.exponents, self.cols, self.conductor)
         else:
-            ids: dict[tuple[Fraction, ...], int] = {}
+            ids: dict[tuple, int] = {}
             cells = [ids.setdefault(e.coeffs, len(ids)) for e in self.entries]
-            zero = ids.get((Fraction(0),) * euler_phi(self.conductor))
+            zero = ids.get((0,) * euler_phi(self.conductor))
             rank = _prime_rank(
                 cells, self.cols, zero, self.conductor, lambda p, w: _residues(ids, p, w)
             )

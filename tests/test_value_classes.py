@@ -8,6 +8,7 @@ the same field values.
 
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -36,6 +37,39 @@ def test_the_cli_imports_no_class_generator():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+IMPORT_BUDGET = ("hashlib", "_hashlib", "_sha256", "_sha2", "fractions", "decimal", "numbers")
+
+
+def test_the_cli_imports_neither_openssl_nor_fractions():
+    """``import pointedcat.cli`` loads none of the budget modules.  A report's
+    digest loads only the built-in sha256 module, and integer commands no
+    ``fractions``; the battery divides, and loads it then."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "new = lambda: sorted(set(sys.modules) - before)\n"
+        "import pointedcat.cli\n"
+        "seen = {'import': new()}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [pointedcat.cli.main(['center', 'double:Z3', '--json']),\n"
+        "             pointedcat.cli.main(['tmatrix', 'semion', '--json'])]\n"
+        "    seen['commands'] = new()\n"
+        "    codes.append(pointedcat.cli.main(['battery', '--json']))\n"
+        "seen['battery'] = new()\n"
+        "print(json.dumps({'codes': codes, **seen}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0]
+    assert not set(IMPORT_BUDGET) & set(seen["import"])
+    assert {"_sha256", "_sha2"} & set(seen["commands"])
+    assert not {"hashlib", "_hashlib", "fractions", "decimal", "numbers"} & set(seen["commands"])
+    assert "fractions" in seen["battery"]
+    assert {"hashlib", "_hashlib"}.isdisjoint(seen["battery"])
 
 
 def _symmetric(literal: str, label: str) -> metric.PointedBFC:
