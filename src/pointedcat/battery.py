@@ -24,7 +24,7 @@ from .cyclotomic import (
     _poly_mul,
 )
 from .errors import GroupTooLarge, NotAdmissible, PointedCatError
-from .groups import AbelianGroup, character_table, parse_group, format_group
+from .groups import AbelianGroup, character_table, characters, parse_group, format_group
 from .cocycles import QuadraticForm, classify_h3ab, find_mu, form_from_generators
 from .metric import (
     PointedBFC,
@@ -314,19 +314,19 @@ def _abelian_groups_of_order(n: int) -> list[AbelianGroup]:
 def check_character_determinants(limit: int = 8):
     """|det T|^2 = |G|^|G| for the character table, via T conj(T)^t = |G| Id.
     Entry (i, j) of T conj(T)^t is the root sum of a_i - a_j over the rows a
-    of T's exponents mod N, taken exactly by ``root_sum``; the determinant is
-    Bareiss."""
+    of character exponents mod exp G, taken exactly by ``root_sum`` for
+    j >= i, since entry (j, i) is the conjugate of entry (i, j); the
+    determinant is Bareiss."""
     for n in range(1, limit + 1):
         for group in _abelian_groups_of_order(n):
-            table = character_table(group)
-            N, k = table.conductor, table.cols
-            rows = [table.exponents[i * k:(i + 1) * k] for i in range(table.rows)]
+            elems, e = group.elements(), group.exponent
+            rows = [chi.exponents(elems) for chi in characters(group)]
             if any(
-                root_sum([(x - y) % N for x, y in zip(a, b)], N) != ([n] if i == j else [])
-                for i, a in enumerate(rows) for j, b in enumerate(rows)
+                root_sum([(x - y) % e for x, y in zip(a, rows[j])], e) != ([n] if i == j else [])
+                for i, a in enumerate(rows) for j in range(i, n)
             ):
                 return False, f"orthogonality fails for {format_group(group)}"
-            det = table.det()
+            det = character_table(group).det()
             norm = det * det.conj()
             if norm != CycloNumber.from_rational(n**n):
                 return False, f"|det|^2 != |G|^|G| for {format_group(group)}"

@@ -566,9 +566,6 @@ class CycloMatrix(Value):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if (self.exponents is not None and other.exponents is not None
-                and self.conductor == other.conductor):
-            return self.exponents == other.exponents  # z_N^k is k mod N
         return all(a == b for a, b in zip(self.entries, other.entries))
 
     def _eliminate(self):

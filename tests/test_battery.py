@@ -141,23 +141,31 @@ def test_form_only_bases_give_the_rows_of_bases_with_the_standard_cocycle(monkey
 
 @pytest.mark.parametrize("literal,i,j", [("Z2", 1, 1), ("Z4", 2, 3), ("Z2xZ2", 3, 1), ("Z3xZ2", 5, 4), ("Z4xZ2", 6, 7)])
 def test_a_corrupted_character_table_fails_orthogonality(monkeypatch, literal, i, j):
-    """One entry of one character table changed: the determinant row fails
-    with the orthogonality witness for that group."""
+    """One entry of one character changed (its exponent shifted by one mod
+    exp G): the determinant row fails with the orthogonality witness for
+    that group."""
     import pointedcat.battery as battery
-    from pointedcat.cyclotomic import CycloMatrix
-    from pointedcat.groups import character_table, characters, format_group
+    from pointedcat.groups import characters, format_group
 
     target = parse_group(literal)
 
+    class Corrupted:
+        def __init__(self, chi):
+            self.chi = chi
+
+        def exponents(self, elems):
+            row = self.chi.exponents(elems)
+            row[j] = (row[j] + 1) % target.exponent
+            return row
+
     def corrupted(group):
-        if group != target:
-            return character_table(group)
-        rows = [[chi.eval(g) for g in group.elements()] for chi in characters(group)]
-        rows[i][j] = rows[i][j] * root_of_unity(group.order, 1)
-        return CycloMatrix.from_roots(rows)
+        chars = characters(group)
+        if group == target:
+            chars[i] = Corrupted(chars[i])
+        return chars
 
     assert battery.check_character_determinants() == (True, None)
-    monkeypatch.setattr(battery, "character_table", corrupted)
+    monkeypatch.setattr(battery, "characters", corrupted)
     witness = f"orthogonality fails for {format_group(target)}"
     assert battery.check_character_determinants(target.order) == (False, witness)
     row = next(r for r in run_all([]).rows if r.check == "character-table-determinant")

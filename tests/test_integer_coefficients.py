@@ -1,5 +1,4 @@
-"""``CycloNumber`` coefficients are ints until a field division, and root tables
-compare on their exponents.
+"""``CycloNumber`` coefficients are ints until a field division.
 
 The oracle is the arithmetic the integers replaced: power-basis coordinates
 built with ``Fraction`` throughout.  Ints and Fractions of equal value compare,
@@ -24,10 +23,8 @@ from pointedcat.cyclotomic import (
     euler_phi,
     root_of_unity,
 )
-from pointedcat.groups import character_table, characters, parse_group
 
 CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16)
-ONE_ROOT = root_of_unity(1, 0)
 
 
 # -- the Fraction oracle ---------------------------------------------------------
@@ -169,55 +166,3 @@ def test_mixed_int_and_fraction_coefficients_share_an_id_in_rank(monkeypatch):
 def test_digest_equals_hashlib(payload):
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert _digest(payload) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-# -- root-table equality ----------------------------------------------------------
-
-def _table_with(literal, i, j, root):
-    """The character table of the group with entry (i, j) replaced by root."""
-    group = parse_group(literal)
-    rows = [[chi.eval(g) for g in group.elements()] for chi in characters(group)]
-    rows[i][j] = root
-    return CycloMatrix.from_roots(rows)
-
-
-def test_equal_root_tables_compare_on_exponents():
-    a, b = character_table(parse_group("Z4xZ4")), character_table(parse_group("Z4xZ4"))
-    assert a == b
-    assert a._entries is None and b._entries is None  # no CycloNumber was built
-
-
-def test_unequal_root_tables_at_one_conductor():
-    table = character_table(parse_group("Z4xZ2"))
-    changed = _table_with("Z4xZ2", 3, 5, root_of_unity(4, 3))
-    assert changed.conductor == table.conductor
-    assert changed != table and table != changed
-    assert table._entries is None
-    matrix = CycloMatrix.from_roots([[root_of_unity(4, 1), root_of_unity(2, 1)], [ONE_ROOT, ONE_ROOT]])
-    transpose = CycloMatrix.from_roots([[root_of_unity(4, 1), ONE_ROOT], [root_of_unity(2, 1), ONE_ROOT]])
-    assert matrix != transpose
-    assert CycloMatrix.from_roots([[ONE_ROOT, ONE_ROOT]]) != CycloMatrix.from_roots([[ONE_ROOT], [ONE_ROOT]])
-
-
-def test_root_tables_at_two_conductors_compare_on_entries():
-    z2 = character_table(parse_group("Z2xZ2"))
-    z4 = _table_with("Z2xZ2", 3, 3, root_of_unity(4, 1))
-    assert (z2.conductor, z4.conductor) == (2, 4)
-    assert z2 != z4 and z4 != z2
-    ones = CycloMatrix.from_roots([[ONE_ROOT, ONE_ROOT]])
-    minus = CycloMatrix.from_roots([[ONE_ROOT, root_of_unity(2, 1)]])
-    assert ones.conductor == 1 and ones != minus
-    i = CycloMatrix.from_roots([[ONE_ROOT, root_of_unity(4, 1)]])
-    assert minus.exponents == i.exponents and minus != i  # (0, 1) at N = 2 and at N = 4
-
-
-@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "Z4xZ2"])
-def test_root_table_equals_the_same_matrix_from_rows(literal):
-    group = parse_group(literal)
-    table = character_table(group)
-    rows = [[embed(chi.eval(g), table.conductor) for g in group.elements()]
-            for chi in characters(group)]
-    built = CycloMatrix.from_rows(rows)
-    assert built.exponents is None
-    assert table == built and built == table
-    assert _table_with(literal, 0, 0, root_of_unity(2, 1)) != built
