@@ -40,8 +40,9 @@ from .groups import (
     Subgroup,
     addition_table,
     dense_rows,
+    _pivots,
+    _reduce,
     element_tables,
-    howell_reduce,
     howell_size,
     sparse_howell_form,
     sparse_howell_kernel,
@@ -800,9 +801,10 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     generators = [{i: k % n for i, k in delta.items() if k % n} for delta in deltas.values()]
     _check_coboundaries(generators, equations, [omega_at[x][x] for x in nonzero], n)
     coboundaries = dense_rows(sparse_howell_form((gen.items() for gen in generators), n), width)
+    pivots = _pivots(coboundaries, n)  # checked once for the whole closure
 
     def reduce(vec) -> tuple[int, ...]:
-        return tuple(howell_reduce(vec, coboundaries, n))
+        return tuple(_reduce(vec, coboundaries, pivots, n))
 
     # Z/B is closed under each cocycle row's residue mod B; zero and repeats add nothing
     zero = (0,) * width

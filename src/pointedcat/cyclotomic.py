@@ -589,9 +589,11 @@ class CycloMatrix(Value):
                 m[pivot_row], m[found] = m[found], m[pivot_row]
                 sign = -sign
             pivot = m[pivot_row][col]
+            if pivot_row + 1 < self.rows:
+                inv = prev.inv()  # x / prev is x * prev.inv(): invert once a step
             for r in range(pivot_row + 1, self.rows):
                 for c in range(col + 1, self.cols):
-                    m[r][c] = (pivot * m[r][c] - m[r][col] * m[pivot_row][c]) / prev
+                    m[r][c] = (pivot * m[r][c] - m[r][col] * m[pivot_row][c]) * inv
                 m[r][col] = CycloNumber.zero(pivot.conductor)
             prev = pivot
             last_pivot = pivot

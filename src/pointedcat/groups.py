@@ -342,6 +342,11 @@ def _combine(p: int, x: dict[int, int], q: int, y: dict[int, int], n: int) -> di
     return {c: v % n for c, v in out.items() if v % n}
 
 
+def _scale(k: int, x: dict[int, int], n: int) -> dict[int, int]:
+    """k x mod n, as a sparse row."""
+    return {c: w for c, v in x.items() if (w := k * v % n)}
+
+
 def _subtract(row: dict[int, int], k: int, y: dict[int, int], n: int) -> None:
     """row -= k y mod n, in place."""
     for c, v in y.items():
@@ -364,7 +369,10 @@ def sparse_howell_form(rows, modulus: int, start: int = 0) -> list[dict[int, int
     of the row span that vanishes before k.  The span has prod(modulus /
     pivot) members.  Only the rows with pivot >= ``start`` are back-reduced
     and returned: by the Howell property they are the Howell form of the
-    members of the span that vanish before column ``start``.
+    members of the span that vanish before column ``start``.  A row whose
+    leading column has no pivot row yet becomes that pivot row in one pass,
+    scaled to carry g = gcd(modulus, lead); only when g > 1 does a nonzero
+    cofactor, (modulus / g) row, go back on the work list.
     """
     n = modulus
     basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
@@ -374,19 +382,28 @@ def sparse_howell_form(rows, modulus: int, start: int = 0) -> list[dict[int, int
         while row:
             col = min(row)
             a = row[col]
-            top = basis.get(col, {})
-            d = top.get(col, n)
-            if a % d == 0:
-                _subtract(row, a // d, top, n)
-                continue
-            # unimodular 2x2 step: top' = s top + t row carries gcd(d, a), and
-            # the cofactor row, which vanishes at col, goes back on the work
-            # list.  (modulus / g) top' is a combination of the cofactor and
-            # (modulus / d) top, so every pivot row's annihilated multiple
-            # lies in the span of later rows: the Howell property.
-            g, s, t = _xgcd(d, a)
-            basis[col] = _combine(s, top, t, row, n)
-            row = _combine(d // g, row, -(a // g), top, n)
+            top = basis.get(col)
+            if top is None:
+                # a new pivot column: the 2x2 step below with top = 0 and
+                # d = modulus, in one pass.  top' = t row carries g, and the
+                # cofactor (modulus / g) row is zero unless g > 1.
+                g, _, t = _xgcd(n, a)
+                basis[col] = _scale(t, row, n)
+                row = _scale(n // g, row, n) if g > 1 else None
+            else:
+                d = top[col]
+                if a % d == 0:
+                    _subtract(row, a // d, top, n)
+                    continue
+                # unimodular 2x2 step: top' = s top + t row carries gcd(d, a),
+                # and the cofactor row, which vanishes at col, goes back on
+                # the work list.  (modulus / g) top' is a combination of the
+                # cofactor and (modulus / d) top, so every pivot row's
+                # annihilated multiple lies in the span of later rows: the
+                # Howell property.
+                g, s, t = _xgcd(d, a)
+                basis[col] = _combine(s, top, t, row, n)
+                row = _combine(d // g, row, -(a // g), top, n)
             if row:
                 work.append(row)
             break
@@ -476,7 +493,14 @@ def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
     vec = [x % modulus for x in vec]
     if width not in (None, len(vec)):
         raise ShapeMismatch(f"vector of width {len(vec)} for a form of width {width}")
-    for row, col in zip(form, _pivots(form, modulus)):
+    return _reduce(vec, form, _pivots(form, modulus), modulus)
+
+
+def _reduce(vec, form, pivots: list[int], modulus: int) -> list[int]:
+    """``howell_reduce`` on a form already checked, whose pivot columns are
+    ``pivots``."""
+    vec = [x % modulus for x in vec]
+    for row, col in zip(form, pivots):
         k = vec[col] // row[col]
         if k:
             vec = [(x - k * y) % modulus for x, y in zip(vec, row)]

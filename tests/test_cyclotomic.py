@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -247,6 +248,17 @@ def oracle_det(matrix):
     return total
 
 
+def oracle_rank(matrix):
+    """The order of the largest nonzero minor, by cofactor expansion."""
+    for k in range(min(matrix.rows, matrix.cols), 0, -1):
+        for rows in itertools.combinations(range(matrix.rows), k):
+            for cols in itertools.combinations(range(matrix.cols), k):
+                minor = CycloMatrix.from_rows([[matrix.at(i, j) for j in cols] for i in rows])
+                if not oracle_det(minor).is_zero:
+                    return k
+    return 0
+
+
 def test_det_and_rank_examples():
     assert _m([[1, 1], [1, -1]]).det() == CycloNumber.from_rational(-2)
     assert _m([[1, 1], [1, 1]]).rank() == 1
@@ -297,6 +309,60 @@ def test_random_inverse_via_adjugate():
         inverse = adjugate.scale(det.inv())
         assert m.matmul(inverse) == CycloMatrix.identity(3, 12)
         assert det * inverse.det() == CycloNumber.one()
+
+
+def _seeded_square_matrices():
+    """Seeded 1x1 to 4x4 matrices over several conductors, each followed by
+    singular variants: a zero row, a zero column, a row that is a multiple
+    of another or a combination of two others, and rank at most 1."""
+    rng = random.Random(23)
+    for size in range(1, 5):
+        for conductor in (1, 3, 4, 5, 8, 12):
+            def entry():
+                if rng.random() < 0.2:
+                    return CycloNumber.zero(conductor)
+                coeffs = tuple(rng.randint(-3, 3) for _ in range(euler_phi(conductor)))
+                return CycloNumber(conductor, coeffs)
+
+            rows = [[entry() for _ in range(size)] for _ in range(size)]
+            yield rows
+            i, j = rng.randrange(size), rng.randrange(size)
+            variants = [
+                [[CycloNumber.zero(conductor)] * size if r == i else row
+                 for r, row in enumerate(rows)],
+                [[CycloNumber.zero(conductor) if c == j else x for c, x in enumerate(row)]
+                 for row in rows],
+            ]
+            others = [r for r in range(size) if r != i]
+            for count in (1, 2)[:len(others)]:
+                scales = [entry() for _ in range(count)]
+                combined = [CycloNumber.zero(conductor)] * size
+                for scale, r in zip(scales, rng.sample(others, count)):
+                    combined = [x + scale * y for x, y in zip(combined, rows[r])]
+                variants.append([combined if r == i else row for r, row in enumerate(rows)])
+            scales = [entry() for _ in rows]
+            variants.append([[scale * x for x in rows[0]] for scale in scales])
+            yield from variants
+
+
+@pytest.mark.parametrize("rows", list(_seeded_square_matrices()))
+def test_bareiss_inverts_once_per_step_with_a_row_below(rows, monkeypatch):
+    """Bareiss divides every updated entry by the previous pivot; it inverts
+    that pivot once a step, and only when a row lies below the new pivot."""
+    matrix = CycloMatrix.from_rows(rows)
+    expected, rank = oracle_det(matrix), oracle_rank(matrix)
+    assert expected.is_zero == (rank < matrix.rows)
+    inverted = []
+    real_inv = CycloNumber.inv
+
+    def inv(self):
+        inverted.append(self)
+        return real_inv(self)
+
+    monkeypatch.setattr(CycloNumber, "inv", inv)
+    assert matrix.det() == expected
+    # the pivot steps are rows 0 .. rank - 1; the last row has none below it
+    assert len(inverted) == min(rank, matrix.rows - 1)
 
 
 def test_matmul_and_identity():

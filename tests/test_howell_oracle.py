@@ -1,5 +1,6 @@
 """The Howell engine against the reference engine in howell_oracle.py."""
 
+import math
 import random
 
 import pytest
@@ -87,6 +88,76 @@ def test_howell_engine_matches_oracle(modulus, ncols, rows):
         assert sparse_howell_form(pairs, modulus, start) == kept
 
 
+def _shared_factor_system(rng, modulus, nrows, ncols):
+    """Sparse rows, each led by a residue a that shares a factor g > 1 with
+    the modulus, then a unit, then units or nonzero multiples of g.  Opening a
+    pivot on such a row leaves the cofactor (modulus / g) row, which is
+    nonzero at the units and zero at the multiples of g."""
+    shared = [a for a in range(2, modulus) if math.gcd(a, modulus) > 1]
+    rows = []
+    for _ in range(nrows):
+        lead, a = rng.randrange(ncols - 1), rng.choice(shared)
+        g = math.gcd(a, modulus)
+        row = [0] * ncols
+        row[lead] = a
+        unit, *rest = rng.sample(range(lead + 1, ncols), min(ncols - lead - 1, rng.randint(1, 4)))
+        row[unit] = rng.choice((1, -1))
+        for c in rest:
+            row[c] = rng.choice((1, -1, g * rng.randrange(1, modulus // g)))
+        rows.append(row)
+    return rows
+
+
+# Rows whose new pivot t row has t v = 0 mod N at an entry v: the extended
+# gcd of (N, a) gives t = -2 for (10, 4) and (20, 8), and t = -4 for (18, 4).
+KILLED_BY_SCALE = ((10, [4, 5, 1]), (18, [4, 9, 1]), (20, [8, 10, 1]))
+
+
+def _new_pivot_cases():
+    rng = random.Random(23)
+    for modulus in (4, 6, 8, 9, 12):
+        for nrows, ncols in ((1, 3), (3, 5), (8, 8), (20, 12), (40, 24)):
+            yield modulus, ncols, _shared_factor_system(rng, modulus, nrows, ncols)
+    for modulus, row in KILLED_BY_SCALE:
+        yield modulus, len(row), [row, [0, 2, 3]]
+
+
+@pytest.mark.parametrize("modulus, row", KILLED_BY_SCALE)
+def test_the_scale_cases_kill_an_entry(modulus, row):
+    g, _, t = groups._xgcd(modulus, row[0])
+    assert g > 1 and t * row[1] % modulus == 0 != row[1] % modulus
+
+
+@pytest.mark.parametrize("modulus, ncols, rows", list(_new_pivot_cases()))
+def test_a_new_pivot_sharing_a_factor_with_the_modulus_keeps_its_cofactor(
+    modulus, ncols, rows, monkeypatch
+):
+    """A new pivot column's row becomes t row, which carries
+    g = gcd(modulus, a) at the pivot, and the cofactor (modulus / g) row
+    goes back on the work list.  With g > 1 the cofactor is nonzero; both
+    rows drop the entries that vanish mod the modulus."""
+    cofactors = []
+    real_scale = groups._scale
+
+    def scale(k, row, n):
+        out = real_scale(k, row, n)
+        if out and min(row) not in out:  # vanishes at the lead: a cofactor
+            cofactors.append(out)
+        return out
+
+    monkeypatch.setattr(groups, "_scale", scale)
+    form = _nonzeros(oracle.howell_form(rows, modulus))
+    pairs = [row.items() for row in _nonzeros(rows)]
+    for start in range(ncols + 1):
+        assert sparse_howell_form(pairs, modulus, start) == [
+            row for row in form if min(row) >= start
+        ]
+    assert cofactors
+    assert sparse_howell_kernel(pairs, ncols, modulus) == _nonzeros(
+        oracle.howell_kernel(rows, ncols, modulus)
+    )
+
+
 def _classify_system(literal, value_order):
     """The (rows, ncols, modulus) that classify_h3ab hands the kernel."""
     systems = []
@@ -138,8 +209,37 @@ def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
             if col < len(rows):
                 counts[col] += 1
     assert counts == sorted(len(row) for row in rows)
-    # the two eliminations it replaced made 1,091 subtractions and 132 combines
-    assert len(ops) < 1091 + 132
+    # the two eliminations it replaced made 1,091 subtractions and 132
+    # combines; each new pivot is opened without a combine
+    assert len(ops) <= 72
+    assert "_combine" not in ops
+
+
+@pytest.mark.parametrize("literal, value_order", [("Z4", 3), ("Z2xZ2", 2)])
+def test_classify_kernels_over_a_prime_open_each_pivot_in_one_pass(
+    literal, value_order, monkeypatch
+):
+    """Over a prime modulus every nonzero lead is a unit, so a new pivot
+    column costs one scaled copy of its row, with no cofactor, and no 2x2
+    step is ever needed: the kernel makes no combine."""
+    rows, ncols, modulus = _classify_system(literal, value_order)
+    calls = []
+
+    def counted(row_op):
+        def wrapper(*args):
+            calls.append(row_op.__name__)
+            return row_op(*args)
+        return wrapper
+
+    for name in ("_combine", "_scale", "_subtract"):
+        monkeypatch.setattr(groups, name, counted(getattr(groups, name)))
+    kernel = sparse_howell_kernel(rows, ncols, modulus)
+    assert "_combine" not in calls
+    assert kernel == _nonzeros(oracle.howell_kernel(
+        [[dict(row).get(c, 0) for c in range(ncols)] for row in rows], ncols, modulus
+    ))
+    # one scale per pivot column of [rows^T | I], and its ncols rows hold them all
+    assert 0 < calls.count("_scale") <= ncols
 
 
 @pytest.mark.parametrize("value_order", range(1, 9))
