@@ -40,12 +40,12 @@ from .groups import (
     Subgroup,
     addition_table,
     dense_rows,
-    _pivots,
-    _reduce,
     element_tables,
     howell_size,
     sparse_howell_form,
     sparse_howell_kernel,
+    _pivots,
+    _reduce,
 )
 
 

@@ -238,8 +238,8 @@ def test_classify_kernels_over_a_prime_open_each_pivot_in_one_pass(
     assert kernel == _nonzeros(oracle.howell_kernel(
         [[dict(row).get(c, 0) for c in range(ncols)] for row in rows], ncols, modulus
     ))
-    # one scale per pivot column of [rows^T | I], and its ncols rows hold them all
-    assert 0 < calls.count("_scale") <= ncols
+    # the identity block gives [rows^T | I] rank ncols: each row opens one pivot
+    assert calls.count("_scale") == ncols
 
 
 @pytest.mark.parametrize("value_order", range(1, 9))
