@@ -574,48 +574,6 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
 
 
 # ----------------------------------------------------------------------
-# Exponent-vector search engine for find_mu.
-# ----------------------------------------------------------------------
-
-def _solve_exponents(count: int, modulus: int, equations):
-    """Yield exponent vectors in lexicographic order satisfying linear congruences.
-
-    ``equations`` is a list of (terms, target) with terms = [(index, coeff)];
-    a solution x has sum(coeff * x[index]) = target (mod modulus) for each.
-    Constraints are applied as soon as their last variable is assigned, so the
-    DFS prunes early and the first yield is the lexicographic minimum.
-    """
-    by_last = [[] for _ in range(count)]
-    for terms, target in equations:
-        merged: dict[int, int] = {}
-        for idx, coeff in terms:
-            merged[idx] = (merged.get(idx, 0) + coeff) % modulus
-        merged = {i: c for i, c in merged.items() if c}
-        target %= modulus
-        if not merged:
-            if target:
-                return
-            continue
-        by_last[max(merged)].append((tuple(sorted(merged.items())), target))
-
-    assign = [0] * count
-
-    def dfs(pos: int):
-        if pos == count:
-            yield tuple(assign)
-            return
-        for value in range(modulus):
-            assign[pos] = value
-            if all(
-                sum(coeff * assign[idx] for idx, coeff in terms) % modulus == target
-                for terms, target in by_last[pos]
-            ):
-                yield from dfs(pos + 1)
-
-    yield from dfs(0)
-
-
-# ----------------------------------------------------------------------
 # Trivializing 2-cochains on subgroups.
 # ----------------------------------------------------------------------
 
@@ -623,16 +581,23 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
     """Lexicographically first normalized mu on H with (delta mu) = psi|_H, or None.
 
     delta mu (a,b,c) = mu(b,c) mu(a,b+c) mu(a+b,c)^-1 mu(a,b)^-1, with values
-    in the value_order-th roots of unity.  Decided in this order: the bounds,
-    the subgroup and normalization (errors); then, for a cocycle known valid
-    (standard, or its ``cocycle_failure`` kept as None), the existence rule:
-    psi|_H is a coboundary, even in C^x, iff q(h)^ord(h) = 1 on H, q the
-    omega diagonal.  (Its class in H^3(H, C^x) depends on q|_H alone; for the
-    standard cocycle it is the part t_i n_i, which vanishes iff each
-    tau_i^(n_i) = 1.)  Then psi is read at the nonzero triples of H, not the
-    |G|^3 table: where it is all 1 the equations are homogeneous and mu = 1,
-    their least solution, is returned without a search; else the search runs.
+    in the value_order-th roots of unity.  Decided in this order: the value
+    order, the subgroup, the bounds and normalization (errors); then, for a
+    cocycle known valid (standard, or its ``cocycle_failure`` kept as None),
+    the existence rule: psi|_H is a coboundary, even in C^x, iff
+    q(h)^ord(h) = 1 on H, q the omega diagonal.  (Its class in H^3(H, C^x)
+    depends on q|_H alone; for the standard cocycle it is the part t_i n_i,
+    which vanishes iff each tau_i^(n_i) = 1.)  Then psi is read at the
+    nonzero triples of H, not the |G|^3 table: where it is all 1 the
+    equations are homogeneous and mu = 1, their least solution, is returned.
+    Else the equations A x = b over Z/value_order are solved by one Howell
+    kernel of [-b | A]: a solution exists iff the kernel's first row has
+    pivot 1 at column 0, and that row, reduced above the pivots of the rows
+    below it, which span the solutions of A x = 0, has the least solution as
+    its tail.
     """
+    if value_order < 1:
+        raise ParseError(f"value order must be at least 1, got {value_order}")
     if sub.parent != c.group:
         raise NotSubgroup("subgroup belongs to a different group")
     if sub.order > 16 or value_order > 24:
@@ -655,11 +620,9 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
     psi = c.psi_on(nonzero)
     if not any(psi):
         return two_cochain_from_table(g, sub.elements, {})
-    free = [(a, b) for a in nonzero for b in nonzero]
-    slot = {pair: i for i, pair in enumerate(free)}
-
-    def term(a: int, b: int, coeff: int):
-        return [(slot[(a, b)], coeff)] if a and b else []
+    # the unknown mu(a, b) sits at column 1, 2, ... in the order of (a, b),
+    # and column 0 carries -psi
+    column = {pair: i for i, pair in enumerate(itertools.product(nonzero, repeat=2), 1)}
 
     equations = []
     for (a, b, cc), k in zip(itertools.product(nonzero, repeat=3), psi):
@@ -667,22 +630,24 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
         scaled = k * value_order
         if scaled % conductor:
             return None
-        terms = (
-            term(b, cc, +1)
-            + term(a, add[b * n + cc], +1)
-            + term(add[a * n + b], cc, -1)
-            + term(a, b, -1)
-        )
-        equations.append((terms, scaled // conductor))
+        row = {0: -(scaled // conductor)}
+        for pair, coeff in (
+            ((b, cc), 1), ((a, add[b * n + cc]), 1), ((add[a * n + b], cc), -1), ((a, b), -1)
+        ):
+            if all(pair):  # the engine needs distinct columns: merge repeats
+                col = column[pair]
+                row[col] = row.get(col, 0) + coeff
+        equations.append(row.items())
 
-    elems = c._elems
-    for solution in _solve_exponents(len(free), value_order, equations):
-        table = {
-            (elems[a], elems[b]): root_of_unity(value_order, k)
-            for (a, b), k in zip(free, solution)
-        }
-        return two_cochain_from_table(g, sub.elements, table)
-    return None
+    kernel = sparse_howell_kernel(equations, len(column) + 1, value_order)
+    if not kernel or kernel[0].get(0) != 1:
+        return None
+    first, elems = kernel[0], c._elems
+    table = {
+        (elems[a], elems[b]): root_of_unity(value_order, first.get(i, 0))
+        for (a, b), i in column.items()
+    }
+    return two_cochain_from_table(g, sub.elements, table)
 
 
 # ----------------------------------------------------------------------

@@ -313,9 +313,9 @@ def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> lis
 # Howell form over Z/N (Storjohann and Mulders, ESA 1998).  The engine holds
 # each row as a dict from column to nonzero residue, so a row operation costs
 # the nonzeros of the rows it combines, not the width.  A kernel is one
-# elimination of [rows^T | I], its rows^T columns sparsest first.  The dense
-# entry points check shapes and modulus before any elimination and convert at
-# the edges.
+# elimination of [rows^T | I], its rows^T columns sparsest first.  Callers
+# convert a form to dense rows (``dense_rows``) to reduce by it and to count
+# its span; ``howell_size`` checks shapes, modulus and pivots first.
 # ----------------------------------------------------------------------
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -467,14 +467,6 @@ def dense_rows(rows, width: int) -> list[list[int]]:
     return out
 
 
-def howell_form(rows, modulus: int) -> list[list[int]]:
-    """Howell form of the row span of the dense ``rows`` in (Z/modulus)^n, as
-    dense rows; see ``sparse_howell_form``."""
-    rows = list(rows)
-    width = _width(rows, modulus)
-    return dense_rows(sparse_howell_form(map(enumerate, rows), modulus), width)
-
-
 def _pivots(form, modulus: int) -> list[int]:
     """The pivot column of each row of ``form``, after checking that each row
     has one and that it is a positive divisor of the modulus."""
@@ -487,18 +479,10 @@ def _pivots(form, modulus: int) -> list[int]:
     return cols
 
 
-def howell_reduce(vec, form: list[list[int]], modulus: int) -> list[int]:
-    """Lexicographically least member of vec + span(form), for a Howell form."""
-    width = _width(form, modulus)
-    vec = [x % modulus for x in vec]
-    if width not in (None, len(vec)):
-        raise ShapeMismatch(f"vector of width {len(vec)} for a form of width {width}")
-    return _reduce(vec, form, _pivots(form, modulus), modulus)
-
-
 def _reduce(vec, form, pivots: list[int], modulus: int) -> list[int]:
-    """``howell_reduce`` on a form already checked, whose pivot columns are
-    ``pivots``."""
+    """Lexicographically least member of vec + span(form), for dense rows
+    ``form`` of a Howell form whose pivot columns, checked by ``_pivots``,
+    are ``pivots``."""
     vec = [x % modulus for x in vec]
     for row, col in zip(form, pivots):
         k = vec[col] // row[col]
@@ -511,16 +495,6 @@ def howell_size(form: list[list[int]], modulus: int) -> int:
     """Number of members of the span of a Howell form."""
     _width(form, modulus)
     return math.prod(modulus // row[col] for row, col in zip(form, _pivots(form, modulus)))
-
-
-def howell_kernel(rows: list, ncols: int, modulus: int) -> list[list[int]]:
-    """Howell form of {x in (Z/modulus)^ncols : row . x = 0 for every row}, on
-    dense rows of width ncols; see ``sparse_howell_kernel``."""
-    rows = list(rows)
-    width = _width(rows, modulus)
-    if width not in (None, ncols):
-        raise ShapeMismatch(f"rows of width {width} for {ncols} columns")
-    return dense_rows(sparse_howell_kernel(map(enumerate, rows), ncols, modulus), ncols)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,10 @@ versions of the coboundary twist and the JSON writer, kept as they were.
 the closed form in pointedcat.cocycles replaced, kept as it was.
 ``searched_mu`` is ``find_mu`` after its bound and normalization checks as
 it was before it decided anything: the equations and the search, always.
+The search is ``_solve_exponents``, the depth-first search over exponent
+vectors that ``find_mu`` ran before it solved by one Howell kernel; its
+first answer is the lexicographically least solution, and its cost grows
+as value_order^((|H| - 1)^2) in the worst case.
 """
 
 import itertools
@@ -24,7 +28,6 @@ from pointedcat.cocycles import (
     _basis,
     _exponents,
     _generator_exponents,
-    _solve_exponents,
     _trace,
     cocycle_failure,
     cocycle_from_tables,
@@ -234,6 +237,44 @@ def standard_cocycle_dense(q):
     if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
     return out
+
+
+def _solve_exponents(count: int, modulus: int, equations):
+    """Yield exponent vectors in lexicographic order satisfying linear congruences.
+
+    ``equations`` is a list of (terms, target) with terms = [(index, coeff)];
+    a solution x has sum(coeff * x[index]) = target (mod modulus) for each.
+    Constraints are applied as soon as their last variable is assigned, so the
+    DFS prunes early and the first yield is the lexicographic minimum.
+    """
+    by_last = [[] for _ in range(count)]
+    for terms, target in equations:
+        merged: dict[int, int] = {}
+        for idx, coeff in terms:
+            merged[idx] = (merged.get(idx, 0) + coeff) % modulus
+        merged = {i: c for i, c in merged.items() if c}
+        target %= modulus
+        if not merged:
+            if target:
+                return
+            continue
+        by_last[max(merged)].append((tuple(sorted(merged.items())), target))
+
+    assign = [0] * count
+
+    def dfs(pos: int):
+        if pos == count:
+            yield tuple(assign)
+            return
+        for value in range(modulus):
+            assign[pos] = value
+            if all(
+                sum(coeff * assign[idx] for idx, coeff in terms) % modulus == target
+                for terms, target in by_last[pos]
+            ):
+                yield from dfs(pos + 1)
+
+    yield from dfs(0)
 
 
 def searched_mu(c, sub, value_order):

@@ -9,12 +9,13 @@ import itertools
 
 from pointedcat.cocycles import (
     CocycleClass,
-    _solve_exponents,
     cocycle_from_tables,
     trace_form,
 )
 from pointedcat.cyclotomic import root_of_unity
 from pointedcat.errors import ConventionError
+
+from cocycle_scan_oracle import _solve_exponents
 
 
 def classify_h3ab_by_search(group, value_order):

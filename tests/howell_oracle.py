@@ -2,18 +2,18 @@
 a test oracle.
 
 `pointedcat.groups` holds each row as a dict from column to nonzero residue
-(`sparse_howell_form`, `sparse_howell_kernel`) behind the dense entry points
-`howell_form`, `howell_kernel`, `howell_reduce` and `howell_size`.  This is
-the dense engine it replaced, in its first form: `howell_form` steps over
-zero columns one at a time, pushes all-zero cofactor rows back on its work
-list, and back-reduces with one `howell_reduce` call per pair of rows;
-`howell_kernel` builds [rows^T | I] on the rows as given.  Below it is the
-classification of H^3_ab that `pointedcat.cocycles` ran on that engine, with
-the equations and coboundaries built as dense vectors through tuple addition
-and each coboundary checked against each equation over every column.
-`tests/test_howell_oracle.py` compares both entry points with this engine on
-random systems, and the two classifications on every group and value order
-they accept."""
+(`sparse_howell_form`, `sparse_howell_kernel`), and `classify_h3ab` reduces
+by a form and counts its span on dense rows (`_reduce`, `howell_size`).
+This is the dense engine it replaced, in its first form: `howell_form`
+steps over zero columns one at a time, pushes all-zero cofactor rows back
+on its work list, and back-reduces with one `howell_reduce` call per pair
+of rows; `howell_kernel` builds [rows^T | I] on the rows as given.  Below it
+is the classification of H^3_ab that `pointedcat.cocycles` ran on that
+engine, with the equations and coboundaries built as dense vectors through
+tuple addition and each coboundary checked against each equation over every
+column.  `tests/test_howell_oracle.py` compares the sparse engine with this
+one on random systems, and the two classifications on every group and
+value order they accept."""
 
 from __future__ import annotations
 

@@ -1,14 +1,16 @@
-"""find_mu decides before it searches.
+"""find_mu decides before it searches, and searches by one Howell kernel.
 
 After its bound and normalization checks, ``find_mu`` applies the existence
 rule to a cocycle known valid, and where psi vanishes on H it returns
 mu = 1 without building the equations: with every target 0 the system is
-homogeneous, and the search, which tries 0 first at each position, finds
-the zero vector first.  These tests hold each decision to the search it
-skips (``cocycle_scan_oracle.searched_mu``) and count the searches.
+homogeneous, and the zero vector is its least solution.  Otherwise it reads
+mu, or None, from one ``sparse_howell_kernel`` call.  These tests hold each
+answer to the depth-first search that the kernel replaced
+(``cocycle_scan_oracle.searched_mu``) and count the kernel calls.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -24,7 +26,7 @@ from pointedcat.cocycles import (
     two_cochain_from_table,
 )
 from pointedcat.cyclotomic import ONE, root_of_unity
-from pointedcat.errors import BoundsExceeded, NotACocycle, NotSubgroup
+from pointedcat.errors import BoundsExceeded, NotACocycle, NotSubgroup, ParseError
 from pointedcat.groups import all_subgroups, full_subgroup, parse_group, subgroup_generated
 
 import cocycle_scan_oracle as oracle
@@ -114,7 +116,7 @@ def test_no_search_where_psi_vanishes_on_h(monkeypatch):
     assert any(twist.psi_exp)
     cases = [(trivial, sub) for sub in all_subgroups(z2z2) if sub.order > 1] + [(twist, half)]
     assert len(cases) == 5
-    monkeypatch.setattr(cocycles, "_solve_exponents", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel", lambda *args: pytest.fail("searched"))
     for c, sub in cases:
         for value_order in schedule(sub):
             mu = find_mu(c, sub, value_order)
@@ -129,9 +131,9 @@ def test_one_nonzero_psi_entry_on_h_sends_find_mu_to_the_search(monkeypatch):
     whole = full_subgroup(group)
     nonzero = [h for h in group.elements() if any(h)]
     searched = []
-    solve = cocycles._solve_exponents
-    monkeypatch.setattr(cocycles, "_solve_exponents",
-                        lambda *args: searched.append(args) or solve(*args))
+    kernel = cocycles.sparse_howell_kernel
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel",
+                        lambda *args: searched.append(args) or kernel(*args))
     for triple in itertools.product(nonzero, repeat=3):
         c = cocycles.cocycle_from_tables(group, {triple: root_of_unity(2, 1)}, {})
         assert find_mu(c, whole, 2) == oracle.searched_mu(c, whole, 2)
@@ -152,7 +154,8 @@ def test_existence_rule_needs_a_cocycle_known_valid():
 def test_existence_rule_on_scanned_tables(monkeypatch):
     """The dense standard tables of Z4 with q(1) = z8, H = G, value order 16:
     q(1)^4 = -1, so no mu exists.  Once the tables are scanned valid the
-    rule decides it, reading no psi entry on H; unscanned, no scan is
+    rule decides it, reading no psi entry on H; unscanned, the kernel finds
+    none at value orders 4 (as the search does) and 16, and no scan is
     triggered."""
     group = parse_group("Z4")
     form = form_from_generators(group, [root_of_unity(8, 1)], {})
@@ -160,11 +163,12 @@ def test_existence_rule_on_scanned_tables(monkeypatch):
     unscanned = AbelianCocycle(group, *oracle.standard_tables_dense(form))
     assert oracle.searched_mu(unscanned, whole, 4) is None
     assert find_mu(unscanned, whole, 4) is None
+    assert find_mu(unscanned, whole, 16) is None
     assert "cocycle_failure" not in unscanned._results
     scanned = AbelianCocycle(group, *oracle.standard_tables_dense(form))
     assert cocycle_failure(scanned) is None
     monkeypatch.setattr(AbelianCocycle, "psi_on", lambda *args: pytest.fail("read psi"))
-    monkeypatch.setattr(cocycles, "_solve_exponents", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel", lambda *args: pytest.fail("searched"))
     assert find_mu(scanned, whole, 16) is None
 
 
@@ -173,9 +177,106 @@ def test_errors_come_before_any_psi_entry_is_read(monkeypatch):
     trivial = standard_cocycle(form_from_generators(group, [ONE], {}))
     unnormalized = cocycles.cocycle_from_tables(group, {((0,), (1,), (1,)): root_of_unity(2, 1)}, {})
     monkeypatch.setattr(AbelianCocycle, "psi_on", lambda *args: pytest.fail("read psi"))
+    for value_order in (0, -4):
+        with pytest.raises(ParseError, match=f"value order must be at least 1, got {value_order}"):
+            find_mu(trivial, full_subgroup(group), value_order)
     with pytest.raises(NotSubgroup, match="subgroup belongs to a different group"):
         find_mu(trivial, full_subgroup(parse_group("Z2")), 2)
     with pytest.raises(BoundsExceeded, match=r"got 4, 48"):
         find_mu(trivial, full_subgroup(group), 48)
     with pytest.raises(NotACocycle, match="mu search requires a normalized cocycle"):
         find_mu(unnormalized, full_subgroup(group), 4)
+
+
+@pytest.mark.parametrize("literal", SMALL)
+def test_find_mu_is_the_first_answer_of_the_search(literal):
+    """Every form, every H, brmod's value orders: find_mu on the standard
+    cocycle and on an unscanned copy of its tables, which skips the
+    existence rule, agree, and equal the search wherever the search is
+    cheap: where a mu exists, or where |H| <= 4 and the value order is at
+    most 8.  find_mu reads psi and the omega diagonal on H alone, so each
+    distinct input is run once; the unscanned copy and the search read psi
+    on H alone."""
+    group = parse_group(literal)
+    subs = all_subgroups(group)
+    decided, solved = set(), {}
+    searched = 0
+    for form in enumerate_quadratic_forms(group):
+        standard = standard_cocycle(form)
+        unscanned = AbelianCocycle(group, standard.conductor, standard.psi_exp, standard.omega_exp)
+        for sub in subs:
+            psi = psi_on(standard, sub)
+            diagonal = tuple(standard._diagonal[i] for i in sub.indices)
+            for value_order in schedule(sub):
+                key = (standard.conductor, psi, sub, value_order)
+                if (key, diagonal) in decided:
+                    continue
+                decided.add((key, diagonal))
+                if key not in solved:
+                    mu = solved[key] = find_mu(unscanned, sub, value_order)
+                    if mu is not None or (sub.order <= 4 and value_order <= 8):
+                        assert oracle.searched_mu(unscanned, sub, value_order) == mu
+                        searched += 1
+                assert find_mu(standard, sub, value_order) == solved[key]
+    assert "cocycle_failure" not in unscanned._results
+    assert searched > 0 or group.order == 1
+
+
+def test_no_mu_at_value_order_16_is_the_search_verdict():
+    """Unscanned Z4xZ2 tables of q(x, y) = z8^(x^2) on H = <(1, 0)>, value
+    order 16: q(1, 0)^4 = -1, so no mu exists, and the search exhausts its
+    tree (the costliest search this file runs); the kernel finds none too."""
+    group = parse_group("Z4xZ2")
+    form = form_from_generators(group, [root_of_unity(8, 1), ONE], {})
+    sub = subgroup_generated(group, [(1, 0)])
+    unscanned = AbelianCocycle(group, *oracle.standard_tables_dense(form))
+    assert find_mu(unscanned, sub, 16) is None
+    assert oracle.searched_mu(unscanned, sub, 16) is None
+
+
+def delta(mu, a, b, cc, add):
+    """(delta mu)(a, b, cc) = mu(b, cc) mu(a, b + cc) mu(a + b, cc)^-1 mu(a, b)^-1."""
+    return mu.at(b, cc) * mu.at(a, add(b, cc)) * mu.at(add(a, b), cc).inv() * mu.at(a, b).inv()
+
+
+@pytest.mark.parametrize("literal", ["Z4xZ4", "Z2xZ2xZ2xZ2", "Z8xZ2"])
+def test_mu_on_order_16_twists_of_the_trivial_form(literal):
+    """The standard cocycle of q = 1 twisted by a seeded mu_4-valued phi: H = G
+    of order 16, value order 4, 225 unknowns and 3375 equations, far past
+    the search.  A mu exists (phi is one), and the one found trivializes psi
+    at every triple."""
+    group = parse_group(literal)
+    rng = random.Random(literal)
+    elems = group.elements()
+    phi = two_cochain_from_table(group, elems, {
+        (a, b): root_of_unity(4, rng.randrange(4)) for a in elems[1:] for b in elems[1:]
+    })
+    twist = apply_coboundary(standard_cocycle(form_from_generators(
+        group, [ONE] * len(group.factors), {}
+    )), phi)
+    whole = full_subgroup(group)
+    calls = []
+    kernel = cocycles.sparse_howell_kernel
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cocycles, "sparse_howell_kernel",
+                      lambda *args: calls.append(args) or kernel(*args))
+        mu = find_mu(twist, whole, 4)
+    assert len(calls) == 1 and mu is not None and mu.domain == tuple(elems)
+    for a, b, cc in itertools.product(elems, repeat=3):
+        assert delta(mu, a, b, cc, group.add) == oracle.psi_at(twist, a, b, cc)
+
+
+def test_no_mu_on_unscanned_tables_after_one_kernel(monkeypatch):
+    """Unscanned Z4xZ2 tables of q(x, y) = z8^(x^2), H = G, value order 16:
+    the existence rule is skipped, and the one kernel of 49 unknowns says
+    no mu, where the search would try up to 16^49 vectors."""
+    group = parse_group("Z4xZ2")
+    form = form_from_generators(group, [root_of_unity(8, 1), ONE], {})
+    unscanned = AbelianCocycle(group, *oracle.standard_tables_dense(form))
+    calls = []
+    kernel = cocycles.sparse_howell_kernel
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    assert find_mu(unscanned, full_subgroup(group), 16) is None
+    (call,) = calls
+    assert call[1:] == (50, 16)  # mu's 49 unknowns and the column of -psi

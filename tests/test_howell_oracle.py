@@ -5,15 +5,10 @@ import random
 
 import pytest
 
+import dense_howell
 import howell_oracle as oracle
 from pointedcat import cocycles, groups
-from pointedcat.groups import (
-    howell_form,
-    howell_kernel,
-    parse_group,
-    sparse_howell_form,
-    sparse_howell_kernel,
-)
+from pointedcat.groups import parse_group, sparse_howell_form, sparse_howell_kernel
 
 MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
 
@@ -75,10 +70,11 @@ def _nonzeros(rows):
 def test_howell_engine_matches_oracle(modulus, ncols, rows):
     form = oracle.howell_form(rows, modulus)
     kernel = oracle.howell_kernel(rows, ncols, modulus)
-    assert howell_form(rows, modulus) == form
-    assert howell_kernel(rows, ncols, modulus) == kernel
-    # the sparse entry points, handed the nonzeros (entries outside
-    # [0, modulus) and multiples of it included) as (column, value) pairs
+    # the engine, handed every entry of the dense rows
+    assert dense_howell.howell_form(rows, modulus) == form
+    assert dense_howell.howell_kernel(rows, ncols, modulus) == kernel
+    # and handed the nonzeros (entries outside [0, modulus) and multiples of
+    # it included) as (column, value) pairs
     pairs = [row.items() for row in _nonzeros(rows)]
     assert sparse_howell_form(pairs, modulus) == _nonzeros(form)
     assert sparse_howell_kernel(pairs, ncols, modulus) == _nonzeros(kernel)
