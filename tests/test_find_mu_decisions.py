@@ -194,9 +194,9 @@ def test_find_mu_is_the_first_answer_of_the_search(literal):
     cocycle and on an unscanned copy of its tables, which skips the
     existence rule, agree, and equal the search wherever the search is
     cheap: where a mu exists, or where |H| <= 4 and the value order is at
-    most 8.  find_mu reads psi and the omega diagonal on H alone, so each
-    distinct input is run once; the unscanned copy and the search read psi
-    on H alone."""
+    most 8.  find_mu reads psi and the omega diagonal on H alone, and on
+    the unscanned copy, as the search does, psi on H alone: each distinct
+    input is run once."""
     group = parse_group(literal)
     subs = all_subgroups(group)
     decided, solved = set(), {}
@@ -240,7 +240,7 @@ def delta(mu, a, b, cc, add):
 
 
 @pytest.mark.parametrize("literal", ["Z4xZ4", "Z2xZ2xZ2xZ2", "Z8xZ2"])
-def test_mu_on_order_16_twists_of_the_trivial_form(literal):
+def test_mu_on_order_16_twists_of_the_trivial_form(literal, monkeypatch):
     """The standard cocycle of q = 1 twisted by a seeded mu_4-valued phi: H = G
     of order 16, value order 4, 225 unknowns and 3375 equations, far past
     the search.  A mu exists (phi is one), and the one found trivializes psi
@@ -257,10 +257,9 @@ def test_mu_on_order_16_twists_of_the_trivial_form(literal):
     whole = full_subgroup(group)
     calls = []
     kernel = cocycles.sparse_howell_kernel
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cocycles, "sparse_howell_kernel",
-                      lambda *args: calls.append(args) or kernel(*args))
-        mu = find_mu(twist, whole, 4)
+    monkeypatch.setattr(cocycles, "sparse_howell_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    mu = find_mu(twist, whole, 4)
     assert len(calls) == 1 and mu is not None and mu.domain == tuple(elems)
     for a, b, cc in itertools.product(elems, repeat=3):
         assert delta(mu, a, b, cc, group.add) == oracle.psi_at(twist, a, b, cc)
