@@ -12,6 +12,7 @@ or "-" to read a category JSON from stdin, so commands can be piped:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -490,5 +491,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """``main()`` for a process that ends when it returns: the console script
+    and ``python -m pointedcat.cli``.  Freezing every tracked object spares
+    the interpreter's exit its search for cyclic garbage; exit still flushes
+    the streams and runs atexit handlers.  Code that goes on running after
+    ``main`` returns calls ``main``, so its heap stays collectable."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

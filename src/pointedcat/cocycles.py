@@ -634,7 +634,7 @@ def find_mu(c: AbelianCocycle, sub: Subgroup, value_order: int) -> TwoCochain | 
         for pair, coeff in (
             ((b, cc), 1), ((a, add[b * n + cc]), 1), ((add[a * n + b], cc), -1), ((a, b), -1)
         ):
-            if all(pair):  # the engine needs distinct columns: merge repeats
+            if all(pair):  # repeats merge here; the engine sums them on a slower path
                 col = column[pair]
                 row[col] = row.get(col, 0) + coeff
         equations.append(row.items())

@@ -357,12 +357,35 @@ def _subtract(row: dict[int, int], k: int, y: dict[int, int], n: int) -> None:
             row.pop(c, None)  # k v may vanish mod n where row has no entry
 
 
+def _residue_rows(rows, n: int) -> list[dict[int, int]]:
+    """Rows of (column, value) pairs as dicts from column to nonzero residue
+    mod n, zero rows dropped.  The values at a repeated column add up; the
+    sum is taken only where the pair count shows a repeat."""
+    out = []
+    for row in rows:
+        try:
+            size = len(row)
+        except TypeError:  # a one-pass iterator, read twice below
+            row = tuple(row)
+            size = len(row)
+        vec = {c: v % n for c, v in row if v % n}
+        if len(vec) < size and len(dict(row)) < size:
+            vec = {}
+            for c, v in row:
+                vec[c] = vec.get(c, 0) + v
+            vec = {c: w for c, v in vec.items() if (w := v % n)}
+        if vec:
+            out.append(vec)
+    return out
+
+
 def sparse_howell_form(rows, modulus: int, start: int = 0) -> list[dict[int, int]]:
     """Howell form of the row span of ``rows`` over Z/modulus, on sparse rows.
 
-    Each row is given as (column, value) pairs with distinct columns, and the
-    modulus is at least 1 (the dense entry points ensure both); each row of
-    the form is a dict from column to nonzero residue.  Rows come in
+    Each row is given as (column, value) pairs, the values at a repeated
+    column adding up, and the modulus is at least 1 (``find_mu`` and
+    ``classify_h3ab`` check it); each row of the form is a dict from column
+    to nonzero residue.  Rows come in
     echelon order, each pivot divides the modulus and every entry above a
     pivot is reduced below it, so equal spans give equal forms.  Howell
     property: for every column k, the rows with pivot >= k span every member
@@ -376,7 +399,7 @@ def sparse_howell_form(rows, modulus: int, start: int = 0) -> list[dict[int, int
     """
     n = modulus
     basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
-    work = [row for row in ({c: v % n for c, v in row if v % n} for row in rows) if row]
+    work = _residue_rows(rows, n)
     while work:
         row = work.pop()
         while row:
@@ -432,7 +455,7 @@ def sparse_howell_kernel(rows, ncols: int, modulus: int) -> list[dict[int, int]]
     is canonical, so the order changes only the work.
     """
     n = modulus
-    rows = sorted(filter(None, ({c: v % n for c, v in row if v % n} for row in rows)), key=len)
+    rows = sorted(_residue_rows(rows, n), key=len)
     split = len(rows)
     # modulo 1 the identity block is 0 too, and the engine drops it
     augmented = [{split + j: 1} for j in range(ncols)]

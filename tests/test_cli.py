@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pointedcat
+from pointedcat import cli
 from pointedcat.cli import main
 from pointedcat.groups import parse_group
 from pointedcat.metric import preset
@@ -549,3 +552,63 @@ def test_center_on_form_files_at_the_bound_builds_no_cocycle(monkeypatch):
         assert built == [], payload
 
     check()
+
+
+# -- the process entry point -------------------------------------------------------
+
+@pytest.mark.parametrize("code", [0, 2, 4])
+def test_run_freezes_the_heap_once_main_has_returned(monkeypatch, code):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == code
+    assert calls == ["main", "freeze"]
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "center", "semion", "--json")[0] == 0
+    assert run_cli(capsys, "classify", "Z2xZ2xZ2")[0] == 4
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_points_at_run():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'pointedcat = "pointedcat.cli:run"' in pyproject.read_text().splitlines()
+
+
+def _masked(text):
+    return re.sub(r'"timing_ms": [0-9.e+-]+', '"timing_ms": 0', text)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["smatrix", "semion", "--level", "1", "--json"], 0),
+    (["tmatrix", "double:Z2", "--human"], 0),
+    (["center", "double:Z3", "--out", "{out}"], 0),
+    (["cocycle-check", "{broken}", "--json"], 2),
+    (["classify", "Z2xZ2xZ2"], 4),
+    (["center", "{missing}"], 2),
+])
+def test_the_process_matches_main_in_process(tmp_path, capsys, argv, code):
+    """``python -m pointedcat.cli`` (``run``, then the interpreter's exit)
+    prints what ``main`` prints in process and exits with its code."""
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({"group": "Z2", "psi": {"1,1,1": "z4^1"},
+                                  "omega": {"1,1": "z8^1"}}))
+    paths = {"broken": broken, "missing": tmp_path / "missing.json"}
+
+    def args(out):
+        return [a.format(out=out, **paths) for a in argv]
+
+    src = str(Path(pointedcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pointedcat.cli", *args(tmp_path / "a.json")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    expected = run_cli(capsys, *args(tmp_path / "b.json"))
+    assert (proc.returncode, _masked(proc.stdout), proc.stderr) == (
+        code, _masked(expected[1]), expected[2])
+    if "--out" in argv:
+        written = (tmp_path / "a.json").read_text()
+        assert json.loads(written)["results"]["order"] == 1
+        assert _masked(written) == _masked((tmp_path / "b.json").read_text())

@@ -84,6 +84,46 @@ def test_howell_engine_matches_oracle(modulus, ncols, rows):
         assert sparse_howell_form(pairs, modulus, start) == kept
 
 
+def test_a_repeated_column_sums_its_values():
+    assert sparse_howell_form([[(0, 1), (0, 1)]], 4) == [{0: 2}]
+    assert sparse_howell_kernel([[(0, 1), (0, 1)]], 1, 4) == [{0: 2}]
+    # repeats that cancel mod the modulus leave no entry: column 0 here, and
+    # the whole row below, whose kernel is all of Z/4
+    assert sparse_howell_form([[(0, 1), (1, 1), (0, 3)]], 4) == [{1: 1}]
+    assert sparse_howell_kernel([[(0, 2), (0, 2)]], 1, 4) == [{0: 1}]
+
+
+def _split(rng, row, modulus):
+    """The nonzeros of a dense row as (column, value) pairs, each value cut
+    into one to three parts of any residue, with pairs that cancel added at
+    some zero columns; the pairs come shuffled."""
+    pairs = []
+    for c, v in enumerate(row):
+        if v:
+            parts = [rng.randrange(-2 * modulus, 2 * modulus + 1)
+                     for _ in range(rng.randint(0, 2))]
+            pairs += [(c, p) for p in parts] + [(c, v - sum(parts))]
+        elif rng.random() < 0.1:
+            pairs += [(c, modulus), (c, -modulus)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("modulus, ncols, rows", list(_systems()))
+def test_rows_with_repeated_columns_equal_the_merged_rows(modulus, ncols, rows):
+    rng = random.Random(f"{modulus} {ncols} {len(rows)}")
+    merged = [row.items() for row in _nonzeros(rows)]
+    split = [_split(rng, row, modulus) for row in rows]
+    form = sparse_howell_form(merged, modulus)
+    kernel = sparse_howell_kernel(merged, ncols, modulus)
+    assert form == _nonzeros(oracle.howell_form(rows, modulus))
+    # as lists, and as one-pass iterators
+    assert sparse_howell_form(split, modulus) == form
+    assert sparse_howell_form(map(iter, split), modulus) == form
+    assert sparse_howell_kernel(split, ncols, modulus) == kernel
+    assert sparse_howell_kernel(map(iter, split), ncols, modulus) == kernel
+
+
 def _shared_factor_system(rng, modulus, nrows, ncols):
     """Sparse rows, each led by a residue a that shares a factor g > 1 with
     the modulus, then a unit, then units or nonzero multiples of g.  Opening a
