@@ -6,11 +6,13 @@ scalar on pairs, stored as integer exponents of z_N for one conductor N.
 The pentagon and two hexagon identities below pin the scalar conventions.
 Each cocycle is validated once and the result is kept on it: tables given
 outright are scanned, and the standard pair of a quadratic form is valid by
-the proof in ``standard_cocycle``.  Two theorem-backed assertions guard the
-convention: the trace g -> omega(g, g) of any valid pair must be a quadratic
-form, and building the standard pair back from a quadratic form must return
-it as its trace.  If either ever fails the build aborts; conventions are
-never silently patched.
+the proof in ``standard_cocycle``.  Quadratic forms follow the same split: a
+value table is scanned, and a form built from generator data is valid by
+the proof in ``form_from_generators`` once two order facts hold.  Two
+theorem-backed assertions guard the convention: the trace g -> omega(g, g)
+of any valid pair must be a quadratic form, and building the standard pair
+back from a quadratic form must return it as its trace.  If either ever
+fails the build aborts; conventions are never silently patched.
 
 All cochains are normalized (value 1 whenever an argument is the identity).
 """
@@ -375,16 +377,47 @@ def _basis(g: AbelianGroup) -> list[Element]:
     return [g.reduce(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
 
 
+def _order_fact_failure(factors, taus, pairings) -> str | None:
+    """The first of Wall's two order facts that the generator data break, or None.
+
+    ord tau_i must divide gcd(2 n_i, n_i^2), which is 2 n_i (n_i when n_i is
+    odd), and ord sigma_ij must divide gcd(n_i, n_j); ``pairings`` maps
+    (i, j) to sigma_ij.  A factor Z/1 carries no data: its coordinate is
+    always 0, so its tau and its pairings never reach a value and are skipped.
+    """
+    for i, (n, tau) in enumerate(zip(factors, taus)):
+        if n > 1 and math.gcd(2 * n, n * n) % tau.order:
+            return f"q(e_{i}) of order {tau.order} on a cyclic factor of order {n}"
+    for (i, j), sigma in pairings.items():
+        ni, nj = factors[i], factors[j]
+        if min(ni, nj) > 1 and math.gcd(ni, nj) % sigma.order:
+            return (f"pairing of order {sigma.order} between e_{i} and e_{j}, "
+                    f"across factors {ni} and {nj}")
+    return None
+
+
+def _sigma_rows(add, conductor: int, q) -> list[list[int]]:
+    """Row i of the polarization exponents: sigma(x_i, y) = q(x_i + y) - q(x_i)
+    - q(y) mod N for every y, from the exponents q and the addition table."""
+    n = len(q)
+    return [
+        [(q[xy] - qx - qy) % conductor for xy, qy in zip(add[i * n:(i + 1) * n], q)]
+        for i, qx in enumerate(q)
+    ]
+
+
 class QuadraticForm(Value):
     """q: G -> roots of unity with q(0)=1, q(-g)=q(g), bimultiplicative polarization.
 
-    The checks run on the exponents of the values mod their conductor N.  The
-    polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is kept as exponents:
-    sigma(g, h) = z_N^sigma_exp[i*n + j] for element indices i, j of a group
-    of order n.  It equals the double braiding of any cocycle tracing to q;
-    ``pairing`` is a lookup view.  The hash is computed once.  The checks are
-    ``__post_init__``, called through the class, where the benchmark's tracer
-    wraps them.
+    A form given by its value table is checked, on the exponents of its
+    values mod their conductor N, by ``__post_init__``: it is called through
+    the class, where the benchmark's tracer wraps it.  A form built by
+    ``form_from_generators`` is valid by proof and skips that scan.  Either
+    way the polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is kept as
+    exponents: sigma(g, h) = z_N^sigma_exp[i*n + j] for element indices i, j
+    of a group of order n, with N the lcm of the value orders.  It equals the
+    double braiding of any cocycle tracing to q; ``pairing`` is a lookup
+    view.  The hash is computed once.
     """
 
     _fields = ("group", "values")
@@ -408,10 +441,7 @@ class QuadraticForm(Value):
             if q[i] != q[j]:
                 raise InvalidQuadraticForm(f"q(-g) != q(g) at g = {elems[i]}")
         add = addition_table(g)
-        sigma = [
-            [(q[xy] - q[i] - qy) % conductor for xy, qy in zip(add[i * n:(i + 1) * n], q)]
-            for i in range(n)
-        ]
+        sigma = _sigma_rows(add, conductor, q)
         # bimultiplicativity in one slot (the other follows by symmetry of sigma);
         # stepping by basis vectors is equivalent to the full check by induction
         for e in _basis(g):
@@ -423,9 +453,23 @@ class QuadraticForm(Value):
                         raise InvalidQuadraticForm(
                             f"polarization not bimultiplicative at ({x}+{e}, {y})"
                         )
+        self._keep(conductor, sigma)
+
+    @classmethod
+    def _from_generators(cls, group: AbelianGroup, values, conductor: int, q):
+        """The form of generator data that meet both order facts: its values,
+        and their exponents q over N in lowest terms.  Valid by the proof in
+        ``form_from_generators``, so sigma is summed without a scan."""
+        out = object.__new__(cls)
+        setfield(out, "group", group)
+        setfield(out, "values", values)
+        out._keep(conductor, _sigma_rows(addition_table(group), conductor, q))
+        return out
+
+    def _keep(self, conductor: int, sigma: list[list[int]]):
         setfield(self, "conductor", conductor)
-        setfield(self, "sigma_exp", tuple(s for row in sigma for s in row))
-        setfield(self, "_hash", hash((g, self.values)))
+        setfield(self, "sigma_exp", tuple(itertools.chain.from_iterable(sigma)))
+        setfield(self, "_hash", hash((self.group, self.values)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -441,15 +485,43 @@ class QuadraticForm(Value):
 def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
     """q(a) = prod_i tau_i^(a_i^2) prod_(i<j) sigma_ij^(a_i a_j), Wall's generator form.
 
-    ``taus[i]`` is q(e_i) and ``pairings`` maps (i, j) with i < j to
-    sigma(e_i, e_j).  The exponents are summed mod one conductor N and the
-    values looked up in the roots of z_N.
+    ``taus[i]`` is q(e_i), one per cyclic factor, and ``pairings`` maps (i, j)
+    with i < j to sigma(e_i, e_j).  The exponents are summed mod one
+    conductor N and the values looked up in the roots of z_N.
+
+    The result is a quadratic form exactly when ord tau_i | gcd(2 n_i, n_i^2)
+    and ord sigma_ij | gcd(n_i, n_j) on the factors of order above 1 (Wall
+    1963; Kawauchi-Kojima 1980).  If: over Z^r the exponent
+    Q(a) = sum_i t_i a_i^2 + sum_(i<j) s_ij a_i a_j is even, with bilinear
+    polarization, and adding n_i to a_i changes it by t_i (2 n_i a_i + n_i^2)
+    plus multiples of s_ij n_i, 0 mod N under the facts, so Q is a form on
+    G.  Only if: tau_i = q(e_i) and sigma_ij = sigma(e_i, e_j) are read back
+    from the values, and every quadratic form meets the facts.  So the facts
+    are checked in O(r^2) and no dense scan runs.  The checks come before any
+    table of size |G|, in this order: the shape of the data (``ParseError``),
+    the conductor cap, the order facts (``InvalidQuadraticForm``).  Values,
+    conductor, sigma and hash equal those the scan gives on the same values;
+    tests keep the scan as the oracle.
     """
+    rank = group.rank
+    if len(taus) != rank:
+        raise ParseError(f"{len(taus)} generator values for {rank} cyclic factors")
+    for key in pairings:
+        if not 0 <= key[0] < key[1] < rank:
+            raise ParseError(f"pairing key {key} is not (i, j) with 0 <= i < j < {rank}")
     conductor, t, cross = _generator_exponents(taus, pairings)
     roots = roots_of_unity(conductor)
+    failure = _order_fact_failure(group.factors, taus, pairings)
+    if failure is not None:
+        raise InvalidQuadraticForm(failure)
     diagonal = ((a, a) for a in group.elements())
-    values = tuple(roots[k % conductor] for k in _omega_sums(t, cross, diagonal))
-    return QuadraticForm(group, values)
+    q = [k % conductor for k in _omega_sums(t, cross, diagonal)]
+    values = tuple(roots[k] for k in q)
+    # lowest terms: N becomes the lcm of the value orders, as a scan would give
+    common = math.gcd(conductor, *q)
+    return QuadraticForm._from_generators(
+        group, values, conductor // common, [k // common for k in q]
+    )
 
 
 def _trace(c: AbelianCocycle) -> tuple[RootOfUnity, ...]:
@@ -546,22 +618,13 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
     g = q.group
     basis = _basis(g)
     taus = [q.q(e) for e in basis]
-    for n, tau in zip(g.factors, taus):
-        allowed = n if n % 2 == 1 else 2 * n
-        if allowed % tau.order != 0:
-            raise NotRealizable(
-                f"q(e) of order {tau.order} on a cyclic factor of order {n}"
-            )
-    cross = {}
-    for i in range(g.rank):
-        for j in range(i + 1, g.rank):
-            s = q.pairing(basis[i], basis[j])
-            if math.gcd(g.factors[i], g.factors[j]) % s.order != 0:
-                raise NotRealizable(
-                    f"pairing of order {s.order} across factors "
-                    f"{g.factors[i]} and {g.factors[j]}"
-                )
-            cross[(i, j)] = s
+    cross = {
+        (i, j): q.pairing(basis[i], basis[j])
+        for i in range(g.rank) for j in range(i + 1, g.rank)
+    }
+    failure = _order_fact_failure(g.factors, taus, cross)
+    if failure is not None:
+        raise NotRealizable(failure)
 
     modulus, t, cross_exp = _generator_exponents(taus, cross)
     pairs = ((a, a) for a in g.elements())

@@ -2,10 +2,12 @@
 
 The RootOfUnity-product code in form_oracle.py is what the builders
 replaced; on every input below both must give the same verdict, message
-and tables.
+and tables.  A q_gen file is the exception: its rejection names the failing
+generator or pair rather than the scan's first witness.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -102,12 +104,28 @@ def test_classify_representatives_keep_the_constructor_view(literal, value_order
     assert len(conductors) > 1
 
 
+def _broken_fact(factors, gens, pairings):
+    """How the rejection must name the first generator or pair whose order
+    fact fails: ord tau_i | 2 n_i (n_i when odd), ord sigma_ij | gcd(n_i, n_j)."""
+    for i, (n, tau) in enumerate(zip(factors, gens)):
+        if (n if n % 2 else 2 * n) % tau.order:
+            return f"q(e_{i}) of order {tau.order}"
+    for (i, j), sigma in pairings.items():
+        if math.gcd(factors[i], factors[j]) % sigma.order:
+            return f"between e_{i} and e_{j}"
+    return None
+
+
 @pytest.mark.parametrize(
     "literal, tau_orders, pair_order",
     [("Z4xZ2", (8, 4), 4), ("Z3xZ3", (6, 6), 3), ("Z2", (8,), None), ("Z3", (6,), None)],
 )
 def test_q_gen_files_match_the_product_loop(literal, tau_orders, pair_order):
-    """q_gen files, with and without a pairing, including unrealizable tau."""
+    """q_gen files, with and without a pairing, including unrealizable tau.
+
+    The verdict and the values are the product loop's and its scan's; a
+    rejection comes from the order facts, before any scan, so its message
+    names the failing generator or pair instead of a scanned element."""
     group = parse_group(literal)
     pair_choices = roots_of_unity(pair_order) if pair_order else [None]
     verdicts = set()
@@ -120,6 +138,11 @@ def test_q_gen_files_match_the_product_loop(literal, tau_orders, pair_order):
             new = _outcome(lambda: qf_from_json(data, group).values)
             values = q_gen_values(group, gens, pairings)
             old = _outcome(lambda: polarization_table(group, values) and values)
-            assert new == old, data
+            assert new[0] == old[0], data
+            broken = _broken_fact(group.factors, gens, pairings)
+            if new[0] == "ok":
+                assert new == old and broken is None, data
+            else:
+                assert broken in new[1], data
             verdicts.add(new[0])
     assert verdicts == {"ok", InvalidQuadraticForm}
