@@ -24,7 +24,15 @@ from .cyclotomic import (
     _poly_mul,
 )
 from .errors import GroupTooLarge, NotAdmissible, PointedCatError
-from .groups import AbelianGroup, character_table, characters, parse_group, format_group
+from .groups import (
+    AbelianGroup,
+    Subgroup,
+    character_table,
+    characters,
+    format_group,
+    full_subgroup,
+    parse_group,
+)
 from .cocycles import QuadraticForm, classify_h3ab, find_mu, form_from_generators
 from .metric import (
     PointedBFC,
@@ -230,10 +238,16 @@ def check_double_facts():
     return True, None
 
 
-def check_braiding_existence():
-    """The semion admits no braided module structure on H = Z/2; svect does."""
-    from .groups import full_subgroup, characters
+def _mu_obstructed(form: QuadraticForm, sub: Subgroup) -> bool:
+    """The existence rule: a mu trivializing the associator on H exists iff
+    q(h)^ord(h) = 1 for every h in H."""
+    group = sub.parent
+    return any(not (form.q(h) ** group.element_order(h)).is_one for h in sub.elements)
 
+
+def check_braiding_existence():
+    """The semion admits no braided module structure on H = Z/2; svect does.
+    The existence rule and ``find_mu`` are two paths to each verdict."""
     semion = preset("semion")
     whole = full_subgroup(semion.group)
     chi = characters(semion.group)[0]
@@ -242,11 +256,16 @@ def check_braiding_existence():
         return False, "semion accepted H = Z/2"
     except NotAdmissible:
         pass
+    if not _mu_obstructed(semion.form, whole):
+        return False, "the existence rule allows mu for the semion on H = Z/2"
     for value_order in (2, 4, 8):
         if find_mu(semion.cocycle, whole, value_order) is not None:
             return False, f"semion found mu at value order {value_order}"
     svect = preset("svect")
-    mod = build_module_cat(svect, full_subgroup(svect.group), characters(svect.group)[0])
+    whole = full_subgroup(svect.group)
+    if _mu_obstructed(svect.form, whole):
+        return False, "the existence rule finds no mu for svect on H = Z/2"
+    mod = build_module_cat(svect, whole, characters(svect.group)[0])
     if any(not v.is_one for v in mod.mu.table):
         return False, "svect mu should be identically 1"
     return True, None

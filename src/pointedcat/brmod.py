@@ -14,7 +14,9 @@ subgroup.  At a transparent g the scalar reduces to chi(g) on every simple,
 which does not involve H or mu; ``check_column`` verifies this once per
 (coset representatives, g) and aborts on any disagreement.  All of this runs
 on integer exponents: sigma as the form keeps it, chi as an exponent vector,
-and the rank is certified by character orthogonality.
+and the rank is certified by character orthogonality.  The lifted characters
+read only the transparent subgroup, and the certificate and verifiers only
+their rows, so each is kept for what it reads and shared across forms.
 """
 
 from __future__ import annotations
@@ -169,28 +171,34 @@ class ClassRep(Value):
 
 
 @lru_cache(maxsize=None)
-def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
-    """One class per character of the transparent subgroup, each represented on
-    the regular module (H trivial, built once) by a lifted character of G: the
-    first in character order with that restriction."""
-    group = base.group
-    center = mueger_center(base)
-    pres = cyclic_presentation(center)
-    lifts = characters(group)
-    regular = build_module_cat(base, trivial_subgroup(group), lifts[0])
+def _lift_table(center: Subgroup) -> tuple[tuple[Character, ...], tuple[Character, ...]]:
+    """The characters of the presented transparent subgroup T and, for each,
+    the first character of G in character order that restricts to it.  This
+    reads T alone, so the forms that share T share the table."""
     lift_of = {}
-    for chi in lifts:
+    for chi in characters(center.parent):
         lift_of.setdefault(restrict(chi, center).coords, chi)
-    out = []
-    for target in characters(pres.group):
-        lift = lift_of.get(target.coords)
-        if lift is None:
+    targets = tuple(characters(cyclic_presentation(center).group))
+    for target in targets:
+        if target.coords not in lift_of:
             raise LiftNotFound(
                 f"no character of G restricts to {target.coords} on the "
                 "transparent subgroup; this contradicts character extension"
             )
-        out.append(ClassRep(SchurClass(base, target), replace(regular, chi=lift)))
-    return tuple(out)
+    return targets, tuple(lift_of[target.coords] for target in targets)
+
+
+@lru_cache(maxsize=None)
+def schur_classes(base: PointedBFC) -> tuple[ClassRep, ...]:
+    """One class per character of the transparent subgroup, each represented on
+    the regular module (H trivial, built once) by a lifted character of G: the
+    first in character order with that restriction (``_lift_table``)."""
+    targets, lifts = _lift_table(mueger_center(base))
+    regular = build_module_cat(base, trivial_subgroup(base.group), lifts[0])
+    return tuple(
+        ClassRep(SchurClass(base, target), replace(regular, chi=lift))
+        for target, lift in zip(targets, lifts)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +253,11 @@ def _is_group(rows, conductor: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _orthogonality_rank(rows, conductor: int) -> int:
-    """The rank of a square table of roots, certified by orthogonality.
+    """The rank of a square table of roots, certified by orthogonality, and
+    kept for the table: the forms that share T share their rows.  A table
+    that fails is not kept, so it fails again on every call.
 
     Entry (i, j) of S S^H is sum_g z_N^(a_ig - a_jg) for the rows a of
     exponents mod N, and must be |T| delta_ij; then S S^H = |T| Id and the
@@ -307,15 +318,21 @@ def verify_character_table(base: PointedBFC) -> bool:
     i-th character of the presented group at each column, compared as
     exponents mod exp G."""
     sm = smatrix2(base)
-    pres = cyclic_presentation(mueger_center(base))
+    return _is_character_table(sm.exponents, sm.cols, mueger_center(base), base.group.exponent)
+
+
+@lru_cache(maxsize=None)
+def _is_character_table(rows, cols, center: Subgroup, exponent: int) -> bool:
+    """``verify_character_table`` on the data it reads, kept for that data."""
+    pres = cyclic_presentation(center)
     chars = characters(pres.group)
-    if len(sm.exponents) != len(chars):
+    if len(rows) != len(chars):
         return False
-    scale = base.group.exponent // pres.group.exponent
-    coords = [pres.from_parent(g) for g in sm.cols]
+    scale = exponent // pres.group.exponent
+    coords = [pres.from_parent(g) for g in cols]
     return all(
         list(row) == [k * scale for k in chi.exponents(coords)]
-        for row, chi in zip(sm.exponents, chars)
+        for row, chi in zip(rows, chars)
     )
 
 
@@ -342,12 +359,18 @@ def pi0_report(base: PointedBFC) -> Pi0Report:
 def verify_group_hom(base: PointedBFC) -> bool:
     """Each column of the level-2 S-matrix is multiplicative on classes."""
     sm = smatrix2(base)
-    e, rows = base.group.exponent, sm.exponents
-    pres_group = sm.rows[0].restricted.parent
-    index_of = {cls.restricted.coords: i for i, cls in enumerate(sm.rows)}
-    for i, a in enumerate(sm.rows):
-        for j, b in enumerate(sm.rows):
-            k = index_of[pres_group.add(a.restricted.coords, b.restricted.coords)]
+    restricted = tuple(cls.restricted for cls in sm.rows)
+    return _is_group_hom(sm.exponents, restricted, base.group.exponent)
+
+
+@lru_cache(maxsize=None)
+def _is_group_hom(rows, restricted: tuple[Character, ...], e: int) -> bool:
+    """``verify_group_hom`` on the data it reads, kept for that data."""
+    pres_group = restricted[0].parent
+    index_of = {chi.coords: i for i, chi in enumerate(restricted)}
+    for i, a in enumerate(restricted):
+        for j, b in enumerate(restricted):
+            k = index_of[pres_group.add(a.coords, b.coords)]
             if any((x + y - z) % e for x, y, z in zip(rows[i], rows[j], rows[k])):
                 return False
     return True

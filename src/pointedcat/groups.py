@@ -304,9 +304,16 @@ def all_subgroups(group: AbelianGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER)
 
 
 def subgroups_of(sub: Subgroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> list[Subgroup]:
+    """Every subgroup of ``sub``, as ``all_subgroups`` orders them, in a new
+    list; they are found once per ``sub``, after the bound is checked."""
     if sub.parent.order > max_order:
         raise GroupTooLarge(f"|G| = {sub.parent.order} exceeds the bound {max_order}")
-    return _subgroups_over(sub.parent, sub.indices)
+    return list(_subgroups_within(sub))
+
+
+@lru_cache(maxsize=None)
+def _subgroups_within(sub: Subgroup) -> tuple[Subgroup, ...]:
+    return tuple(_subgroups_over(sub.parent, sub.indices))
 
 
 # ----------------------------------------------------------------------
@@ -597,8 +604,10 @@ class Quotient(Value):
         return self._rep_of[g]
 
 
+@lru_cache(maxsize=None)
 def quotient(group: AbelianGroup, sub: Subgroup) -> Quotient:
-    """Quotient group with lexicographically minimal coset representatives."""
+    """Quotient group with lexicographically minimal coset representatives,
+    built once per (G, H)."""
     if sub.parent != group:
         raise NotSubgroup("subgroup belongs to a different group")
     elems, every = group.elements(), range(group.order)

@@ -170,3 +170,35 @@ def test_a_corrupted_character_table_fails_orthogonality(monkeypatch, literal, i
     assert battery.check_character_determinants(target.order) == (False, witness)
     row = next(r for r in run_all([]).rows if r.check == "character-table-determinant")
     assert (row.passed, row.witness) == (False, witness)
+
+
+# -- the existence rule beside find_mu in the braiding-existence row ------------
+
+def test_existence_rule_agrees_with_find_mu_on_semion_and_svect():
+    """q(h)^ord(h) != 1 somewhere on H = Z/2 for the semion, nowhere for svect."""
+    import pointedcat.battery as battery
+    from pointedcat.cocycles import find_mu
+    from pointedcat.groups import full_subgroup
+    from pointedcat.metric import cocycle_of, preset
+
+    for name, obstructed in (("semion", True), ("svect", False)):
+        cat = preset(name)
+        whole = full_subgroup(cat.group)
+        assert battery._mu_obstructed(cat.form, whole) is obstructed
+        found = [find_mu(cocycle_of(cat), whole, n) for n in (2, 4, 8)]
+        assert all(mu is None for mu in found) is obstructed
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("semion", "the existence rule allows mu for the semion on H = Z/2"),
+    ("svect", "the existence rule finds no mu for svect on H = Z/2"),
+])
+def test_a_flipped_existence_rule_fails_the_row(monkeypatch, name, witness):
+    import pointedcat.battery as battery
+    from pointedcat.metric import preset
+
+    assert battery.check_braiding_existence() == (True, None)
+    real, flipped = battery._mu_obstructed, preset(name).form
+    monkeypatch.setattr(battery, "_mu_obstructed",
+                        lambda form, sub: real(form, sub) != (form == flipped))
+    assert battery.check_braiding_existence() == (False, witness)

@@ -130,6 +130,8 @@ def test_exit_code_bounds(capsys):
     assert code == 4
     code, _, err = run_cli(capsys, "classify", "Z8")
     assert code == 4
+    code, _, err = run_cli(capsys, "classify", "Z2xZ2xZ2")  # pinned by perfbench's cli-chain
+    assert code == 4
 
 
 @pytest.mark.parametrize("mode", ["--human", "--json"])

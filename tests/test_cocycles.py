@@ -14,10 +14,13 @@ from pointedcat.errors import (
     OrderTooLarge,
 )
 from pointedcat.groups import (
+    dense_rows,
     full_subgroup,
     parse_group,
     sparse_howell_kernel,
     subgroup_generated,
+    _pivots,
+    _reduce,
 )
 from pointedcat.cocycles import (
     QuadraticForm,
@@ -210,6 +213,44 @@ def test_classify_bounds():
         classify_h3ab(parse_group("Z8"), 2)
     with pytest.raises(OrderTooLarge):
         classify_h3ab(Z2, 16)
+
+
+@pytest.mark.parametrize("literal", ["Z8", "Z4xZ2", "Z2xZ2xZ2"])
+def test_classify_past_its_bounds_keys_each_form_by_its_standard_cocycle(
+    monkeypatch, literal
+):
+    """With the group bound raised to 8: for N = 2, 4 there is one class per
+    form with values in mu_N (Eilenberg-Mac Lane), and that form's standard
+    cocycle, as exponents mod N reduced modulo the coboundaries B, is the
+    representative of the class keyed by the form."""
+    monkeypatch.setattr(cocycles, "CLASSIFY_MAX_GROUP_ORDER", 8)
+    spans, real = [], cocycles.sparse_howell_form
+    monkeypatch.setattr(cocycles, "sparse_howell_form",
+                        lambda *args: spans.append(real(*args)) or spans[-1])
+    group = parse_group(literal)
+    size = group.order
+    nonzero = range(1, size)
+    triples = [(a * size + b) * size + c for a, b, c in itertools.product(nonzero, repeat=3)]
+    pairs = [a * size + b for a, b in itertools.product(nonzero, repeat=2)]
+
+    def vector(c, n):
+        assert n % c.conductor == 0  # values in mu_N
+        scale = n // c.conductor
+        return [c.psi_exp[i] * scale for i in triples] + [c.omega_exp[i] * scale for i in pairs]
+
+    forms = enumerate_quadratic_forms(group)
+    for n in (2, 4):
+        spans.clear()
+        classes = {tuple(_roots(cls.form.values)): cls for cls in classify_h3ab(group, n)}
+        (coboundaries,) = spans
+        dense = dense_rows(coboundaries, len(triples) + len(pairs))
+        pivots = _pivots(dense, n)
+        keyed = [f for f in forms if all(n % v.order == 0 for v in f.values)]
+        assert len(classes) == len(keyed)
+        for form in keyed:
+            cls = classes[tuple(_roots(form.values))]
+            reduced = _reduce(vector(standard_cocycle(form), n), dense, pivots, n)
+            assert reduced == vector(cls.representative, n), (literal, n, form.values)
 
 
 @pytest.mark.parametrize("literal", ["Z1", "Z2", "Z2xZ2"])

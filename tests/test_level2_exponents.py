@@ -460,9 +460,11 @@ def test_a_row_that_breaks_closure_aborts_the_run(monkeypatch, tmp_path, capsys)
 
 def test_certificate_takes_one_row_sum_per_row(monkeypatch):
     """|T| = 256 row sums certify symmetric Z16xZ16, where pairing every two
-    rows took |T|(|T| + 1)/2 = 32896.  A work count, not a timing."""
+    rows took |T|(|T| + 1)/2 = 32896.  A work count, not a timing; the
+    certificate memo is cleared first, as a table it holds takes no sums."""
     group = parse_group("Z16xZ16")
     base = make_category(QuadraticForm(group, (ONE,) * 256), label="symmetric Z16xZ16")
+    _orthogonality_rank.cache_clear()
     calls = []
     monkeypatch.setattr(brmod, "root_sum", lambda exps, n: calls.append(n) or root_sum(exps, n))
     sm = smatrix2.__wrapped__(base)
