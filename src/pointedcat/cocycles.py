@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 
 from ._value import Value, setfield
 from .cyclotomic import ONE, RootOfUnity, root_of_unity, roots_of_unity
@@ -372,6 +372,23 @@ def _omega_sums(t, cross, pairs) -> list[int]:
     ]
 
 
+def _generator_q(factors, t, cross) -> list[int]:
+    """Q(a) = sum_i t_i a_i^2 + sum_(i<j) s_ij a_i a_j for every element a, in
+    element order, built factor by factor on the mixed radix like
+    ``groups.addition_table``: the digit d of factor k adds t_k d^2 + c_k d
+    to Q of its prefix, where c_k = sum_(i<k) s_ik a_i is carried per prefix."""
+    pairing = {(i, j): sij for i, j, sij in cross}
+    q, carry = [0], [[0] for _ in factors]  # carry[j][p]: c_j of prefix p so far
+    for k, m in enumerate(factors):
+        digits = range(m)
+        square = [t[k] * d * d for d in digits]
+        q = [x + square[d] + c * d for x, c in zip(q, carry[k]) for d in digits]
+        for j in range(k + 1, len(factors)):
+            s = pairing.get((k, j), 0)
+            carry[j] = [c + s * d for c in carry[j] for d in digits]
+    return q
+
+
 def _basis(g: AbelianGroup) -> list[Element]:
     """The generators e_i of the cyclic factors (zero on a factor Z/1)."""
     return [g.reduce(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
@@ -486,8 +503,9 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
     """q(a) = prod_i tau_i^(a_i^2) prod_(i<j) sigma_ij^(a_i a_j), Wall's generator form.
 
     ``taus[i]`` is q(e_i), one per cyclic factor, and ``pairings`` maps (i, j)
-    with i < j to sigma(e_i, e_j).  The exponents are summed mod one
-    conductor N and the values looked up in the roots of z_N.
+    with i < j to sigma(e_i, e_j).  The exponents are summed factor by
+    factor over the mixed radix (``_generator_q``), reduced mod one
+    conductor N, and the values looked up in the roots of z_N.
 
     The result is a quadratic form exactly when ord tau_i | gcd(2 n_i, n_i^2)
     and ord sigma_ij | gcd(n_i, n_j) on the factors of order above 1 (Wall
@@ -514,8 +532,7 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
     failure = _order_fact_failure(group.factors, taus, pairings)
     if failure is not None:
         raise InvalidQuadraticForm(failure)
-    diagonal = ((a, a) for a in group.elements())
-    q = [k % conductor for k in _omega_sums(t, cross, diagonal)]
+    q = [k % conductor for k in _generator_q(group.factors, t, cross)]
     values = tuple(roots[k] for k in q)
     # lowest terms: N becomes the lcm of the value orders, as a scan would give
     common = math.gcd(conductor, *q)
@@ -728,22 +745,101 @@ class CocycleClass(Value):
         setfield(self, "orbit_size", orbit_size)
 
 
-def _check_coboundaries(generators, equations, diagonal, n: int) -> None:
-    """Every coboundary generator, a sparse row, must satisfy every equation
-    mod n and vanish on the diagonal columns, where omega(x, x) sits."""
-    uses: dict[int, list[tuple[int, int]]] = {}  # column -> (equation, coeff)
-    for e, eq in enumerate(equations):
+def _check_coboundaries(deltas, identities, diagonal) -> None:
+    """Every coboundary row, (column, coefficient) pairs over Z, must vanish
+    on the diagonal columns, where omega(x, x) sits, and make every identity
+    sum to exactly 0; over Z, so both hold mod every N."""
+    uses: dict[int, list[tuple[int, int]]] = {}  # column -> (identity, coeff)
+    for e, eq in enumerate(identities):
         for i, k in eq:
             uses.setdefault(i, []).append((e, k))
-    for gen in generators:
+    for delta in deltas:
+        if any(i in diagonal for i, _ in delta):
+            raise ConventionError("a coboundary moves the trace form")
         sums: dict[int, int] = {}
-        for i, x in gen.items():
+        for i, x in delta:
             for e, k in uses.get(i, ()):
                 sums[e] = sums.get(e, 0) + k * x
-        if any(s % n for s in sums.values()):
+        if any(sums.values()):
             raise ConventionError("a coboundary violates the pentagon or hexagons")
-        if any(i in gen for i in diagonal):
-            raise ConventionError("a coboundary moves the trace form")
+
+
+@lru_cache(maxsize=None)
+def _h3ab_system(group: AbelianGroup):
+    """The part of ``classify_h3ab`` that does not read N, built and checked
+    once per group: (psi_slots, omega_slots, identities, deltas).
+
+    A pair is an exponent vector: psi on the nonzero triples (a, b, c), then
+    omega on the nonzero pairs (a, b); their slots in the |G|^3 and |G|^2
+    tables are ``psi_slots`` and ``omega_slots``.  ``identities`` are the
+    pentagon and hexagons as integer rows, (column, coefficient) pairs with
+    repeated columns merged and zeros dropped, deduplicated and sorted.
+    ``deltas`` are the coboundaries of the elementary 2-cochains
+    phi = [(x, y) == pair], one integer row per pair in pair order, checked
+    over Z by ``_check_coboundaries``.
+    """
+    size, table = group.order, addition_table(group)
+    nonzero = range(1, size)  # element indices; 0 is the identity
+    triples = list(itertools.product(nonzero, repeat=3))
+    pairs = list(itertools.product(nonzero, repeat=2))
+    add = [table[x * size:(x + 1) * size] for x in range(size)]
+    # the column of psi(a, b, c) is psi_at[a][b][c] and that of omega(a, b) is
+    # omega_at[a][b]; None where an argument is 0 and normalization fixes the value
+    psi_at = [[[None] * size for _ in range(size)] for _ in range(size)]
+    omega_at = [[None] * size for _ in range(size)]
+    for i, (a, b, c) in enumerate(triples):
+        psi_at[a][b][c] = i
+    for i, (a, b) in enumerate(pairs, len(triples)):
+        omega_at[a][b] = i
+
+    def merged(*terms) -> tuple[tuple[int, int], ...]:
+        """(column, coeff) pairs of sum(coeff * x[column]), columns of None dropped."""
+        vec: dict[int, int] = {}
+        for coeff, i in terms:
+            if i is not None:
+                vec[i] = vec.get(i, 0) + coeff
+        return tuple(sorted((i, k) for i, k in vec.items() if k))
+
+    # identities with a zero argument hold for every normalized pair
+    identities = set()
+    for a, b, c, d in itertools.product(nonzero, repeat=4):
+        identities.add(merged(
+            (1, psi_at[b][c][d]), (1, psi_at[a][add[b][c]][d]), (1, psi_at[a][b][c]),
+            (-1, psi_at[add[a][b]][c][d]), (-1, psi_at[a][b][add[c][d]]),
+        ))
+    for a, b, c in triples:
+        identities.add(merged(  # H1
+            (1, omega_at[a][add[b][c]]), (-1, omega_at[a][b]), (-1, omega_at[a][c]),
+            (1, psi_at[a][b][c]), (-1, psi_at[b][a][c]), (1, psi_at[b][c][a]),
+        ))
+        identities.add(merged(  # H2
+            (1, omega_at[add[a][b]][c]), (-1, omega_at[a][c]), (-1, omega_at[b][c]),
+            (-1, psi_at[a][b][c]), (1, psi_at[a][c][b]), (-1, psi_at[c][a][b]),
+        ))
+    identities.discard(())
+    identities = tuple(sorted(identities))
+
+    # delta of every elementary cochain at once, keyed by the pair's omega column
+    deltas: dict[int, dict[int, int]] = {omega_at[a][b]: {} for a, b in pairs}
+
+    def bump(pair, i: int, coeff: int) -> None:
+        if pair is not None:
+            delta = deltas[pair]
+            delta[i] = delta.get(i, 0) + coeff
+
+    for i, (a, b, c) in enumerate(triples):
+        bump(omega_at[b][c], i, 1)
+        bump(omega_at[a][add[b][c]], i, 1)
+        bump(omega_at[add[a][b]][c], i, -1)
+        bump(omega_at[a][b], i, -1)
+    for i, (a, b) in enumerate(pairs, len(triples)):
+        bump(omega_at[b][a], i, 1)
+        bump(omega_at[a][b], i, -1)
+    deltas = tuple(tuple((i, k) for i, k in delta.items() if k) for delta in deltas.values())
+    _check_coboundaries(deltas, identities, {omega_at[x][x] for x in nonzero})
+    psi_slots = tuple((a * size + b) * size + c for a, b, c in triples)
+    omega_slots = tuple(a * size + b for a, b in pairs)
+    return psi_slots, omega_slots, identities, deltas
 
 
 # classify_h3ab's bounds on |G| and on the value order N.  On a 2-vCPU VM,
@@ -763,6 +859,9 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     Z/B, enumerated by closing Z's Howell rows under addition modulo B.
     Reducing modulo B's Howell form yields the lexicographically least orbit
     member, which is the representative; classes are sorted by trace form.
+    The identities and coboundary rows do not read N: they are built once
+    per group as integer rows, and the coboundaries checked over Z, by
+    ``_h3ab_system``; each call reduces them mod N.
     """
     if value_order < 1:
         raise ParseError(f"value order must be at least 1, got {value_order}")
@@ -777,69 +876,14 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
 
     g = group
     n = value_order
-    size, table = g.order, addition_table(g)
-    nonzero = range(1, size)  # element indices; 0 is the identity
-    triples = list(itertools.product(nonzero, repeat=3))
-    pairs = list(itertools.product(nonzero, repeat=2))
-    width = len(triples) + len(pairs)
-    add = [table[x * size:(x + 1) * size] for x in range(size)]
-    # the column of psi(a, b, c) is psi_at[a][b][c] and that of omega(a, b) is
-    # omega_at[a][b]; None where an argument is 0 and normalization fixes the value
-    psi_at = [[[None] * size for _ in range(size)] for _ in range(size)]
-    omega_at = [[None] * size for _ in range(size)]
-    for i, (a, b, c) in enumerate(triples):
-        psi_at[a][b][c] = i
-    for i, (a, b) in enumerate(pairs, len(triples)):
-        omega_at[a][b] = i
-
-    def sparse(*terms) -> tuple[tuple[int, int], ...]:
-        """(column, coeff) pairs of sum(coeff * x[column]), columns of None dropped."""
-        vec: dict[int, int] = {}
-        for coeff, i in terms:
-            if i is not None:
-                vec[i] = vec.get(i, 0) + coeff
-        return tuple(sorted((i, k % n) for i, k in vec.items() if k % n))
-
-    # identities with a zero argument hold for every normalized pair
-    equations = set()
-    for a, b, c, d in itertools.product(nonzero, repeat=4):
-        equations.add(sparse(
-            (1, psi_at[b][c][d]), (1, psi_at[a][add[b][c]][d]), (1, psi_at[a][b][c]),
-            (-1, psi_at[add[a][b]][c][d]), (-1, psi_at[a][b][add[c][d]]),
-        ))
-    for a, b, c in triples:
-        equations.add(sparse(  # H1
-            (1, omega_at[a][add[b][c]]), (-1, omega_at[a][b]), (-1, omega_at[a][c]),
-            (1, psi_at[a][b][c]), (-1, psi_at[b][a][c]), (1, psi_at[b][c][a]),
-        ))
-        equations.add(sparse(  # H2
-            (1, omega_at[add[a][b]][c]), (-1, omega_at[a][c]), (-1, omega_at[b][c]),
-            (-1, psi_at[a][b][c]), (1, psi_at[a][c][b]), (-1, psi_at[c][a][b]),
-        ))
+    size = g.order
+    psi_slots, omega_slots, identities, deltas = _h3ab_system(g)
+    width = len(psi_slots) + len(omega_slots)
+    equations = {tuple((i, k % n) for i, k in eq if k % n) for eq in identities}
     equations.discard(())
     equations = sorted(equations)
     cocycles = dense_rows(sparse_howell_kernel(equations, width, n), width)
-
-    # delta of the elementary cochain phi = [(x, y) == pair], for every pair at
-    # once, keyed by the pair's omega column
-    deltas: dict[int, dict[int, int]] = {omega_at[a][b]: {} for a, b in pairs}
-
-    def bump(pair, i: int, coeff: int) -> None:
-        if pair is not None:
-            delta = deltas[pair]
-            delta[i] = delta.get(i, 0) + coeff
-
-    for i, (a, b, c) in enumerate(triples):
-        bump(omega_at[b][c], i, 1)
-        bump(omega_at[a][add[b][c]], i, 1)
-        bump(omega_at[add[a][b]][c], i, -1)
-        bump(omega_at[a][b], i, -1)
-    for i, (a, b) in enumerate(pairs, len(triples)):
-        bump(omega_at[b][a], i, 1)
-        bump(omega_at[a][b], i, -1)
-    generators = [{i: k % n for i, k in delta.items() if k % n} for delta in deltas.values()]
-    _check_coboundaries(generators, equations, [omega_at[x][x] for x in nonzero], n)
-    coboundaries = dense_rows(sparse_howell_form((gen.items() for gen in generators), n), width)
+    coboundaries = dense_rows(sparse_howell_form(deltas, n), width)
     pivots = _pivots(coboundaries, n)  # checked once for the whole closure
 
     def reduce(vec) -> tuple[int, ...]:
@@ -862,14 +906,12 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
             f"{howell_size(cocycles, n)} cocycles"
         )
 
-    psi_slots = [(a * size + b) * size + c for a, b, c in triples]
-    omega_slots = [a * size + b for a, b in pairs]
     classes = []
     for vec in reps:
         psi, omega = [0] * size**3, [0] * size**2
         for pos, k in zip(psi_slots, vec):
             psi[pos] = k
-        for pos, k in zip(omega_slots, vec[len(triples):]):
+        for pos, k in zip(omega_slots, vec[len(psi_slots):]):
             omega[pos] = k
         rep = AbelianCocycle(g, n, psi, omega)
         classes.append(CocycleClass(rep, trace_form(rep), orbit_size))

@@ -404,9 +404,13 @@ def sparse_howell_form(rows, modulus: int, start: int = 0) -> list[dict[int, int
     scaled to carry g = gcd(modulus, lead); only when g > 1 does a nonzero
     cofactor, (modulus / g) row, go back on the work list.
     """
-    n = modulus
+    return _eliminate(_residue_rows(rows, modulus), modulus, start)
+
+
+def _eliminate(work: list[dict[int, int]], n: int, start: int) -> list[dict[int, int]]:
+    """The elimination of ``sparse_howell_form`` on rows already held as
+    dicts from column to nonzero residue mod n; it consumes ``work``."""
     basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
-    work = _residue_rows(rows, n)
     while work:
         row = work.pop()
         while row:
@@ -459,20 +463,19 @@ def sparse_howell_kernel(rows, ncols: int, modulus: int) -> list[dict[int, int]]
     (x rows^T, x), and by the Howell property its rows with pivot past the
     rows^T block span the kernel.  That block's columns are the nonzero rows,
     sparsest first; the kernel does not depend on their order and the form
-    is canonical, so the order changes only the work.
+    is canonical, so the order changes only the work.  The augmented rows
+    are built as residue dicts and go to the elimination as they are.
     """
     n = modulus
+    if n == 1:  # (Z/1)^ncols is the zero module
+        return []
     rows = sorted(_residue_rows(rows, n), key=len)
     split = len(rows)
-    # modulo 1 the identity block is 0 too, and the engine drops it
     augmented = [{split + j: 1} for j in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
             augmented[j][i] = v
-    return [
-        {c - split: v for c, v in row.items()}
-        for row in sparse_howell_form((row.items() for row in augmented), modulus, split)
-    ]
+    return [{c - split: v for c, v in row.items()} for row in _eliminate(augmented, n, split)]
 
 
 def _width(rows, modulus: int) -> int | None:

@@ -168,6 +168,16 @@ def test_coboundary_moves_psi_on_z3():
 
 # -- classification --------------------------------------------------------
 
+@pytest.fixture
+def fresh_system():
+    """Clear the per-group system memo around a test: a system kept from an
+    earlier test would hide a patch of what builds it, or a count of its
+    builds, and one built under a patch must not outlive the test."""
+    cocycles._h3ab_system.cache_clear()
+    yield
+    cocycles._h3ab_system.cache_clear()
+
+
 def test_classify_z2():
     classes = classify_h3ab(Z2, 4)
     assert len(classes) == 4
@@ -217,12 +227,13 @@ def test_classify_bounds():
 
 @pytest.mark.parametrize("literal", ["Z8", "Z4xZ2", "Z2xZ2xZ2"])
 def test_classify_past_its_bounds_keys_each_form_by_its_standard_cocycle(
-    monkeypatch, literal
+    fresh_system, monkeypatch, literal
 ):
     """With the group bound raised to 8: for N = 2, 4 there is one class per
     form with values in mu_N (Eilenberg-Mac Lane), and that form's standard
     cocycle, as exponents mod N reduced modulo the coboundaries B, is the
-    representative of the class keyed by the form."""
+    representative of the class keyed by the form.  The group's system is
+    built once for both N."""
     monkeypatch.setattr(cocycles, "CLASSIFY_MAX_GROUP_ORDER", 8)
     spans, real = [], cocycles.sparse_howell_form
     monkeypatch.setattr(cocycles, "sparse_howell_form",
@@ -251,6 +262,8 @@ def test_classify_past_its_bounds_keys_each_form_by_its_standard_cocycle(
             cls = classes[tuple(_roots(form.values))]
             reduced = _reduce(vector(standard_cocycle(form), n), dense, pivots, n)
             assert reduced == vector(cls.representative, n), (literal, n, form.values)
+    info = cocycles._h3ab_system.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("literal", ["Z1", "Z2", "Z2xZ2"])
@@ -309,7 +322,7 @@ def test_classify_counts_match_eilenberg_mac_lane(literal):
 
 # Each ConventionError check of classify_h3ab, fired by one corruption.
 
-def test_classify_rejects_a_coboundary_that_violates_an_equation(monkeypatch):
+def test_classify_rejects_a_coboundary_that_violates_an_equation(fresh_system, monkeypatch):
     # 1 + 1 = 3 on Z4 breaks associativity, and the pentagon of a coboundary
     # holds only because addition is associative
     table = list(cocycles.addition_table(Z4))
@@ -320,39 +333,64 @@ def test_classify_rejects_a_coboundary_that_violates_an_equation(monkeypatch):
 
 
 @pytest.mark.parametrize("literal, value_order", [("Z4", 3), ("Z2xZ2", 4)])
-def test_coboundary_check_reads_every_equation(monkeypatch, literal, value_order):
-    # the column -> equations index against A g mod n summed over every
-    # equation, in either order: a one-entry vector violates just the
-    # equations that hold its column, a cocycle violates none, and a cocycle
-    # plus one entry puts its violations after the cocycle's equations
+def test_coboundary_check_reads_every_equation(fresh_system, monkeypatch, literal, value_order):
+    # the column -> identities index against the exact sum over Z of every
+    # identity, in either order: a one-entry vector violates just the
+    # identities that hold its column, a coboundary row violates none, and a
+    # coboundary row with one entry moved by 1 or by N violates the
+    # identities that hold that column
     seen = []
     real = cocycles._check_coboundaries
     monkeypatch.setattr(cocycles, "_check_coboundaries", lambda *args: seen.append(args))
     classify_h3ab(parse_group(literal), value_order)
-    ((_, equations, _, n),) = seen
-    width = 1 + max(i for eq in equations for i, _ in eq)
-    vectors = [{i: x} for i in range(width) for x in range(1, n)]
-    kernel = sparse_howell_kernel(equations, width, n)
-    vectors += kernel
-    vectors += [{**z, i: (z.get(i, 0) + 1) % n} for z in kernel[:3] for i in range(width)]
+    ((deltas, identities, _),) = seen
+    n = value_order
+    width = 1 + max(i for eq in identities for i, _ in eq)
+    vectors = [((i, x),) for i in range(width) for x in range(1, n)]
+    vectors += deltas
+    vectors += [
+        tuple({**dict(delta), i: dict(delta).get(i, 0) + shift}.items())
+        for delta in deltas[:3] for i in range(width) for shift in (1, n)
+    ]
     for vec in vectors:
-        violated = any(sum(k * vec.get(i, 0) for i, k in eq) % n for eq in equations)
-        for order in (equations, equations[::-1]):
+        violated = any(sum(k * dict(vec).get(i, 0) for i, k in eq) for eq in identities)
+        for order in (identities, identities[::-1]):
             if violated:
                 with pytest.raises(ConventionError, match="violates the pentagon"):
-                    real([vec], order, [], n)
+                    real([vec], order, set())
             else:
-                real([vec], order, [], n)
+                real([vec], order, set())
 
 
-def test_classify_rejects_a_coboundary_that_moves_the_trace(monkeypatch):
-    # on Z2 with N = 2 the one generator is 0; add omega(1, 1) = -1, the
-    # cocycle of svect, which satisfies every equation and moves q(1)
+def test_classify_rejects_a_coboundary_that_moves_the_trace(fresh_system, monkeypatch):
+    # on Z2 the one coboundary row is 0 over Z; give it omega(1, 1) = 1, which
+    # mod 2 is the cocycle of svect and moves q(1)
     real = cocycles._check_coboundaries
-    monkeypatch.setattr(cocycles, "_check_coboundaries",
-                        lambda gens, eqs, diagonal, n: real([{**gens[0], 1: 1}], eqs, diagonal, n))
+    monkeypatch.setattr(
+        cocycles, "_check_coboundaries",
+        lambda deltas, identities, diagonal: real([(*deltas[0], (1, 1))], identities, diagonal),
+    )
     with pytest.raises(ConventionError, match="moves the trace form"):
         classify_h3ab(Z2, 2)
+
+
+@pytest.mark.parametrize("literal, value_order", [("Z3", 6), ("Z4", 3), ("Z2xZ2", 4)])
+def test_classify_rejects_a_coboundary_moved_by_n(fresh_system, monkeypatch, literal, value_order):
+    # one entry of the last coboundary row moved by N: the same row mod N, so
+    # a check mod N would pass it, but over Z it breaks the identities that
+    # hold its column
+    n = value_order
+    real = cocycles._check_coboundaries
+
+    def moved(deltas, identities, diagonal):
+        (i, k), *rest = deltas[-1]
+        row = ((i, k + n), *rest)
+        assert [(c, v % n) for c, v in row] == [(c, v % n) for c, v in deltas[-1]]
+        real([*deltas[:-1], row], identities, diagonal)
+
+    monkeypatch.setattr(cocycles, "_check_coboundaries", moved)
+    with pytest.raises(ConventionError, match="violates the pentagon or hexagons"):
+        classify_h3ab(parse_group(literal), n)
 
 
 def test_classify_rejects_a_dropped_kernel_row(monkeypatch):

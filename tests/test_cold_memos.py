@@ -2,8 +2,9 @@
 
 perfbench's worker imports ``pointedcat.cli``, builds its inputs, and then
 requires the caches in ``COLD_CACHES`` to be empty before the first op.  The
-memos that share level-2 work per transparent subgroup and per (G, H) must
-be just as cold then, or a pass would time a warm start.  A fresh
+memos that share level-2 work per transparent subgroup and per (G, H), and
+the H^3_ab system kept per group, must be just as cold then, or a pass would
+time a warm start.  A fresh
 interpreter makes the calls the set-up makes (``enumerate_quadratic_forms``,
 ``category_from_form`` and ``serde.category_to_json``) and reports every
 memo's size, and that the cold caches and traced names still resolve.
@@ -26,6 +27,7 @@ MEMOS = (
     ("pointedcat.brmod", "_is_group_hom"),
     ("pointedcat.groups", "quotient"),
     ("pointedcat.groups", "_subgroups_within"),
+    ("pointedcat.cocycles", "_h3ab_system"),
 )
 
 # perfbench's set-up: the forms of the level-2 and classify groups, and the

@@ -8,19 +8,24 @@ generator or pair rather than the scan's first witness.
 
 import itertools
 import math
+import random
 
 import pytest
 
 from cocycle_scan_oracle import cocycle_from_roots
 from form_oracle import polarization_table, q_gen_values, standard_tables
 from pointedcat.battery import enumerate_quadratic_forms
+from pointedcat import cocycles
 from pointedcat.cocycles import (
     QuadraticForm,
+    _generator_q,
+    _omega_sums,
     classify_h3ab,
+    form_from_generators,
     standard_cocycle,
 )
 from pointedcat.cyclotomic import ONE, format_root, root_of_unity, roots_of_unity
-from pointedcat.errors import InvalidQuadraticForm
+from pointedcat.errors import InvalidQuadraticForm, ParseError
 from pointedcat.groups import parse_group
 from pointedcat.metric import drinfeld_double
 from pointedcat.serde import qf_from_json
@@ -146,3 +151,36 @@ def test_q_gen_files_match_the_product_loop(literal, tau_orders, pair_order):
                 assert broken in new[1], data
             verdicts.add(new[0])
     assert verdicts == {"ok", InvalidQuadraticForm}
+
+
+@pytest.mark.parametrize("literal", [
+    "Z1", "Z2", "Z5", "Z16", "Z2xZ4", "Z4xZ2", "Z3xZ5", "Z4xZ4", "Z8xZ2",
+    "Z2xZ2xZ2", "Z4xZ2xZ2", "Z2xZ2xZ2xZ2", "Z1xZ2", "Z2xZ1xZ3", "Z3xZ1",
+])
+def test_generator_q_is_the_omega_diagonal(literal):
+    """Q summed factor by factor on the mixed radix equals omega(a, a) summed
+    per element, over Z, on seeded exponents and with every pairing absent."""
+    group = parse_group(literal)
+    rng = random.Random(literal)
+    slots = list(itertools.combinations(range(group.rank), 2))
+    for _ in range(20):
+        t = [rng.randrange(-40, 40) for _ in group.factors]
+        cross = [(i, j, rng.randrange(-40, 40)) for i, j in slots if rng.random() < 0.8]
+        diagonal = ((a, a) for a in group.elements())
+        assert _generator_q(group.factors, t, cross) == _omega_sums(t, cross, diagonal)
+
+
+@pytest.mark.parametrize("taus, pairings, error", [
+    ([root_of_unity(4, 1)], {}, ParseError),
+    ([ONE, ONE], {(0, 2): ONE}, ParseError),
+    ([root_of_unity(8, 1), ONE], {}, InvalidQuadraticForm),
+    ([ONE, ONE], {(0, 1): root_of_unity(4, 1)}, InvalidQuadraticForm),
+])
+def test_generator_data_are_refused_before_q_is_summed(monkeypatch, taus, pairings, error):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cocycles, "_generator_q", refuse)
+    monkeypatch.setattr(cocycles, "addition_table", refuse)
+    with pytest.raises(error):
+        form_from_generators(parse_group("Z2xZ2"), taus, pairings)

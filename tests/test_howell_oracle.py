@@ -217,12 +217,11 @@ def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
     rows, ncols, modulus = _classify_system("Z4", 3)
     assert (len(rows), ncols, sum(map(len, rows))) == (122, 36, 503)
     eliminations, ops = [], []
-    real_form = groups.sparse_howell_form
+    real_eliminate = groups._eliminate
 
-    def counting_form(rows, modulus, *start):
-        rows = [list(row) for row in rows]
-        eliminations.append(rows)
-        return real_form(rows, modulus, *start)
+    def counting_eliminate(rows, modulus, start):
+        eliminations.append([dict(row) for row in rows])
+        return real_eliminate(rows, modulus, start)
 
     def counted(row_op):
         def wrapper(*args):
@@ -230,7 +229,7 @@ def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
             return row_op(*args)
         return wrapper
 
-    monkeypatch.setattr(groups, "sparse_howell_form", counting_form)
+    monkeypatch.setattr(groups, "_eliminate", counting_eliminate)
     monkeypatch.setattr(groups, "_subtract", counted(groups._subtract))
     monkeypatch.setattr(groups, "_combine", counted(groups._combine))
     sparse_howell_kernel(rows, ncols, modulus)
@@ -240,7 +239,7 @@ def test_kernel_is_one_elimination_sparsest_equations_first(monkeypatch):
     # the rows^T block holds one column per equation, sparsest first
     counts = [0] * len(rows)
     for row in augmented:
-        for col, _ in row:
+        for col in row:
             if col < len(rows):
                 counts[col] += 1
     assert counts == sorted(len(row) for row in rows)
