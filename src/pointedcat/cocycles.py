@@ -363,8 +363,8 @@ def _generator_exponents(taus, pairings):
 
 def _omega_sums(t, cross, pairs) -> list[int]:
     """sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j for each (a, b) in pairs: the
-    exponent of the standard omega(a, b), and at a = b that of Wall's
-    generator form q(a)."""
+    exponent of the standard omega(a, b).  Its diagonal, q, is summed for
+    every element at once by ``_generator_q``."""
     return [
         sum(ti * ai * bi for ti, ai, bi in zip(t, a, b))
         + sum(sij * a[i] * b[j] for i, j, sij in cross)
@@ -615,7 +615,8 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
     sigma(e_i, e_j) = z_N^(s_ij):
         omega(a, b) = z_N^(sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j)
         psi(a, b, c) = z_N^(sum_i t_i n_i a_i floor((b_i + c_i) / n_i))
-    Only the omega diagonal is summed here; the tables are built when read.
+    Only the omega diagonal is summed here, by ``_generator_q``; the tables
+    are built when read.
 
     The identities hold by the following proof, whose hypotheses are the two
     realizability checks below, so no table is scanned.  Write
@@ -644,8 +645,7 @@ def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
         raise NotRealizable(failure)
 
     modulus, t, cross_exp = _generator_exponents(taus, cross)
-    pairs = ((a, a) for a in g.elements())
-    diagonal = tuple(k % modulus for k in _omega_sums(t, cross_exp, pairs))
+    diagonal = tuple(k % modulus for k in _generator_q(g.factors, t, cross_exp))
     out = AbelianCocycle._from_generators(g, modulus, t, cross_exp, diagonal)
     if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
@@ -861,7 +861,9 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     member, which is the representative; classes are sorted by trace form.
     The identities and coboundary rows do not read N: they are built once
     per group as integer rows, and the coboundaries checked over Z, by
-    ``_h3ab_system``; each call reduces them mod N.
+    ``_h3ab_system``; each call hands them to the Howell engine, which
+    reduces them mod N.  Rows equal mod N are not merged first: the kernel
+    is canonical, and merging costs more than it saves.
     """
     if value_order < 1:
         raise ParseError(f"value order must be at least 1, got {value_order}")
@@ -879,10 +881,7 @@ def classify_h3ab(group: AbelianGroup, value_order: int) -> list[CocycleClass]:
     size = g.order
     psi_slots, omega_slots, identities, deltas = _h3ab_system(g)
     width = len(psi_slots) + len(omega_slots)
-    equations = {tuple((i, k % n) for i, k in eq if k % n) for eq in identities}
-    equations.discard(())
-    equations = sorted(equations)
-    cocycles = dense_rows(sparse_howell_kernel(equations, width, n), width)
+    cocycles = dense_rows(sparse_howell_kernel(identities, width, n), width)
     coboundaries = dense_rows(sparse_howell_form(deltas, n), width)
     pivots = _pivots(coboundaries, n)  # checked once for the whole closure
 
