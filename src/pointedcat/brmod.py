@@ -24,7 +24,9 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from ._value import Value, replace, setfield
-from .cyclotomic import CycloMatrix, RootOfUnity, root_sum, roots_of_unity
+from .cyclotomic import (
+    CycloMatrix, RootOfUnity, orthogonality_rank, root_sum, roots_of_unity,
+)
 from .errors import (
     InternalInconsistency,
     LiftNotFound,
@@ -232,27 +234,6 @@ class SMatrix2(Value):
         return CycloMatrix.from_roots(self.roots)
 
 
-def _is_group(rows, conductor: int) -> bool:
-    """Whether the rows are distinct and form a group under addition mod N.
-    It is grown from the zero row as ``groups._span`` grows a subgroup: by
-    each row g outside the span H so far, through the cosets H + k g up to
-    the first k g back in the span, and every sum met must be a row.  Then
-    the span is exactly the set of rows."""
-    members = set(rows)
-    span = {(0,) * len(rows[0])}
-    if len(members) != len(rows) or not span <= members:
-        return False
-    for row in rows:
-        below, step = tuple(span), row
-        while step not in span:
-            coset = {tuple((x + y) % conductor for x, y in zip(step, h)) for h in below}
-            if not coset <= members:
-                return False
-            span |= coset
-            step = tuple((x + y) % conductor for x, y in zip(step, row))
-    return True
-
-
 @lru_cache(maxsize=None)
 def _orthogonality_rank(rows, conductor: int) -> int:
     """The rank of a square table of roots, certified by orthogonality, and
@@ -261,17 +242,14 @@ def _orthogonality_rank(rows, conductor: int) -> int:
 
     Entry (i, j) of S S^H is sum_g z_N^(a_ig - a_jg) for the rows a of
     exponents mod N, and must be |T| delta_ij; then S S^H = |T| Id and the
-    rank is |T|.  When the rows are distinct and form a group (``_is_group``),
-    a_i - a_j is the row a_k, so entry (i, j) is the row sum of a_k: |T| row
-    sums, each taken exactly from the histogram of the exponents reduced
-    modulo Phi_N, must be |T| at the zero row and 0 elsewhere.  Otherwise the
-    pairs are taken one by one, j >= i as (j, i) is the conjugate of (i, j),
-    to name the first that fails, and the run aborts either way.
+    rank is |T|.  ``cyclotomic.orthogonality_rank`` proves it with |T| row
+    sums when the rows are distinct and form a group.  Otherwise the pairs
+    are taken one by one, j >= i as (j, i) is the conjugate of (i, j), to
+    name the first that fails, and the run aborts either way.
     """
-    if _is_group(rows, conductor) and all(
-        root_sum(a, conductor) == ([len(a)] if not any(a) else []) for a in rows
-    ):
-        return len(rows)
+    rank = orthogonality_rank(rows, conductor)
+    if rank is not None:
+        return rank
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
             total = root_sum([(x - y) % conductor for x, y in zip(a, rows[j])], conductor)

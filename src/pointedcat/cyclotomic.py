@@ -14,11 +14,13 @@ means e^(2*pi*i*exponent/order), stored with gcd(exponent, order) = 1 so the
 order field is the true multiplicative order.  The literal syntax "zN^k"
 (with "1" and "-1" as aliases) is used module-wide and in all file formats.
 
-Matrix ranks are certified: elimination modulo primes p = 1 (mod N) gives a
-lower bound that must meet an exact upper bound (distinct rows and columns),
-with exact Bareiss elimination as the fallback.  A table of roots is kept and
-ranked as its exponents mod N (z_N^k -> w^k mod p); power-basis coefficients
-serve only matrices that are not root tables.  Determinants stay exact.
+Matrix ranks are certified.  A table of roots is kept as its exponents mod
+N; when its distinct rows form a group of characters, orthogonality proves
+the rank with one exact row sum per row.  Otherwise elimination modulo primes
+p = 1 (mod N) gives a lower bound that must meet an exact upper bound
+(distinct rows and columns): a root table on its exponents (z_N^k -> w^k mod
+p), any other matrix on its power-basis coefficients.  Exact Bareiss
+elimination is the last resort.  Determinants stay exact.
 
 >>> cyclotomic_polynomial(12)
 (1, 0, -1, 0, 1)
@@ -153,6 +155,45 @@ def root_sum(exponents, n: int) -> list[int]:
     for k in exponents:
         histogram[k] += 1
     return _poly_divmod_exact(histogram, list(cyclotomic_polynomial(n)))[1]
+
+
+def _is_group(rows, conductor: int) -> bool:
+    """Whether the rows are distinct and form a group under addition mod N.
+    It is grown from the zero row as ``groups._span`` grows a subgroup: by
+    each row g outside the span H so far, through the cosets H + k g up to
+    the first k g back in the span, and every sum met must be a row.  Then
+    the span is exactly the set of rows."""
+    members = set(rows)
+    span = {(0,) * len(rows[0])}
+    if len(members) != len(rows) or not span <= members:
+        return False
+    for row in rows:
+        below, step = tuple(span), row
+        while step not in span:
+            coset = {tuple((x + y) % conductor for x, y in zip(step, h)) for h in below}
+            if not coset <= members:
+                return False
+            span |= coset
+            step = tuple((x + y) % conductor for x, y in zip(step, row))
+    return True
+
+
+def orthogonality_rank(rows, n: int) -> int | None:
+    """The rank of the table of roots z_n^a over its distinct exponent rows a
+    (each entry in range(n)), proved by character orthogonality, or None.
+
+    Entry (i, j) of S S^H is sum_g z_n^(a_ig - a_jg).  When the rows form a
+    group under addition mod n (``_is_group``), a_i - a_j is the row a_k, so
+    entry (i, j) is the row sum of a_k.  One exact ``root_sum`` per row must
+    give the width at the zero row and 0 elsewhere; then S S^H = width Id and
+    the rank is the number of rows.  None when the rows are not a group or a
+    row sum is not 0.
+    """
+    if _is_group(rows, n) and all(
+        root_sum(a, n) == ([len(a)] if not any(a) else []) for a in rows
+    ):
+        return len(rows)
+    return None
 
 
 def _reduce_mod_phi(coeffs: list, n: int) -> tuple:
@@ -601,13 +642,24 @@ class CycloMatrix(Value):
         return pivot_row, sign, last_pivot
 
     def rank(self) -> int:
-        """Rank over Q(zeta_N), certified by elimination modulo primes (see
-        ``_prime_rank``): a table of roots on its exponents
-        (``root_matrix_rank``), any other matrix on its power-basis
-        coefficients.  If no listed prime certifies it, exact Bareiss
-        elimination decides."""
+        """Rank over Q(zeta_N), proved by the first of three means that
+        certifies it:
+
+        1. on a table of roots, character orthogonality over its distinct
+           exponent rows (``orthogonality_rank``);
+        2. elimination modulo primes (``_prime_rank``): a table of roots on
+           its exponents (``root_matrix_rank``), any other matrix on its
+           power-basis coefficients;
+        3. exact Bareiss elimination (``_eliminate``).
+        """
         if self.exponents is not None:
-            rank = root_matrix_rank(self.exponents, self.cols, self.conductor)
+            width = self.cols
+            rows = dict.fromkeys(
+                self.exponents[i:i + width] for i in range(0, len(self.exponents), width)
+            )
+            rank = orthogonality_rank(tuple(rows), self.conductor)
+            if rank is None:
+                rank = root_matrix_rank(self.exponents, width, self.conductor)
         else:
             ids: dict[tuple, int] = {}
             cells = [ids.setdefault(e.coeffs, len(ids)) for e in self.entries]
@@ -673,11 +725,6 @@ def _rank_prime(n: int, i: int) -> tuple[int, int]:
         if all(pow(w, n // q, p) != 1 for q in prime_factors):
             return p, w
         g += 1
-
-
-def _rank_primes(n: int) -> tuple[tuple[int, int], ...]:
-    """The primes ``_prime_rank`` may try for conductor n, in order."""
-    return tuple(_rank_prime(n, i) for i in range(_RANK_PRIMES))
 
 
 def _prime_rank(cells, width: int, zero, n: int, residues) -> int | None:

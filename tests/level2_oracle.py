@@ -10,8 +10,7 @@ certificate and both verifiers run afresh on every call.
 
 from __future__ import annotations
 
-from pointedcat.brmod import _is_group
-from pointedcat.cyclotomic import root_sum
+from pointedcat.cyclotomic import _is_group, root_sum
 from pointedcat.errors import InternalInconsistency, LiftNotFound
 from pointedcat.groups import characters, cyclic_presentation, restrict
 from pointedcat.metric import mueger_center

@@ -13,11 +13,10 @@ import json
 
 import pytest
 
-from pointedcat import battery, brmod
+from pointedcat import battery, brmod, cyclotomic
 from pointedcat._value import replace
 from pointedcat.battery import default_cases, enumerate_quadratic_forms, run_all
 from pointedcat.brmod import (
-    _is_group,
     _orthogonality_rank,
     admissible_subgroups,
     build_module_cat,
@@ -29,7 +28,15 @@ from pointedcat.brmod import (
 )
 from pointedcat.cocycles import QuadraticForm
 from pointedcat.cli import main
-from pointedcat.cyclotomic import ONE, CycloMatrix, root_matrix_rank, root_of_unity, root_sum
+from pointedcat.cyclotomic import (
+    ONE,
+    CycloMatrix,
+    _is_group,
+    orthogonality_rank,
+    root_matrix_rank,
+    root_of_unity,
+    root_sum,
+)
 from pointedcat.errors import InternalInconsistency, WellDefinednessViolation
 from pointedcat.groups import (
     AbelianGroup,
@@ -118,18 +125,32 @@ def test_every_form_group_is_covered(every_form):
                       "Z8": 16, "Z4xZ2": 64}
 
 
+def _distinct_rows(exponents, width):
+    return tuple(dict.fromkeys(
+        tuple(exponents[i:i + width]) for i in range(0, len(exponents), width)
+    ))
+
+
 def test_orthogonality_rank_matches_the_fraction_rank(every_form):
+    """``CycloMatrix.rank`` runs the same certificate, so the oracles are the
+    primes and Bareiss."""
     for cat in every_form:
-        sm = smatrix2(cat)
-        assert sm.rank == sm.matrix.rank() == mueger_center(cat).order, cat.label
+        sm, e = smatrix2(cat), cat.group.exponent
+        primes = root_matrix_rank([k for row in sm.exponents for k in row], len(sm.cols), e)
+        assert sm.rank == primes == sm.matrix._eliminate()[0], cat.label
+        assert sm.rank == mueger_center(cat).order, cat.label
 
 
 def test_exponent_rank_matches_the_fraction_rank(every_form):
+    """The sigma table's rank by its row sums, by the primes, by Bareiss and
+    by orthogonality over its distinct rows: always a group of characters."""
     degenerate = 0
     for cat in every_form:
         form, n = cat.form, cat.group.order
         rank = root_matrix_rank(form.sigma_exp, n, form.conductor)
-        assert rank == smatrix1(cat).matrix.rank() == smatrix_rank(cat), cat.label
+        assert rank == smatrix1(cat).matrix._eliminate()[0] == smatrix_rank(cat), cat.label
+        rows = _distinct_rows(form.sigma_exp, n)
+        assert orthogonality_rank(rows, form.conductor) == rank, cat.label
         degenerate += rank < n
     assert degenerate > 0
 
@@ -466,7 +487,7 @@ def test_certificate_takes_one_row_sum_per_row(monkeypatch):
     base = make_category(QuadraticForm(group, (ONE,) * 256), label="symmetric Z16xZ16")
     _orthogonality_rank.cache_clear()
     calls = []
-    monkeypatch.setattr(brmod, "root_sum", lambda exps, n: calls.append(n) or root_sum(exps, n))
+    monkeypatch.setattr(cyclotomic, "root_sum", lambda exps, n: calls.append(n) or root_sum(exps, n))
     sm = smatrix2.__wrapped__(base)
     assert sm.rank == 256 and calls == [16] * 256
 

@@ -1,9 +1,13 @@
-"""Differential tests for the certified modular rank.
+"""Differential tests for the certified rank.
 
-``CycloMatrix.rank`` reduces entries modulo primes p = 1 (mod N) and certifies
-the result against an exact upper bound: a table of roots on its exponents,
-any other matrix on its power-basis coefficients.  Exact Bareiss elimination
-(``CycloMatrix._eliminate``) is the oracle it must agree with everywhere.
+``CycloMatrix.rank`` proves a table of roots' rank by character
+orthogonality over its distinct exponent rows when they form a group
+(``orthogonality_rank``).  Otherwise it reduces entries modulo primes
+p = 1 (mod N) and certifies the result against an exact upper bound: a table
+of roots on its exponents (``root_matrix_rank``), any other matrix on its
+power-basis coefficients.  Exact Bareiss elimination
+(``CycloMatrix._eliminate``) is the oracle they must agree with everywhere,
+and orthogonality and the primes are checked against each other.
 """
 
 import itertools
@@ -17,27 +21,44 @@ from pointedcat import cyclotomic
 from pointedcat.battery import _abelian_groups_of_order
 from pointedcat.brmod import smatrix2
 from pointedcat.cyclotomic import (
+    _RANK_PRIMES,
     MAX_CONDUCTOR,
     ONE,
     CycloMatrix,
     CycloNumber,
     embed,
+    orthogonality_rank,
     root_of_unity,
     _is_prime,
     _rank_mod_p,
     _rank_prime,
-    _rank_primes,
     _residues,
     root_matrix_rank,
 )
 from pointedcat.errors import ConductorCapExceeded
-from pointedcat.groups import character_table, characters, format_group
-from pointedcat.metric import drinfeld_double, smatrix1
+from pointedcat.groups import character_table, characters, format_group, parse_group
+from pointedcat.metric import drinfeld_double, preset, smatrix1
 
 
 def _oracle_rank(matrix):
     rank, _, _ = matrix._eliminate()
     return rank
+
+
+def _rank_primes(n):
+    """The primes ``_prime_rank`` may try for conductor n, in order."""
+    return tuple(_rank_prime(n, i) for i in range(_RANK_PRIMES))
+
+
+def _certificate(matrix):
+    """The orthogonality rank of a root table over its distinct rows, or None."""
+    exps, width = matrix.exponents, matrix.cols
+    rows = {tuple(exps[i:i + width]) for i in range(0, len(exps), width)}
+    return orthogonality_rank(sorted(rows), matrix.conductor)
+
+
+def _prime_rank(matrix):
+    return root_matrix_rank(matrix.exponents, matrix.cols, matrix.conductor)
 
 
 def _ints(rows, conductor=1):
@@ -121,12 +142,12 @@ def test_character_tables_up_to_16(group, eliminations):
     table = character_table(group)
     assert table.rank() == group.order
     assert not eliminations
-    assert _oracle_rank(table) == group.order
+    assert _certificate(table) == _prime_rank(table) == _oracle_rank(table) == group.order
 
 
 def test_roster_smatrices(battery_categories, eliminations):
     """Level-1 and level-2 S-matrices of every roster form, degenerate or not;
-    each certifies on the first prime."""
+    none reaches Bareiss."""
     degenerate = 0
     for cat in battery_categories:
         for matrix in (smatrix1(cat).matrix, smatrix2(cat).matrix):
@@ -341,3 +362,76 @@ def test_corrupted_root_tables(roots, eliminations):
         assert matrix.rank() == rank, name
         assert len(eliminations) == (name == "row scaled by a root"), name
         assert _oracle_rank(matrix) == rank, name
+
+
+
+# -- the orthogonality certificate ----------------------------------------
+
+@pytest.mark.parametrize("literal", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6"])
+def test_doubles_are_ranked_alike_by_all_three_proofs(literal, eliminations):
+    """D(Z1) to D(Z6) and D(Z2xZ2): orthogonality, the primes and Bareiss."""
+    group = parse_group(literal)
+    matrix = smatrix1(drinfeld_double(group)).matrix
+    n = group.order**2
+    assert matrix.rank() == n
+    assert not eliminations
+    assert _certificate(matrix) == _prime_rank(matrix) == _oracle_rank(matrix) == n
+
+
+def _roots(rows, n):
+    return [[root_of_unity(n, k) for k in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        _roots([[1, 1, 1], [1, 3, 5], [1, 5, 3]], 6),  # z6 times the Z3 table
+        _roots([[0, 0, 0, 0], [0, 2, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]], 4),  # one shifted
+        _roots([[0, 0, 0], [0, 1, 2]], 3),  # non-square
+        _roots([[0, 1], [1, 0]], 2),  # [[1, -1], [-1, 1]]
+        _roots([[0, 1, 2], [0, 2, 1]], 3),  # the Z3 table without its trivial row
+        _roots([[0, 0], [1, 1]], 2),  # a group, but row 1 sums to -2
+    ],
+    ids=["coset", "shifted", "non-square", "1,-1;-1,1", "no-zero-row", "row-sum"],
+)
+def test_tables_that_are_no_group_of_characters_fall_back(roots):
+    matrix = CycloMatrix.from_roots(roots)
+    assert _certificate(matrix) is None
+    assert matrix.rank() == _oracle_rank(matrix)
+
+
+@pytest.fixture
+def prime_ranks(monkeypatch):
+    """Counts the calls that reach the elimination modulo primes."""
+    calls = []
+    original = cyclotomic._prime_rank
+
+    def counted(cells, width, *rest):
+        calls.append(width)
+        return original(cells, width, *rest)
+
+    monkeypatch.setattr(cyclotomic, "_prime_rank", counted)
+    return calls
+
+
+def test_repeated_rows_are_deduplicated_first(prime_ranks, eliminations):
+    """Each table lists a group of characters with repeats: the S-matrix of
+    D(Z2xZ2) twice over, its trivial row three times, all ones, and the
+    degenerate svect.  The distinct rows are certified, with no prime and no
+    Bareiss."""
+    table = [list(row) for row in smatrix1(preset("double:Z2xZ2")).roots]
+    for roots, rank in [
+        (table + table[::-1], 16),
+        (table[:1] * 3 + table[1:], 16),
+        ([[ONE] * 3] * 3, 1),
+        (smatrix1(preset("svect")).roots, 1),
+    ]:
+        assert CycloMatrix.from_roots(roots).rank() == rank
+    assert not prime_ranks and not eliminations
+
+
+def test_level1_double_ranks_make_no_prime_rank_call(prime_ranks, eliminations):
+    """The four rank ops of the level1-doubles benchmark workload."""
+    for literal, order in (("Z2", 4), ("Z3", 9), ("Z4", 16), ("Z2xZ2", 16)):
+        assert smatrix1(preset(f"double:{literal}")).matrix.rank() == order
+    assert not prime_ranks and not eliminations
