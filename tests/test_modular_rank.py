@@ -57,7 +57,7 @@ def _certificate(matrix):
     return orthogonality_rank(sorted(rows), matrix.conductor)
 
 
-def _prime_rank(matrix):
+def _rank_by_primes(matrix):
     return root_matrix_rank(matrix.exponents, matrix.cols, matrix.conductor)
 
 
@@ -142,7 +142,7 @@ def test_character_tables_up_to_16(group, eliminations):
     table = character_table(group)
     assert table.rank() == group.order
     assert not eliminations
-    assert _certificate(table) == _prime_rank(table) == _oracle_rank(table) == group.order
+    assert _certificate(table) == _rank_by_primes(table) == _oracle_rank(table) == group.order
 
 
 def test_roster_smatrices(battery_categories, eliminations):
@@ -375,7 +375,7 @@ def test_doubles_are_ranked_alike_by_all_three_proofs(literal, eliminations):
     n = group.order**2
     assert matrix.rank() == n
     assert not eliminations
-    assert _certificate(matrix) == _prime_rank(matrix) == _oracle_rank(matrix) == n
+    assert _certificate(matrix) == _rank_by_primes(matrix) == _oracle_rank(matrix) == n
 
 
 def _roots(rows, n):
