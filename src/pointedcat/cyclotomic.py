@@ -81,18 +81,20 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod_exact(num, den):
-    """Quotient and remainder of integer polynomials with monic divisor."""
+    """Quotient and remainder of integer polynomials with monic divisor, by
+    long division from the top degree down over the divisor's nonzero terms."""
     assert den and den[-1] == 1, "divisor must be monic"
     num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    while len(_trim(num)) >= len(den):
-        num = _trim(num)
-        shift = len(num) - len(den)
-        lead = num[-1]
-        q[shift] = lead
-        for i, c in enumerate(den):
-            num[shift + i] -= lead * c
-    return _trim(q), _trim(num)
+    deg = len(den) - 1
+    terms = [(i, c) for i, c in enumerate(den[:-1]) if c]
+    q = [0] * max(len(num) - deg, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        lead = num[shift + deg]
+        if lead:
+            q[shift] = lead
+            for i, c in terms:
+                num[shift + i] -= lead * c
+    return _trim(q), _trim(num[:deg])
 
 
 def euler_phi(n: int) -> int:
@@ -147,14 +149,47 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _high_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry k - phi(n) is x^k mod Phi_n for phi(n) <= k < n, as the (degree,
+    coefficient) pairs of its nonzero terms.  Each is x times the one before,
+    its x^phi(n) term rewritten as x^phi(n) - Phi_n.  Phi_n(x) is
+    Phi_rad(n)(x^(n / rad(n))), so each has at most phi(rad(n)) terms."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    low = [(j, -c) for j, c in enumerate(phi[:-1]) if c]
+    rows, power = [], dict(low)
+    for _ in range(deg, n):
+        rows.append(tuple(power.items()))
+        top = power.pop(deg - 1, 0)
+        power = {j + 1: c for j, c in power.items()}
+        if top:
+            for j, c in low:
+                c = power.get(j, 0) + top * c
+                if c:
+                    power[j] = c
+                else:
+                    del power[j]
+    return tuple(rows)
+
+
 def root_sum(exponents, n: int) -> list[int]:
     """sum_k z_n^k over the exponents k (each in range(n)), exactly: the
-    histogram of the exponents, as a polynomial in z_n, reduced modulo Phi_n.
-    Integer power-basis coefficients, trimmed: [] is 0 and [c] the rational c."""
+    histogram of the exponents, as a polynomial in z_n, reduced modulo Phi_n
+    by adding count * (x^k mod Phi_n) from ``_high_powers`` for each k of
+    degree phi(n) or more.  Integer power-basis coefficients, trimmed: [] is
+    0 and [c] the rational c."""
     histogram = [0] * n
     for k in exponents:
         histogram[k] += 1
-    return _poly_divmod_exact(histogram, list(cyclotomic_polynomial(n)))[1]
+    high = _high_powers(n)
+    deg = n - len(high)
+    out = histogram[:deg]
+    for count, power in zip(histogram[deg:], high):
+        if count:
+            for j, c in power:
+                out[j] += count * c
+    return _trim(out)
 
 
 def _is_group(rows, conductor: int) -> bool:
@@ -539,22 +574,35 @@ class CycloMatrix(Value):
     @staticmethod
     def from_roots(rows) -> "CycloMatrix":
         """The matrix of a table of roots, at the lcm N of their orders, kept
-        as the exponents k of z_N^k; refused above MAX_CONDUCTOR, before any
-        table is built."""
+        as the exponents k of z_N^k (``from_exponents``)."""
+        ncols = len(rows[0])
+        assert all(len(row) == ncols for row in rows)
         conductor = math.lcm(*(r.order for row in rows for r in row))
+        return CycloMatrix.from_exponents(ncols, conductor, (
+            r.exponent * (conductor // r.order) for row in rows for r in row
+        ))
+
+    @staticmethod
+    def from_exponents(ncols: int, conductor: int, exponents) -> "CycloMatrix":
+        """The matrix of roots z_N^k from their exponents k mod N (row-major,
+        ``ncols`` per row), refused above MAX_CONDUCTOR before an exponent
+        is read.  N and every k are divided by their gcd, so N is the lcm of
+        the roots' orders, as ``from_roots`` has it."""
         if conductor > MAX_CONDUCTOR:
             raise ConductorCapExceeded(
                 f"conductor {conductor} exceeds the cap {MAX_CONDUCTOR}"
             )
-        ncols = len(rows[0])
-        assert ncols >= 1 and all(len(row) == ncols for row in rows)
+        exponents = tuple(exponents)
+        assert ncols >= 1 and exponents and len(exponents) % ncols == 0
+        common = math.gcd(conductor, *exponents)
+        if common > 1:
+            conductor //= common
+            exponents = tuple(k // common for k in exponents)
         matrix = object.__new__(CycloMatrix)
-        setfield(matrix, "rows", len(rows))
+        setfield(matrix, "rows", len(exponents) // ncols)
         setfield(matrix, "cols", ncols)
         setfield(matrix, "conductor", conductor)
-        setfield(matrix, "exponents", tuple(
-            r.exponent * (conductor // r.order) for row in rows for r in row
-        ))
+        setfield(matrix, "exponents", exponents)
         setfield(matrix, "_entries", None)
         return matrix
 

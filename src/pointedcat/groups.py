@@ -271,12 +271,14 @@ def full_subgroup(group: AbelianGroup) -> Subgroup:
     return _subgroup_on(group, frozenset(range(group.order)))
 
 
-def _subgroups_over(group: AbelianGroup, universe, guard=None) -> list[Subgroup]:
-    """All subgroups whose element indices lie in the (closed) universe.  Each
-    one found grows by one element per coset, as <H, g> depends on g + H.
-    With ``guard``, a predicate of (H's index set, g) that depends only on
-    g + H, H grows only where it holds, and the universe need not be closed."""
+def _subgroups_over(group: AbelianGroup, universe) -> list[Subgroup]:
+    """All subgroups whose element indices lie in the universe.  Each one
+    found grows by one element per coset, as <H, g> depends on g + H, and
+    only by a coset g + H inside the universe.  For a closed universe every
+    coset of one of its elements is inside; for another universe the
+    subgroups found are those reached through cosets inside it."""
     table, n = addition_table(group), group.order
+    inside = frozenset(universe)
     found = {frozenset({0})}
     todo = list(found)
     while todo:
@@ -285,8 +287,9 @@ def _subgroups_over(group: AbelianGroup, universe, guard=None) -> list[Subgroup]
         for g in universe:
             if g in covered:
                 continue
-            covered.update([table[g * n + h] for h in current])
-            if guard is not None and not guard(current, g):
+            coset = [table[g * n + h] for h in current]
+            covered.update(coset)
+            if not inside.issuperset(coset):
                 continue
             grown = _span(group, current, g)
             if grown not in found:

@@ -29,7 +29,6 @@ from .groups import (
     AbelianGroup,
     Subgroup,
     _subgroups_over,
-    addition_table,
     parse_group,
     format_group,
     subgroup_from_elements,
@@ -99,15 +98,15 @@ def cocycle_of(category: PointedBFC) -> AbelianCocycle:
 # ----------------------------------------------------------------------
 
 class SMatrix1(Value):
-    """The roots sigma(g, h); the CycloMatrix is built on first access.
-    Equal only to itself."""
+    """sigma(g, h) over the form's exponents, checked symmetric with unit
+    row and column 1; ``roots`` and ``matrix`` are views built on first
+    access.  Equal only to itself."""
 
-    _fields = ("category", "roots")
+    _fields = ("category",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, category: PointedBFC, roots: tuple[tuple[RootOfUnity, ...], ...]):
+    def __init__(self, category: PointedBFC):
         setfield(self, "category", category)
-        setfield(self, "roots", roots)
         n, sigma = category.group.order, category.form.sigma_exp
         for i in range(n):
             if sigma[i] or sigma[i * n]:
@@ -117,19 +116,22 @@ class SMatrix1(Value):
                     raise InternalInconsistency(f"S-matrix not symmetric at ({i},{j})")
 
     @cached_property
+    def roots(self) -> tuple[tuple[RootOfUnity, ...], ...]:
+        q, n = self.category.form, self.category.group.order
+        roots = roots_of_unity(q.conductor)
+        return tuple(
+            tuple(roots[s] for s in q.sigma_exp[i * n:(i + 1) * n]) for i in range(n)
+        )
+
+    @cached_property
     def matrix(self) -> CycloMatrix:
-        return CycloMatrix.from_roots(self.roots)
+        q = self.category.form
+        return CycloMatrix.from_exponents(self.category.group.order, q.conductor, q.sigma_exp)
 
 
 def smatrix1(category: PointedBFC) -> SMatrix1:
     """Entry (g, h) is the double braiding sigma(g, h); rows/cols in element order."""
-    q = category.form
-    n = category.group.order
-    roots = roots_of_unity(q.conductor)
-    rows = tuple(
-        tuple(roots[s] for s in q.sigma_exp[i * n:(i + 1) * n]) for i in range(n)
-    )
-    return SMatrix1(category, rows)
+    return SMatrix1(category)
 
 
 def tmatrix(category: PointedBFC) -> CycloMatrix:
@@ -240,20 +242,18 @@ def isotropic_subgroups(
     """All subgroups on which q is identically 1 (so sigma is too, asserted),
     sorted by (order, element list).
 
-    They are grown from {0} through cosets on which q is 1.  For H isotropic
-    and q(g) = 1, q(g + h) = sigma(g, h) and q(k g + h) = sigma(g, h)^k, so
-    <H, g> is isotropic exactly when the coset g + H is, and every isotropic
-    subgroup is reached one element at a time.  Only those are built.  The
-    growth reads q alone, so sigma stays an independent check on each.
+    They are grown from {0} over the universe of elements with q = 1, by
+    cosets inside it.  For H isotropic and q(g) = 1, q(g + h) = sigma(g, h)
+    and q(k g + h) = sigma(g, h)^k, so <H, g> is isotropic exactly when the
+    coset g + H lies in the universe, and every isotropic subgroup is reached
+    one element at a time.  Only those are built.  The growth reads q alone,
+    so sigma stays an independent check on each.
     """
     group, n = category.group, category.group.order
     if n > max_order:
         raise GroupTooLarge(f"|G| = {n} exceeds the bound {max_order}")
-    table, q, sigma = addition_table(group), category.form.values, category.form.sigma_exp
-    subs = _subgroups_over(
-        group, [i for i, v in enumerate(q) if v.is_one],
-        lambda members, g: all(q[table[g * n + h]].is_one for h in members),
-    )
+    q, sigma = category.form.values, category.form.sigma_exp
+    subs = _subgroups_over(group, [i for i, v in enumerate(q) if v.is_one])
     for sub in subs:
         for g, i in zip(sub.elements, sub.indices):
             for h, j in zip(sub.elements, sub.indices):

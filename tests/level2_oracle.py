@@ -10,7 +10,7 @@ certificate and both verifiers run afresh on every call.
 
 from __future__ import annotations
 
-from pointedcat.cyclotomic import _is_group, root_sum
+from pointedcat.cyclotomic import _is_group, _poly_divmod_exact, cyclotomic_polynomial
 from pointedcat.errors import InternalInconsistency, LiftNotFound
 from pointedcat.groups import characters, cyclic_presentation, restrict
 from pointedcat.metric import mueger_center
@@ -35,6 +35,16 @@ def smatrix_rows(base):
     """Row i is class i's lift read at the transparent elements."""
     cols = mueger_center(base).elements
     return tuple(tuple(lift.exponents(cols)) for _, lift in schur_classes(base))
+
+
+def root_sum(exponents, n: int) -> list[int]:
+    """sum_k z_n^k over the exponents k: their histogram's remainder under
+    long division by Phi_n, apart from the power table ``cyclotomic.root_sum``
+    reads."""
+    histogram = [0] * n
+    for k in exponents:
+        histogram[k] += 1
+    return _poly_divmod_exact(histogram, cyclotomic_polynomial(n))[1]
 
 
 def orthogonality_rank(rows, conductor: int) -> int:

@@ -15,6 +15,9 @@ from pointedcat.cyclotomic import (
     format_root,
     parse_root,
     root_of_unity,
+    root_sum,
+    _high_powers,
+    _poly_divmod_exact,
     _poly_mul,
 )
 from pointedcat.errors import (
@@ -81,6 +84,59 @@ def test_phi_reconstruction_up_to_48():
                 product = _poly_mul(product, list(cyclotomic_polynomial(d)))
         assert product == [-1] + [0] * (n - 1) + [1]
         assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
+
+
+# -- exact root sums ---------------------------------------------------
+
+def _histogram(exponents, n):
+    out = [0] * n
+    for k in exponents:
+        out[k] += 1
+    return out
+
+
+def _multisets(n, rng):
+    """The empty multiset, one exponent repeated, and two seeded draws with
+    repeats: a few exponents, and about 2n of them."""
+    yield []
+    yield [n - 1] * 3
+    yield [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+    yield [rng.randrange(n) for _ in range(2 * n)]
+
+
+def test_root_sum_is_the_long_division_remainder_up_to_256():
+    """The power table's sum equals the histogram's remainder under long
+    division by Phi_n, which equals the schoolbook oracle's."""
+    rng = random.Random(30)
+    for n in range(1, 257):
+        phi = list(cyclotomic_polynomial(n))
+        for exponents in _multisets(n, rng):
+            histogram = _histogram(exponents, n)
+            quotient, remainder = _poly_divmod_exact(histogram, phi)
+            naive_q, naive_r = naive_divmod(histogram, phi)
+            assert (quotient, remainder) == (naive_q[:len(quotient)], naive_r), n
+            assert not any(naive_q[len(quotient):]), n
+            assert root_sum(exponents, n) == remainder, (n, exponents)
+
+
+@pytest.mark.parametrize("n", [840, 2520, 10080])
+def test_root_sum_at_large_conductors(n):
+    rng = random.Random(n)
+    phi = cyclotomic_polynomial(n)
+    for exponents in _multisets(n, rng):
+        remainder = _poly_divmod_exact(_histogram(exponents, n), phi)[1]
+        assert root_sum(exponents, n) == remainder, n
+    # all n-th roots sum to 0; the table has one entry per power from phi(n)
+    assert root_sum(range(n), n) == []
+    assert len(_high_powers(n)) == n - euler_phi(n)
+
+
+def test_high_powers_start_at_phi():
+    """x^phi(n) = x^phi(n) - Phi_n, and each next entry is x times the last."""
+    assert _high_powers(1) == ()
+    assert _high_powers(4) == (((0, -1),), ((1, -1),))
+    assert dict(_high_powers(12)[0]) == {0: -1, 2: 1}
+    assert root_sum([4, 4], 12) == [-2, 0, 2]
 
 
 # -- roots of unity ----------------------------------------------------

@@ -49,6 +49,7 @@ from pointedcat.groups import (
 )
 from pointedcat.metric import (
     category_from_form,
+    drinfeld_double,
     make_category,
     mueger_center,
     preset,
@@ -207,6 +208,44 @@ def test_nondegeneracy_row_falls_back_to_the_fraction_rank(monkeypatch):
         assert battery.check_nondegeneracy_equivalence(cat) == (True, None)
         assert (smatrix1(cat).matrix.rank() == cat.group.order) == full
     assert ranked == [2, 2, 2, 2, 4, 4]
+
+
+# -- level 1 on sigma's exponents -------------------------------------------------
+
+def _shape(matrix):
+    return matrix.rows, matrix.cols, matrix.conductor, matrix.exponents
+
+
+def test_smatrix1_matrix_is_the_matrix_of_its_roots(every_form):
+    """``from_exponents`` on sigma_exp gives what ``from_roots`` gives on the
+    roots view: the same shape, the lcm conductor of sigma's orders (below the
+    form's where sigma misses some of q's orders; 1 where sigma is 1) and the
+    same exponents, on every form of GROUPS and the doubles up to D(Z6)."""
+    doubles = [drinfeld_double(parse_group(literal))
+               for literal in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6")]
+    lowered = trivial = 0
+    for cat in every_form + doubles:
+        sm = smatrix1(cat)
+        assert _shape(sm.matrix) == _shape(CycloMatrix.from_roots(sm.roots)), cat.label
+        lowered += sm.matrix.conductor < cat.form.conductor
+        trivial += sm.matrix.conductor == 1
+    assert lowered > 0 and trivial > len(GROUPS)
+
+
+def test_smatrix1_rank_builds_no_root(every_form, monkeypatch):
+    """A rank reads sigma's exponents only: the ``roots`` view is never built,
+    and no RootOfUnity is made on the four benchmarked doubles."""
+    doubles = [preset(f"double:{literal}") for literal in ("Z2", "Z3", "Z4", "Z2xZ2")]
+    for cat in every_form + doubles:
+        sm = smatrix1(cat)
+        assert sm.matrix.rank() == smatrix_rank(cat), cat.label
+        assert "roots" not in vars(sm), cat.label
+
+    def refuse(*args):
+        raise AssertionError("RootOfUnity built")
+
+    monkeypatch.setattr(cyclotomic.RootOfUnity, "__init__", refuse)
+    assert [smatrix1(cat).matrix.rank() for cat in doubles] == [4, 9, 16, 16]
 
 
 # -- negative tests ----------------------------------------------------------------

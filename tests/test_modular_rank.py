@@ -333,6 +333,33 @@ def test_root_table_conductor_cap_is_checked_before_any_table(monkeypatch):
     assert top.rank() == 1
 
 
+def test_from_exponents_refuses_a_conductor_above_the_cap(monkeypatch):
+    """The one cap check both constructors reach, made before an exponent is
+    read; ``from_roots`` above the cap is refused by it too."""
+    monkeypatch.setattr(cyclotomic, "_root_powers", _refuse)
+
+    def unread():
+        raise AssertionError("exponent read before the cap was checked")
+        yield
+
+    with pytest.raises(ConductorCapExceeded, match="10081 exceeds the cap 10080"):
+        CycloMatrix.from_exponents(1, MAX_CONDUCTOR + 1, unread())
+    top = CycloMatrix.from_exponents(2, MAX_CONDUCTOR, [1, 0])
+    assert (top.conductor, top.exponents) == (MAX_CONDUCTOR, (1, 0))
+
+
+def test_from_exponents_lowers_to_the_lcm_of_orders():
+    """N and the exponents are divided by their gcd, as ``from_roots`` sees
+    the roots: z_12^4 = z_3, and an all-zero table has conductor 1."""
+    third = CycloMatrix.from_exponents(2, 12, (0, 4, 8, 0))
+    assert (third.rows, third.cols, third.conductor, third.exponents) == (2, 2, 3, (0, 1, 2, 0))
+    roots = CycloMatrix.from_roots([[ONE, root_of_unity(3, 1)], [root_of_unity(3, 2), ONE]])
+    assert (roots.conductor, roots.exponents) == (3, (0, 1, 2, 0))
+    ones = CycloMatrix.from_exponents(3, 8, (0,) * 6)
+    assert (ones.rows, ones.conductor, ones.exponents) == (2, 1, (0,) * 6)
+    assert ones.rank() == 1
+
+
 def _corruptions(roots):
     """(name, table, rank) for four damaged copies of a full-rank n x n table:
     its last row or column replaced by a copy of the one before it."""
