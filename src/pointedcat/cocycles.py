@@ -6,9 +6,10 @@ scalar on pairs, stored as integer exponents of z_N for one conductor N.
 The pentagon and two hexagon identities below pin the scalar conventions.
 Each cocycle is validated once and the result is kept on it: tables given
 outright are scanned, and the standard pair of a quadratic form is valid by
-the proof in ``standard_cocycle``.  Quadratic forms follow the same split: a
-value table is scanned, and a form built from generator data is valid by
-the proof in ``form_from_generators`` once two order facts hold.  Two
+the proof in ``standard_cocycle``.  A quadratic form is decided by its Gram
+data, q(e_i) and sigma(e_i, e_j), and Wall's two order facts, whether it is
+given by that data or by a value table, which must then equal the generator
+form of its own data (the proof is in ``form_from_generators``).  Two
 theorem-backed assertions guard the convention: the trace g -> omega(g, g)
 of any valid pair must be a quadratic form, and building the standard pair
 back from a quadratic form must return it as its trace.  If either ever
@@ -389,27 +390,35 @@ def _generator_q(factors, t, cross) -> list[int]:
     return q
 
 
-def _basis(g: AbelianGroup) -> list[Element]:
-    """The generators e_i of the cyclic factors (zero on a factor Z/1)."""
-    return [g.reduce(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
+def _gram(factors, conductor: int, q) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The Gram data (t, cross) of exponents q over N: t_i = q(e_i) and, for
+    i < j, (i, j, s_ij) with s_ij = q(e_i + e_j) - t_i - t_j mod N.  e_i has
+    the index prod_(j>i) n_j, or 0 on a factor Z/1, where e_i = 0."""
+    basis, stride = [], 1
+    for n in reversed(factors):
+        basis.append(stride if n > 1 else 0)
+        stride *= n
+    basis.reverse()
+    t = [q[b] for b in basis]
+    return t, [
+        (i, j, (q[bi + bj] - t[i] - t[j]) % conductor)
+        for i, bi in enumerate(basis) for j, bj in enumerate(basis[i + 1:], i + 1)
+    ]
 
 
-def _order_fact_failure(factors, taus, pairings) -> str | None:
-    """The first of Wall's two order facts that the generator data break, or None.
-
-    ord tau_i must divide gcd(2 n_i, n_i^2), which is 2 n_i (n_i when n_i is
-    odd), and ord sigma_ij must divide gcd(n_i, n_j); ``pairings`` maps
-    (i, j) to sigma_ij.  A factor Z/1 carries no data: its coordinate is
-    always 0, so its tau and its pairings never reach a value and are skipped.
-    """
-    for i, (n, tau) in enumerate(zip(factors, taus)):
-        if n > 1 and math.gcd(2 * n, n * n) % tau.order:
-            return f"q(e_{i}) of order {tau.order} on a cyclic factor of order {n}"
-    for (i, j), sigma in pairings.items():
+def _order_fact_failure(factors, conductor: int, t, cross) -> str | None:
+    """The first of Wall's two order facts that the Gram data (t, cross) over N
+    break, or None: ord z_N^t_i | gcd(2 n_i, n_i^2) and ord z_N^s_ij |
+    gcd(n_i, n_j).  A factor Z/1 is skipped: its coordinate is always 0."""
+    for i, (n, ti) in enumerate(zip(factors, t)):
+        if n > 1 and ti * math.gcd(2 * n, n * n) % conductor:
+            order = conductor // math.gcd(conductor, ti)
+            return f"q(e_{i}) of order {order} on a cyclic factor of order {n}"
+    for i, j, s in cross:
         ni, nj = factors[i], factors[j]
-        if min(ni, nj) > 1 and math.gcd(ni, nj) % sigma.order:
-            return (f"pairing of order {sigma.order} between e_{i} and e_{j}, "
-                    f"across factors {ni} and {nj}")
+        if min(ni, nj) > 1 and s * math.gcd(ni, nj) % conductor:
+            return (f"pairing of order {conductor // math.gcd(conductor, s)} between "
+                    f"e_{i} and e_{j}, across factors {ni} and {nj}")
     return None
 
 
@@ -426,19 +435,18 @@ def _sigma_rows(add, conductor: int, q) -> list[list[int]]:
 class QuadraticForm(Value):
     """q: G -> roots of unity with q(0)=1, q(-g)=q(g), bimultiplicative polarization.
 
-    A form given by its value table is checked, on the exponents of its
-    values mod their conductor N, by ``__post_init__``: it is called through
-    the class, where the benchmark's tracer wraps it.  A form built by
-    ``form_from_generators`` is valid by proof and skips that scan.  Either
-    way the polarization sigma(g,h) = q(g+h) q(g)^-1 q(h)^-1 is kept as
-    exponents: sigma(g, h) = z_N^sigma_exp[i*n + j] for element indices i, j
-    of a group of order n, with N the lcm of the value orders.  It equals the
-    double braiding of any cocycle tracing to q; ``pairing`` is a lookup
-    view.  The hash is computed once.
+    Values are read as exponents mod their conductor N, the lcm of the value
+    orders.  ``__post_init__``, called through the class where the
+    benchmark's tracer wraps it, accepts a value table exactly when it is
+    the generator form of its own Gram data (``_gram``) and the data meet
+    Wall's order facts (see ``form_from_generators``), in O(r^2 + |G|).
+    Both constructors keep the Gram data and sigma(g,h) = q(g+h) q(g)^-1
+    q(h)^-1 as exponents z_N^sigma_exp[i*n + j], element indices i, j, n = |G|:
+    the double braiding of any cocycle tracing to q.  The hash is computed once.
     """
 
     _fields = ("group", "values")
-    __slots__ = _fields + ("conductor", "sigma_exp", "_hash")
+    __slots__ = _fields + ("conductor", "sigma_exp", "_gram", "_hash")
 
     def __init__(self, group: AbelianGroup, values: tuple[RootOfUnity, ...]):
         setfield(self, "group", group)
@@ -457,35 +465,33 @@ class QuadraticForm(Value):
         for i, j in enumerate(negation):
             if q[i] != q[j]:
                 raise InvalidQuadraticForm(f"q(-g) != q(g) at g = {elems[i]}")
-        add = addition_table(g)
-        sigma = _sigma_rows(add, conductor, q)
-        # bimultiplicativity in one slot (the other follows by symmetry of sigma);
-        # stepping by basis vectors is equivalent to the full check by induction
-        for e in _basis(g):
-            ie = g.element_index(e)
-            for i, x in enumerate(elems):
-                rows = zip(elems, sigma[add[i * n + ie]], sigma[i], sigma[ie])
-                for y, xe_y, x_y, e_y in rows:
-                    if (xe_y - x_y - e_y) % conductor:
-                        raise InvalidQuadraticForm(
-                            f"polarization not bimultiplicative at ({x}+{e}, {y})"
-                        )
-        self._keep(conductor, sigma)
+        gram = _gram(g.factors, conductor, q)
+        failure = _order_fact_failure(g.factors, conductor, *gram)
+        if failure is None:
+            summed = [k % conductor for k in _generator_q(g.factors, *gram)]
+            if summed != q:
+                at = next(elems[i] for i, (a, b) in enumerate(zip(summed, q)) if a != b)
+                failure = f"q(g) is not fixed by q(e_i) and q(e_i + e_j) at g = {at}"
+        if failure is not None:
+            raise InvalidQuadraticForm(f"polarization not bimultiplicative: {failure}")
+        self._keep(conductor, q, gram)
 
     @classmethod
     def _from_generators(cls, group: AbelianGroup, values, conductor: int, q):
         """The form of generator data that meet both order facts: its values,
         and their exponents q over N in lowest terms.  Valid by the proof in
-        ``form_from_generators``, so sigma is summed without a scan."""
+        ``form_from_generators``, so it is kept with no check."""
         out = object.__new__(cls)
         setfield(out, "group", group)
         setfield(out, "values", values)
-        out._keep(conductor, _sigma_rows(addition_table(group), conductor, q))
+        out._keep(conductor, q, _gram(group.factors, conductor, q))
         return out
 
-    def _keep(self, conductor: int, sigma: list[list[int]]):
+    def _keep(self, conductor: int, q, gram):
+        sigma = _sigma_rows(addition_table(self.group), conductor, q)
         setfield(self, "conductor", conductor)
         setfield(self, "sigma_exp", tuple(itertools.chain.from_iterable(sigma)))
+        setfield(self, "_gram", gram)
         setfield(self, "_hash", hash((self.group, self.values)))
 
     def __hash__(self) -> int:
@@ -514,12 +520,13 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
     polarization, and adding n_i to a_i changes it by t_i (2 n_i a_i + n_i^2)
     plus multiples of s_ij n_i, 0 mod N under the facts, so Q is a form on
     G.  Only if: tau_i = q(e_i) and sigma_ij = sigma(e_i, e_j) are read back
-    from the values, and every quadratic form meets the facts.  So the facts
-    are checked in O(r^2) and no dense scan runs.  The checks come before any
-    table of size |G|, in this order: the shape of the data (``ParseError``),
-    the conductor cap, the order facts (``InvalidQuadraticForm``).  Values,
-    conductor, sigma and hash equal those the scan gives on the same values;
-    tests keep the scan as the oracle.
+    from the values, and every quadratic form meets the facts.  A form is
+    fixed by that data (q(x + y) = q(x) q(y) sigma(x, y)), so a value table is
+    a form exactly when it is the generator form of data that meet the facts.
+    The checks here, in O(r^2), come before any table of size |G|: the shape
+    of the data (``ParseError``), the conductor cap, the order facts
+    (``InvalidQuadraticForm``).  The form equals, in every field and in its
+    hash, the one its value table gives; tests keep the dense scan as oracle.
     """
     rank = group.rank
     if len(taus) != rank:
@@ -529,12 +536,12 @@ def form_from_generators(group: AbelianGroup, taus, pairings) -> QuadraticForm:
             raise ParseError(f"pairing key {key} is not (i, j) with 0 <= i < j < {rank}")
     conductor, t, cross = _generator_exponents(taus, pairings)
     roots = roots_of_unity(conductor)
-    failure = _order_fact_failure(group.factors, taus, pairings)
+    failure = _order_fact_failure(group.factors, conductor, t, cross)
     if failure is not None:
         raise InvalidQuadraticForm(failure)
     q = [k % conductor for k in _generator_q(group.factors, t, cross)]
     values = tuple(roots[k] for k in q)
-    # lowest terms: N becomes the lcm of the value orders, as a scan would give
+    # lowest terms: N becomes the lcm of the value orders, as a checked table gives
     common = math.gcd(conductor, *q)
     return QuadraticForm._from_generators(
         group, values, conductor // common, [k // common for k in q]
@@ -611,42 +618,34 @@ def apply_coboundary(c: AbelianCocycle, phi: TwoCochain) -> AbelianCocycle:
 def standard_cocycle(q: QuadraticForm) -> AbelianCocycle:
     """The canonical (psi, omega) pair whose trace is q, proved valid.
 
-    With tau_i = q(e_i) = z_N^(t_i) on the cyclic factor Z/n_i and
-    sigma(e_i, e_j) = z_N^(s_ij):
+    With q's kept Gram data (t, cross) over its conductor N, tau_i = q(e_i) =
+    z_N^(t_i) on the cyclic factor Z/n_i and sigma(e_i, e_j) = z_N^(s_ij):
         omega(a, b) = z_N^(sum_i t_i a_i b_i + sum_(i<j) s_ij a_i b_j)
         psi(a, b, c) = z_N^(sum_i t_i n_i a_i floor((b_i + c_i) / n_i))
     Only the omega diagonal is summed here, by ``_generator_q``; the tables
     are built when read.
 
-    The identities hold by the following proof, whose hypotheses are the two
-    realizability checks below, so no table is scanned.  Write
+    The identities hold by the following proof, whose hypotheses are Wall's
+    order facts (``form_from_generators``), so no table is scanned.  Write
     k_i(b, c) = floor((b_i + c_i) / n_i), the carry 2-cocycle of Z/n_i.
     Normalization: every term of omega has factors a_i and b_j, and each
     term of psi has a_i and a carry, which is 0 when b_i or c_i is.
     Pentagon: psi is a sum over the factors, and on Z/n_i its defect is
-    t_i n_i^2 k_i(a, b) k_i(c, d), 0 mod N because ord tau_i divides n_i^2
-    (it divides 2 n_i, and n_i when n_i is odd).  H1 holds identically on
-    each factor.  H2 needs 2 t_i n_i = 0 mod N, which is ord tau_i | 2 n_i.
-    The cross terms s_ij a_i b_j leave defects that are multiples of s_ij n_i
-    or s_ij n_j, 0 because ord sigma_ij | gcd(n_i, n_j).  ``cocycle-check``
-    still scans the tables, and tests compare them and the scans with the
-    dense build on the forms up to order 16.  The trace, the omega
-    diagonal, must give q back; it is checked on the generator data.
+    t_i n_i^2 k_i(a, b) k_i(c, d), 0 mod N because ord tau_i divides n_i^2.
+    H1 holds identically on each factor.  H2 needs 2 t_i n_i = 0 mod N,
+    which is ord tau_i | 2 n_i.  The cross terms s_ij a_i b_j leave defects
+    that are multiples of s_ij n_i or s_ij n_j, 0 because ord sigma_ij |
+    gcd(n_i, n_j).  ``cocycle-check`` still scans the tables, and tests
+    compare them and the scans with the dense build on the forms up to order
+    16.  The trace, the omega diagonal, must give q back.
     """
-    g = q.group
-    basis = _basis(g)
-    taus = [q.q(e) for e in basis]
-    cross = {
-        (i, j): q.pairing(basis[i], basis[j])
-        for i in range(g.rank) for j in range(i + 1, g.rank)
-    }
-    failure = _order_fact_failure(g.factors, taus, cross)
+    g, conductor = q.group, q.conductor
+    t, cross = q._gram
+    failure = _order_fact_failure(g.factors, conductor, t, cross)
     if failure is not None:
         raise NotRealizable(failure)
-
-    modulus, t, cross_exp = _generator_exponents(taus, cross)
-    diagonal = tuple(k % modulus for k in _generator_q(g.factors, t, cross_exp))
-    out = AbelianCocycle._from_generators(g, modulus, t, cross_exp, diagonal)
+    diagonal = tuple(k % conductor for k in _generator_q(g.factors, t, cross))
+    out = AbelianCocycle._from_generators(g, conductor, t, cross, diagonal)
     if _trace(out) != q.values:
         raise ConventionError("standard cocycle does not trace back to its form")
     out._results.update(normalization_witness=None, cocycle_failure=None, trace_form=q)

@@ -317,6 +317,15 @@ def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
     return tuple(root_of_unity(n, k) for k in range(n))
 
 
+def parse_int(text: str) -> int:
+    """A decimal integer: ASCII digits after an optional "-", else ValueError.
+    int() alone also takes "+", "_", spaces and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_root(text: str) -> RootOfUnity:
     """Parse the literal syntax "zN^k"; "1" and "-1" are accepted aliases."""
     s = text.strip()
@@ -327,7 +336,7 @@ def parse_root(text: str) -> RootOfUnity:
     if s.startswith("z") and "^" in s:
         head, _, tail = s[1:].partition("^")
         try:
-            return root_of_unity(int(head), int(tail))
+            return root_of_unity(parse_int(head), parse_int(tail))
         except ValueError:
             pass
     raise ParseError(f"cannot parse root-of-unity literal {text!r}")

@@ -118,8 +118,8 @@ def parse_group(text: str) -> AbelianGroup:
     for part in s.split("x"):
         part = part.strip()
         try:
-            # isdigit() admits digits int() refuses, such as "²"
-            if not part.startswith("z") or not part[1:].isdigit():
+            # isdigit() admits digits of other scripts, such as "²" and "٣"
+            if not part.startswith("z") or not (part[1:].isascii() and part[1:].isdigit()):
                 raise ValueError
             factors.append(int(part[1:]))
         except ValueError:

@@ -15,7 +15,7 @@ import itertools
 import json
 import re
 
-from .cyclotomic import ONE, format_root, parse_root, roots_of_unity
+from .cyclotomic import ONE, format_root, parse_int, parse_root, roots_of_unity
 from .errors import ParseError, ValidationError
 from .groups import AbelianGroup, Element, format_group, parse_group
 from .cocycles import (
@@ -45,7 +45,7 @@ def _parse_args(text: str, group: AbelianGroup, count: int) -> tuple[Element, ..
     out = []
     for part in parts:
         try:
-            coords = tuple(int(c) for c in part.split(","))
+            coords = tuple(parse_int(c.strip()) for c in part.split(","))
         except ValueError as exc:
             raise ParseError(f"bad element {part!r} in key {text!r}") from exc
         if len(coords) != group.rank:
@@ -99,7 +99,7 @@ def qf_from_json(data: dict, group: AbelianGroup) -> QuadraticForm:
         pairings, keys = {}, {}
         for key, literal in _object(data.get("pairings", {}), '"pairings"').items():
             try:
-                i, j = (int(p) for p in key.split(","))
+                i, j = (parse_int(p.strip()) for p in key.split(","))
             except ValueError as exc:
                 raise ParseError(f"bad pairing key {key!r}") from exc
             if not 0 <= i < j < group.rank:

@@ -22,10 +22,10 @@ import itertools
 
 import math
 
+from form_oracle import _basis
 from pointedcat.cocycles import (
     AbelianCocycle,
     TwoCochain,
-    _basis,
     _exponents,
     _generator_exponents,
     _trace,

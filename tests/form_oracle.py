@@ -8,10 +8,11 @@ to cross-check the new code's verdicts, messages and tables.
 """
 
 import math
+import random
 from functools import reduce
 
-from pointedcat.cocycles import QuadraticForm
-from pointedcat.cyclotomic import ONE
+from pointedcat.cocycles import QuadraticForm, form_from_generators
+from pointedcat.cyclotomic import ONE, roots_of_unity
 from pointedcat.errors import InvalidQuadraticForm, NotRealizable
 
 
@@ -112,3 +113,15 @@ def standard_tables(q: QuadraticForm):
                 ]
                 psi.append(_product(parts))
     return tuple(psi), tuple(omega)
+
+
+def sampled_forms(group, count: int, rng: random.Random):
+    """Seeded forms from random generator data, as the enumeration builds them."""
+    pairs = [(i, j) for i in range(group.rank) for j in range(i + 1, group.rank)]
+    for _ in range(count):
+        taus = [rng.choice(roots_of_unity(n if n % 2 else 2 * n)) for n in group.factors]
+        pairings = {
+            (i, j): rng.choice(roots_of_unity(math.gcd(group.factors[i], group.factors[j])))
+            for i, j in pairs
+        }
+        yield form_from_generators(group, taus, pairings)

@@ -429,12 +429,38 @@ def test_unexpected_exceptions_exit_3_without_a_traceback(capsys, monkeypatch):
     ({"group": "Z2", "q_gen": ["z10091^1"]}, 4, "conductor 10091 exceeds the cap 10080"),
     ({"group": "Z2xZ2", "q_gen": ["1", "1"], "pairings": {"0,1": "z10091^1"}},
      4, "conductor 10091 exceeds the cap 10080"),
+    # int() reads "_", inner spaces and other scripts' digits: "1_0" named 10 = 2 on Z4
+    ({"group": "Z٣"}, 2, "cannot parse group literal"),
+    ({"group": "Z2", "q": {"1": "z1_0^1"}}, 2, "cannot parse root-of-unity literal"),
+    ({"group": "Z2", "q": {"1": "z 4^ 1"}}, 2, "cannot parse root-of-unity literal"),
+    ({"group": "Z2", "q": {"1": "z4^+1"}}, 2, "cannot parse root-of-unity literal"),
+    ({"group": "Z4", "q": {"1": "z8^1", "1_0": "-1", "3": "z8^1"}}, 2, "bad element '1_0'"),
+    ({"group": "Z4", "q": {"1": "z8^1", "٢": "-1", "3": "z8^1"}}, 2, "bad element"),
+    ({"group": "Z4", "q": {"١": "z8^1", "2": "-1", "٣": "z8^1"}}, 2, "bad element"),
+    ({"group": "Z2", "omega": {"(1),(1 1)": "z4^1"}}, 2, "bad element"),
+    ({"group": "Z2xZ2", "q_gen": ["1", "1"], "pairings": {"0,١": "-1"}},
+     2, "bad pairing key"),
+    ({"group": "Z2xZ2", "q_gen": ["1", "1"], "pairings": {"0,+1": "-1"}}, 2, "bad pairing key"),
 ])
 def test_inputs_that_crashed_or_hung_exit_cleanly(capsys, monkeypatch, payload, code, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     status, out, err = run_cli(capsys, "center", "-", "--json")
     assert (status, out) == (code, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"group": "Z4", "q": {"-1": "z8^1", "1": "z8^-7", "2": "-1"}},
+    {"group": "Z4xZ2", "q": {"(1,0)": "z8^1", "(-1,0)": "z8^1", "( 1, -1 )": "z8^1",
+                             "(3,1)": "z8^1", "(2, 0)": "-1", "(2,1)": "-1"}},
+    {"group": "Z2xZ2", "q_gen": ["z4^-1", "1"], "pairings": {" 0 , 1 ": "-1"}},
+])
+def test_signs_and_spaces_around_integers_still_parse(capsys, monkeypatch, payload):
+    """A "-" on an exponent or a coordinate, and spaces around a key's
+    integers, keep their meaning."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    status, out, err = run_cli(capsys, "center", "-", "--json")
+    assert (status, err) == (0, "")
 
 
 _LITERALS = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "Z4xZ2", "Z300", "Z0", "z2X z2", "Z²"]

@@ -2,18 +2,25 @@
 
 The RootOfUnity-product code in form_oracle.py is what the builders
 replaced; on every input below both must give the same verdict, message
-and tables.  A q_gen file is the exception: its rejection names the failing
-generator or pair rather than the scan's first witness.
+and tables.  Two kinds of rejection are the exception.  A q_gen file names
+the failing generator or pair rather than the scan's first witness.  A
+value table that passes the length, q(0) and q(-g) checks is decided by its
+Gram data, q(e_i) and q(e_i + e_j): its rejection says "polarization not
+bimultiplicative:" and names a fact of the table that no quadratic form
+has, which ``_gram_witness`` checks against the table.
 """
 
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from cocycle_scan_oracle import cocycle_from_roots
-from form_oracle import polarization_table, q_gen_values, standard_tables
+from form_oracle import (
+    _basis, polarization_table, q_gen_values, sampled_forms, standard_tables,
+)
 from pointedcat.battery import enumerate_quadratic_forms
 from pointedcat import cocycles
 from pointedcat.cocycles import (
@@ -43,19 +50,168 @@ def _pairing_table(form):
     return tuple(form.pairing(x, y) for x in elems for y in elems)
 
 
+BIMULTIPLICATIVE = "polarization not bimultiplicative: "
+WITNESSES = {
+    "tau": re.compile(r"q\(e_(\d+)\) of order (\d+) on a cyclic factor of order (\d+)"),
+    "pairing": re.compile(
+        r"pairing of order (\d+) between e_(\d+) and e_(\d+), across factors (\d+) and (\d+)"
+    ),
+    "differs": re.compile(r"q\(g\) is not fixed by q\(e_i\) and q\(e_i \+ e_j\) at g = (\(.*\))"),
+}
+
+
+def _gram_witness(group, values, message) -> str | None:
+    """The kind of a Gram rejection when it names a true fact of the table
+    that no form has, else None: tau_i = q(e_i) or sigma_ij =
+    q(e_i + e_j) / (q(e_i) q(e_j)) of an order Wall's facts forbid, or an
+    element where q differs from the generator form of (tau, sigma)."""
+    if not message.startswith(BIMULTIPLICATIVE):
+        return None
+    idx, factors = group.element_index, group.factors
+    basis = _basis(group)
+    taus = [values[idx(e)] for e in basis]
+    pairings = {
+        (i, j): values[idx(group.add(basis[i], basis[j]))] * taus[i].inv() * taus[j].inv()
+        for i, j in itertools.combinations(range(group.rank), 2)
+    }
+    for kind, witness in WITNESSES.items():
+        match = witness.fullmatch(message[len(BIMULTIPLICATIVE):])
+        if match:
+            break
+    else:
+        return None
+    if kind == "tau":
+        i, order, n = map(int, match.groups())
+        holds = n == factors[i] > 1 and taus[i].order == order and math.gcd(2 * n, n * n) % order
+    elif kind == "pairing":
+        order, i, j, ni, nj = map(int, match.groups())
+        holds = ((ni, nj) == (factors[i], factors[j]) and min(ni, nj) > 1
+                 and pairings[(i, j)].order == order and math.gcd(ni, nj) % order)
+    elif kind == "differs":
+        at = idx(tuple(int(c) for c in match.group(1).strip("(),").split(",")))
+        holds = q_gen_values(group, taus, pairings)[at] != values[at]
+    return kind if holds else None
+
+
+def _check_verdict(group, values) -> str:
+    """The Gram check against the dense scan: the same verdict and sigma, the
+    same message for a length, q(0) or q(-g) rejection, and for a
+    bimultiplicativity rejection a witness that holds.  Returns "ok",
+    "scan" or the witness's kind."""
+    new = _outcome(lambda: _pairing_table(QuadraticForm(group, values)))
+    old = _outcome(lambda: polarization_table(group, values))
+    assert new[0] == old[0], values
+    if new[0] is InvalidQuadraticForm and old[1].startswith("polarization not"):
+        kind = _gram_witness(group, values, new[1])
+        assert kind is not None, (values, new[1])
+        return kind
+    assert new == old, values
+    return "ok" if new[0] == "ok" else "scan"
+
+
 @pytest.mark.parametrize("literal, value_order", [("Z2", 8), ("Z4", 8), ("Z2xZ2", 8), ("Z3", 6)])
 def test_quadratic_form_scan_matches_oracle(literal, value_order):
-    """Every table with q(0) = 1 and values in mu_N: same verdict, same message."""
+    """Every table with q(0) = 1 and values in mu_N: same verdict, and the
+    same message or a true witness."""
     group = parse_group(literal)
     roots = roots_of_unity(value_order)
     verdicts = set()
     for tail in itertools.product(roots, repeat=group.order - 1):
-        values = (ONE, *tail)
-        new = _outcome(lambda: _pairing_table(QuadraticForm(group, values)))
-        old = _outcome(lambda: polarization_table(group, values))
-        assert new == old, values
-        verdicts.add(new[0])
-    assert verdicts == {"ok", InvalidQuadraticForm}
+        verdicts.add(_check_verdict(group, (ONE, *tail)))
+    assert "ok" in verdicts and verdicts & set(WITNESSES)
+
+
+@pytest.mark.parametrize("literal, value_order", [("Z5", 10), ("Z2xZ4", 8)])
+def test_seeded_tables_match_oracle(literal, value_order):
+    """Seeded tables with q(0) = 1 and values in mu_N, half of them made
+    symmetric, q(-g) = q(g), so that they reach the Gram check."""
+    group, rng = parse_group(literal), random.Random(literal)
+    roots = roots_of_unity(value_order)
+    negation = [group.element_index(group.neg(x)) for x in group.elements()]
+    verdicts = set()
+    for case in range(1000):
+        values = [ONE] + [rng.choice(roots) for _ in range(group.order - 1)]
+        if case % 2:
+            values = [values[min(i, j)] for i, j in enumerate(negation)]
+        verdicts.add(_check_verdict(group, tuple(values)))
+    assert {"scan", "tau", "differs"} <= verdicts
+
+
+# every abelian group of order <= 16 but Z2^4, whose 16,384 forms are sampled
+PERTURBED = (
+    "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z4xZ2", "Z2xZ2xZ2",
+    "Z9", "Z3xZ3", "Z10", "Z11", "Z12", "Z6xZ2", "Z13", "Z14", "Z15", "Z16",
+    "Z8xZ2", "Z4xZ4", "Z4xZ2xZ2", "Z2xZ2xZ2xZ2",
+)
+
+
+@pytest.mark.parametrize("literal", PERTURBED)
+def test_forms_with_one_entry_changed_match_oracle(literal):
+    """Every form (64 seeded ones on Z2^4) with one seeded entry q(g) changed
+    to another root of order dividing 2N, and, when -g != g, again with
+    q(-g) changed with it, so that the table reaches the Gram check."""
+    group, rng = parse_group(literal), random.Random(literal)
+    if literal == "Z2xZ2xZ2xZ2":
+        forms = sampled_forms(group, 64, rng)
+    else:
+        forms = enumerate_quadratic_forms(group)
+    negation = [group.element_index(group.neg(x)) for x in group.elements()]
+    verdicts = set()
+    for form in forms:
+        at = rng.randrange(1, group.order)
+        new = rng.choice([r for r in roots_of_unity(2 * form.conductor) if r != form.values[at]])
+        values = list(form.values)
+        values[at] = new
+        verdicts.add(_check_verdict(group, tuple(values)))
+        if negation[at] != at:
+            values[negation[at]] = new
+            verdicts.add(_check_verdict(group, tuple(values)))
+    assert verdicts & set(WITNESSES)
+
+
+@pytest.mark.parametrize("literal, value_order", [
+    ("Z1", 8), ("Z2xZ1", 8), ("Z1xZ3", 6), ("Z3xZ1xZ2", 6),
+])
+def test_trivial_cyclic_factors_match_oracle(literal, value_order):
+    """A factor Z1 has e_i = 0, at index 0, not at the product of the later
+    factors: every table's verdict is the scan's, and the standard cocycle
+    of every form, built from generators or from its table, is the product
+    tables'."""
+    group = parse_group(literal)
+    verdicts = set()
+    for tail in itertools.product(roots_of_unity(value_order), repeat=group.order - 1):
+        verdicts.add(_check_verdict(group, (ONE, *tail)))
+    assert "ok" in verdicts
+    for form in enumerate_quadratic_forms(group):
+        psi, omega = standard_tables(form)
+        for built in (form, QuadraticForm(group, form.values)):
+            cocycle = standard_cocycle(built)
+            assert cocycle.psi == psi and cocycle.omega == omega
+
+
+def test_rejected_tables_build_no_sigma(monkeypatch):
+    """The Gram check reads O(r^2 + |G|) exponents: a rejected table builds
+    no addition table and no sigma, and an accepted one builds sigma once."""
+    def refuse(*args):
+        raise AssertionError("a |G|^2 table was built")
+
+    group = parse_group("Z4xZ2")
+    monkeypatch.setattr(cocycles, "_sigma_rows", refuse)
+    monkeypatch.setattr(cocycles, "addition_table", refuse)
+    i, minus = root_of_unity(4, 1), root_of_unity(2, 1)
+    z16 = root_of_unity(16, 1)
+    # elements (0,0), (0,1), (1,0), (1,1), ...: q(e_0) of order 16,
+    # sigma(e_0, e_1) of order 4, and q off the generator form at (2, 0)
+    for values in ((ONE, ONE, z16, ONE, ONE, ONE, z16, ONE),
+                   (ONE, ONE, ONE, i, ONE, ONE, ONE, i),
+                   (ONE, ONE, ONE, ONE, minus, ONE, ONE, ONE)):
+        with pytest.raises(InvalidQuadraticForm, match="^" + re.escape(BIMULTIPLICATIVE)):
+            QuadraticForm(group, values)
+    monkeypatch.undo()
+    calls, real = [], cocycles._sigma_rows
+    monkeypatch.setattr(cocycles, "_sigma_rows", lambda *args: calls.append(args) or real(*args))
+    QuadraticForm(group, (ONE,) * 8)
+    assert len(calls) == 1
 
 
 def test_quadratic_form_shape_checks_match_oracle():

@@ -19,11 +19,11 @@ import re
 
 import pytest
 
-from form_oracle import q_gen_values
+from form_oracle import _basis, q_gen_values
 from pointedcat import cocycles
 from pointedcat.battery import enumerate_quadratic_forms
 from pointedcat.cli import main
-from pointedcat.cocycles import QuadraticForm, _basis, form_from_generators
+from pointedcat.cocycles import QuadraticForm, form_from_generators
 from pointedcat.cyclotomic import ONE, parse_root, root_of_unity, roots_of_unity
 from pointedcat.errors import InvalidQuadraticForm, ParseError, ValidationError
 from pointedcat.groups import (

@@ -11,18 +11,18 @@ their bytes, and ``find_mu`` must decide a missing mu before its search.
 
 import hashlib
 import json
-import math
 import random
 
 import pytest
 
 import pointedcat.metric as metric
-from pointedcat import serde
+from pointedcat import cocycles, serde
 from pointedcat.brmod import build_module_cat
 from pointedcat.battery import enumerate_quadratic_forms
 from pointedcat.cli import main
 from pointedcat.cocycles import (
     AbelianCocycle,
+    QuadraticForm,
     _trace,
     apply_coboundary,
     check_hexagons,
@@ -33,14 +33,15 @@ from pointedcat.cocycles import (
     standard_cocycle,
     two_cochain_from_table,
 )
-from pointedcat.cyclotomic import ONE, root_of_unity, roots_of_unity
-from pointedcat.errors import NotRealizable, ValidationError
+from pointedcat.cyclotomic import ONE, root_of_unity
+from pointedcat.errors import ConventionError, NotRealizable, ValidationError
 from pointedcat.groups import (
     AbelianGroup, all_subgroups, characters, full_subgroup, parse_group,
 )
 from pointedcat.metric import make_category, mueger_center
 
 import cocycle_scan_oracle as oracle
+from form_oracle import sampled_forms
 
 TABLES = {"psi_exp", "omega_exp"}
 
@@ -56,18 +57,6 @@ SAMPLED = ("Z4xZ2xZ2", "Z2xZ2xZ2xZ2")
 
 def digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def sampled_forms(group, count: int, rng: random.Random):
-    """Seeded forms from random generator data, as the enumeration builds them."""
-    pairs = [(i, j) for i in range(group.rank) for j in range(i + 1, group.rank)]
-    for _ in range(count):
-        taus = [rng.choice(roots_of_unity(n if n % 2 else 2 * n)) for n in group.factors]
-        pairings = {
-            (i, j): rng.choice(roots_of_unity(math.gcd(group.factors[i], group.factors[j])))
-            for i, j in pairs
-        }
-        yield form_from_generators(group, taus, pairings)
 
 
 def check_closed_form(form, rng: random.Random, pentagons: dict) -> None:
@@ -203,17 +192,13 @@ def test_flipping_h2_fails_the_twisted_dense_tables(literal, caught):
 
 
 class StandIn:
-    """Generator data that no quadratic form has: tau_i and sigma_ij given
-    outright, for the realizability checks."""
+    """Gram data that no quadratic form has, given outright as exponents t_i
+    and (i, j, s_ij) over one conductor N, for the realizability checks;
+    ``values`` is what the omega diagonal must give back."""
 
-    def __init__(self, group, taus, pairing=ONE):
-        self.group, self.taus, self.pairing_value = group, taus, pairing
-
-    def q(self, g):
-        return self.taus[g.index(1)] if any(g) else ONE
-
-    def pairing(self, g, h):
-        return self.pairing_value
+    def __init__(self, group, conductor, t, cross=(), values=None):
+        self.group, self.conductor, self._gram = group, conductor, (t, list(cross))
+        self.values = values
 
 
 def test_unrealizable_generator_data_raise_before_any_cocycle(monkeypatch):
@@ -223,14 +208,44 @@ def test_unrealizable_generator_data_raise_before_any_cocycle(monkeypatch):
     monkeypatch.setattr(AbelianCocycle, "_from_generators", refuse)
     monkeypatch.setattr(AbelianCocycle, "__init__", refuse)
     # ord tau = 8 does not divide 2 n = 4; ord tau = 6 does not divide n = 3
-    for group, tau in ((AbelianGroup((2,)), root_of_unity(8, 1)),
-                       (AbelianGroup((3,)), root_of_unity(6, 1))):
+    for group, conductor in ((AbelianGroup((2,)), 8), (AbelianGroup((3,)), 6)):
         with pytest.raises(NotRealizable, match="cyclic factor"):
-            standard_cocycle(StandIn(group, [tau]))
+            standard_cocycle(StandIn(group, conductor, [1]))
     # ord sigma = 4 does not divide gcd(2, 2)
     z2xz2 = AbelianGroup((2, 2))
     with pytest.raises(NotRealizable, match="pairing of order 4"):
-        standard_cocycle(StandIn(z2xz2, [ONE, ONE], root_of_unity(4, 1)))
+        standard_cocycle(StandIn(z2xz2, 4, [0, 0], [(0, 1, 1)]))
+
+
+def test_a_diagonal_other_than_q_is_a_convention_error():
+    """Gram data that meet both facts but whose generator form is not the
+    form's values: the trace guard aborts."""
+    with pytest.raises(ConventionError, match="does not trace back"):
+        standard_cocycle(StandIn(AbelianGroup((2,)), 4, [1], values=(ONE, ONE)))
+
+
+def test_standard_cocycle_reads_only_the_kept_gram_data(monkeypatch):
+    """No q(g), no sigma(g, h) lookup and no RootOfUnity conversion: the
+    cocycle of every form of the level-2 groups, from generators or from
+    its table, and of the doubles up to D(Z4), equals the dense build in
+    fields and hash."""
+    forms = [
+        form for literal in ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z8", "Z4xZ2")
+        for form in enumerate_quadratic_forms(parse_group(literal))
+    ] + [metric.drinfeld_double(parse_group(s)).form for s in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")]
+    dense = [oracle.standard_cocycle_dense(form) for form in forms]
+
+    def refuse(*args):
+        raise AssertionError("standard_cocycle read the form's values")
+
+    monkeypatch.setattr(QuadraticForm, "q", refuse)
+    monkeypatch.setattr(QuadraticForm, "pairing", refuse)
+    monkeypatch.setattr(cocycles, "_generator_exponents", refuse)
+    for form, want in zip(forms, dense):
+        for built in (form, QuadraticForm(form.group, form.values)):
+            cocycle = standard_cocycle(built)
+            assert cocycle == want and hash(cocycle) == hash(want)
+            assert cocycle.conductor == want.conductor
 
 
 # -- work counts ----------------------------------------------------------------
