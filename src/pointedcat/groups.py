@@ -2,8 +2,9 @@
 
 Elements are plain tuples of residues, ordered lexicographically everywhere
 so matrix rows and columns are reproducible across runs.  Subgroups are
-extensional (identified by their sorted element list) and grow as sets of
-element indices, coset by coset over the addition table.  One invariant-factor
+extensional (identified by their sorted element list), proved closed by the
+span of their elements, and grow as sets of element indices, coset by coset
+over the addition table.  One invariant-factor
 decomposition on the same table gives quotients their cyclic factors and
 subgroups their cyclic presentations, and the dual group is realized as
 coordinate tuples of the same shape as elements.
@@ -165,49 +166,48 @@ def element_tables(factors: tuple[int, ...]) -> tuple[tuple[Element, ...], dict,
 # ----------------------------------------------------------------------
 
 class Subgroup(Value):
-    """Subgroup given extensionally; elements sorted, closure validated.  The
-    element indices and the hash are kept from construction."""
+    """Subgroup given extensionally by its sorted element list, proved closed
+    by its span: scanning the elements in order, each one outside the span
+    so far grows it by ``_span``, and the span must stay inside the list.
+    The span is the subgroup the list generates and holds every element, so
+    it equals the list exactly when the list is closed; negatives come free,
+    as G is finite.  The element indices and the hash are kept."""
 
-    _fields = ("parent", "elements", "generators")
+    _fields = ("parent", "elements")
     __slots__ = _fields + ("indices", "_members", "_hash")
 
-    def __init__(self, parent: AbelianGroup, elements: tuple[Element, ...],
-                 generators: tuple[Element, ...]):
+    def __init__(self, parent: AbelianGroup, elements: tuple[Element, ...]):
         setfield(self, "parent", parent)
         setfield(self, "elements", elements)
-        setfield(self, "generators", generators)
         if not all(g < h for g, h in zip(elements, elements[1:])):
             raise NotSubgroup("subgroup element list must be sorted and deduplicated")
         if parent.zero not in elements:
             raise NotSubgroup("subgroup must contain the identity")
-        _, index_of, negation = element_tables(parent.factors)
+        elems, index_of, _ = element_tables(parent.factors)
         for g in elements:
             if g not in index_of:
                 parent._check(g)
                 raise NotSubgroup(
                     f"subgroup element {g} is not a reduced element of {parent}"
                 )
-        table, n = addition_table(parent), parent.order
         index = [index_of[g] for g in elements]
-        members = frozenset(index)
-        for g, i in zip(elements, index):
-            if negation[i] not in members:
-                raise NotSubgroup(f"subgroup not closed under negation at {g}")
-            for h, j in zip(elements, index):
-                if table[i * n + j] not in members:
-                    raise NotSubgroup(f"subgroup not closed under addition at {g}+{h}")
-        if parent.order % len(elements) != 0:
-            raise NotSubgroup("subgroup order does not divide the group order")
+        members, span = frozenset(index), frozenset({0})
+        for i in index:
+            if i not in span:
+                span = _span(parent, span, i)
+                if not span <= members:
+                    witness = elems[min(span - members)]
+                    raise NotSubgroup(
+                        f"subgroup not closed: its elements generate {witness}, not among them"
+                    )
         setfield(self, "indices", tuple(index))
         setfield(self, "_members", members)
-        setfield(self, "_hash", hash((parent, elements, generators)))
+        setfield(self, "_hash", hash((parent, elements)))
 
     def __eq__(self, other):
         if other.__class__ is not Subgroup:
             return NotImplemented
-        return (self.parent, self.elements, self.generators) == (
-            other.parent, other.elements, other.generators
-        )
+        return self.parent == other.parent and self.elements == other.elements
 
     def __hash__(self) -> int:
         return self._hash
@@ -236,26 +236,16 @@ def _span(group: AbelianGroup, members: frozenset, g: int) -> frozenset:
 
 
 def _subgroup_on(group: AbelianGroup, members: frozenset) -> Subgroup:
-    """The subgroup on a set of element indices, generated greedily: scanning
-    in element order, by each element outside the span of those before."""
-    elems, ordered = group.elements(), sorted(members)
-    gens, have = [], frozenset({0})
-    for i in ordered:
-        if have == members:
-            break
-        if i not in have:
-            gens.append(elems[i])
-            have = _span(group, have, i)
-    return Subgroup(group, tuple(elems[i] for i in ordered), tuple(gens))
+    """The subgroup on a set of element indices."""
+    elems = element_tables(group.factors)[0]
+    return Subgroup(group, tuple(elems[i] for i in sorted(members)))
 
 
 def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
-    gens = tuple(group.reduce(g) for g in gens)
     members = frozenset({0})
     for g in gens:
-        members = _span(group, members, group.element_index(g))
-    elems = group.elements()
-    return Subgroup(group, tuple(elems[i] for i in sorted(members)), gens)
+        members = _span(group, members, group.element_index(group.reduce(g)))
+    return _subgroup_on(group, members)
 
 
 def subgroup_from_elements(group: AbelianGroup, elems) -> Subgroup:
@@ -264,7 +254,7 @@ def subgroup_from_elements(group: AbelianGroup, elems) -> Subgroup:
 
 
 def trivial_subgroup(group: AbelianGroup) -> Subgroup:
-    return Subgroup(group, (group.zero,), ())
+    return Subgroup(group, (group.zero,))
 
 
 def full_subgroup(group: AbelianGroup) -> Subgroup:

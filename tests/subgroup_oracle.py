@@ -2,21 +2,23 @@
 
 This is the engine `pointedcat.groups` used before subgroups moved onto
 element indices over `addition_table`: closure by repeated tuple addition,
-greedy generators that re-close at every step, the lattice BFS that grows
-every subgroup by every element, the O(|H|^2) tuple validation and the
-sorted-coset quotient representatives.  Below them are the invariant-factor
+the lattice BFS that grows every subgroup by every element, the O(|H|^2)
+tuple validation of closure under addition and negation, and the
+sorted-coset quotient representatives.  The index engine proves closure
+from the span of the elements instead, so it rejects the same lists but
+names a missing element of the span.  Below them are the invariant-factor
 engines: Smith normal form for quotient factors and the recursive tuple
 decomposition behind cyclic presentations.  Last come the addition table
 built through tuple addition and the isotropic subgroups found by filtering
 every subgroup.  `tests/test_subgroup_oracle.py` compares the index engine
-with all of it on elements, generators, factors and list order.
+with all of it on elements, verdicts, factors and list order.
 """
 
 from __future__ import annotations
 
 from pointedcat import groups
 from pointedcat.errors import InternalInconsistency
-from pointedcat.groups import AbelianGroup, Element, Subgroup
+from pointedcat.groups import AbelianGroup, Subgroup
 
 
 def _closure(group: AbelianGroup, seed) -> frozenset:
@@ -36,29 +38,11 @@ def _closure(group: AbelianGroup, seed) -> frozenset:
 
 
 def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
-    gens = tuple(group.reduce(g) for g in gens)
-    elems = tuple(sorted(_closure(group, gens)))
-    return Subgroup(group, elems, gens)
+    return Subgroup(group, tuple(sorted(_closure(group, gens))))
 
 
 def subgroup_from_elements(group: AbelianGroup, elems) -> Subgroup:
-    elems = tuple(sorted({group.reduce(g) for g in elems} | {group.zero}))
-    return Subgroup(group, elems, minimal_generators(group, elems))
-
-
-def minimal_generators(group: AbelianGroup, elems) -> tuple[Element, ...]:
-    """Greedy generating set, scanning the sorted element list."""
-    gens: list[Element] = []
-    have = frozenset({group.zero})
-    target = frozenset(elems)
-    for g in sorted(elems):
-        if g in have:
-            continue
-        gens.append(g)
-        have = _closure(group, gens)
-        if have == target:
-            break
-    return tuple(gens)
+    return Subgroup(group, tuple(sorted({group.reduce(g) for g in elems} | {group.zero})))
 
 
 def _subgroups_over(group: AbelianGroup, universe) -> list[Subgroup]:

@@ -9,7 +9,7 @@ from pointedcat.errors import (
     GroupTooLarge, InternalInconsistency, NotSubgroup, ParseError, ShapeMismatch,
     ValidationError,
 )
-from pointedcat import groups
+from pointedcat import brmod, groups
 from dense_howell import howell_form, howell_kernel, howell_reduce
 from subgroup_oracle import smith_diagonal
 from pointedcat.battery import _abelian_groups_of_order
@@ -25,6 +25,7 @@ from pointedcat.groups import (
     characters,
     cyclic_presentation,
     format_group,
+    full_subgroup,
     howell_size,
     parse_group,
     quotient,
@@ -127,15 +128,17 @@ def test_subgroup_validation():
     with pytest.raises(NotSubgroup):
         # not closed: {0, 1} misses 2
         from pointedcat.groups import Subgroup
-        Subgroup(g, ((0,), (1,)), ((1,),))
+        Subgroup(g, ((0,), (1,)))
 
 
 
-# The outcome of each corruption on Z2xZ4, as the tuple validation gave it.
+# The outcome of each corruption on Z2xZ4.  A list that is not closed names
+# the least element of the span of its elements that it misses: (0, 1) spans
+# {0, 1, 2, 3}, so both lists miss (0, 2).
+NOT_CLOSED = "subgroup not closed: its elements generate (0, 2), not among them"
 SUBGROUP_CORRUPTIONS = {
-    "addition": (((0, 0), (0, 1), (0, 3)),
-                 NotSubgroup, "subgroup not closed under addition at (0, 1)+(0, 1)"),
-    "negation": (((0, 0), (0, 1)), NotSubgroup, "subgroup not closed under negation at (0, 1)"),
+    "addition": (((0, 0), (0, 1), (0, 3)), NotSubgroup, NOT_CLOSED),
+    "negation": (((0, 0), (0, 1)), NotSubgroup, NOT_CLOSED),
     "identity": (((0, 2), (1, 0), (1, 2)), NotSubgroup, "subgroup must contain the identity"),
     "unsorted": (((0, 0), (1, 0), (0, 2), (1, 2)),
                  NotSubgroup, "subgroup element list must be sorted and deduplicated"),
@@ -157,7 +160,7 @@ SUBGROUP_CORRUPTIONS = {
 def test_subgroup_validation_classes_and_messages(name):
     elems, cls, message = SUBGROUP_CORRUPTIONS[name]
     with pytest.raises(cls) as info:
-        Subgroup(parse_group("Z2xZ4"), elems, ())
+        Subgroup(parse_group("Z2xZ4"), elems)
     assert info.type is cls and str(info.value) == message
 
 
@@ -174,15 +177,15 @@ def test_unreduced_elements_are_bad_input_not_an_abort():
     # an order-4 subgroup, it made quotient raise InternalInconsistency
     group = parse_group("Z4")
     with pytest.raises(NotSubgroup, match=r"^subgroup element \(4,\) is not a reduced element of Z4$"):
-        Subgroup(group, ((0,), (2,), (4,), (6,)), ())
+        Subgroup(group, ((0,), (2,), (4,), (6,)))
 
 
 def test_subgroup_keeps_indices_and_hash():
     group = parse_group("Z2xZ4")
     for sub in all_subgroups(group):
         assert sub.indices == tuple(map(group.element_index, sub.elements))
-        assert hash(sub) == hash((sub.parent, sub.elements, sub.generators))
-        copy = Subgroup(group, sub.elements, sub.generators)
+        assert hash(sub) == hash((sub.parent, sub.elements))
+        copy = Subgroup(group, sub.elements)
         assert copy == sub and hash(copy) == hash(sub)
         assert all(sub.contains(g) for g in sub.elements)
         assert sum(map(sub.contains, group.elements())) == sub.order
@@ -191,6 +194,60 @@ def test_subgroup_keeps_indices_and_hash():
         hits = cyclic_presentation.cache_info().hits
         assert cyclic_presentation(copy) is pres
         assert cyclic_presentation.cache_info().hits == hits + 1
+
+
+class _CountingTable:
+    """A table that counts the entries read from it."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return self.table[k]
+
+
+@pytest.mark.parametrize("literal", ["Z2xZ2xZ2xZ2xZ2xZ2", "Z8xZ8xZ4"])
+def test_construction_reads_at_most_twice_the_order(literal, monkeypatch):
+    """The span proof reads each element's coset sums once, plus one step per
+    coset: at most 2|H| addition-table entries, never the |H|^2 of a pair
+    scan.  A work count, not a timing."""
+    group = parse_group(literal)
+    subs = all_subgroups(group)
+    counting = _CountingTable(addition_table(group))
+    monkeypatch.setattr(groups, "addition_table", lambda g: counting)
+    for sub in subs:
+        counting.reads = 0
+        assert Subgroup(group, sub.elements) == sub
+        assert counting.reads <= 2 * sub.order, (sub.elements, counting.reads)
+
+
+def test_equal_element_sets_are_equal_subgroups():
+    z4, z22 = parse_group("Z4"), parse_group("Z2xZ2")
+    a, b = subgroup_generated(z4, [(1,), (2,)]), subgroup_generated(z4, [(1,)])
+    assert a == b and hash(a) == hash(b)
+    assert subgroup_generated(z22, [(1, 0), (0, 1)]) == full_subgroup(z22)
+
+
+def test_equal_subgroups_share_every_memo_keyed_by_a_subgroup():
+    """Each memo reads only a subgroup's parent, elements and indices, so one
+    built from other generators, or from its elements, is a cache hit."""
+    group = parse_group("Z4xZ4")
+    first = subgroup_generated(group, [(1, 1), (2, 0)])
+    second = subgroup_from_elements(group, reversed(first.elements))
+    assert second == first and second is not first
+    calls = [
+        (quotient, lambda sub: (group, sub)),
+        (cyclic_presentation, lambda sub: (sub,)),
+        (groups._subgroups_within, lambda sub: (sub,)),
+        (brmod._lift_table, lambda sub: (sub,)),
+        (brmod._is_character_table, lambda sub: ((), (), sub, 4)),
+    ]
+    for memo, args in calls:
+        kept = memo(*args(first))
+        hits = memo.cache_info().hits
+        assert memo(*args(second)) is kept
+        assert memo.cache_info().hits == hits + 1, memo.__name__
 
 # -- all_subgroups against a brute-force oracle -------------------------
 
@@ -515,4 +572,3 @@ def test_subgroup_from_elements_dedupes():
     g = parse_group("Z4")
     sub = subgroup_from_elements(g, [(2,), (0,), (2,)])
     assert sub.elements == ((0,), (2,))
-    assert sub.generators == ((2,),)

@@ -204,7 +204,7 @@ def test_replace_runs_the_checks_again():
         replace(root_of_unity(4, 1), exponent=2)
     with pytest.raises(ParseError, match="invalid cyclic factors"):
         replace(SAMPLES["AbelianGroup"], factors=(4, 0))
-    with pytest.raises(NotSubgroup, match="negation"):
+    with pytest.raises(NotSubgroup, match="not closed"):
         replace(SAMPLES["Subgroup"], elements=((0, 0), (1, 0)))
     form = SAMPLES["QuadraticForm"]
     with pytest.raises(InvalidQuadraticForm, match="q\\(0\\) must be 1"):
